@@ -1,0 +1,59 @@
+"""Byte-for-byte pins of machine reports and machine expansions.
+
+Each case renders one output and compares it with a file under
+``tests/golden/``.  A change to term keys, witness selection or formatting
+shows here as a diff.  Regenerate the files only for an intended change of
+output: ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from helpers import cached_context, mutate_tensor
+from qtwist.cli import main, render_report_machine
+from qtwist.verify import run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _suite(name, order):
+    return render_report_machine(run_suite(cached_context(name, order), "all"))
+
+
+def _mutated_phi():
+    ctx = cached_context("jordanian-borel", 4)
+    bad = mutate_tensor(ctx.algebra, ctx.phi, max(ctx.phi.terms))
+    return render_report_machine(run_suite(ctx, "all", phi=bad))
+
+
+def _expand(expr):
+    out = io.StringIO()
+    argv = ["expand", "--preset", "poincare-null-plane", "--order", "2"]
+    code = main(argv + ["--expr", expr, "--format", "machine"], out=out)
+    assert code == 0
+    return out.getvalue()
+
+
+CASES = {
+    "check-poincare-null-plane-n3": lambda: _suite("poincare-null-plane", 3),
+    "check-jordanian-borel-n6": lambda: _suite("jordanian-borel", 6),
+    "check-shift-ring3-n3": lambda: _suite("shift-ring(3)", 3),
+    "check-jordanian-borel-n4-phi-mutated": _mutated_phi,
+    "expand-phi": lambda: _expand("phi"),
+    "expand-K": lambda: _expand("K"),
+    "expand-coproduct-X1": lambda: _expand("coproduct:X1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert CASES[name]() == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, make in CASES.items():
+        (GOLDEN / f"{name}.json").write_text(make(), encoding="utf-8")
