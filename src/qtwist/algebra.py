@@ -117,52 +117,33 @@ class Algebra:
     # -- element constructors ------------------------------------------------
 
     def zero(self):
-        return Element(self, {})
+        return self.tensor_zero(1)
 
     def one(self):
-        return Element(self, {(0, Monomial.unit(self.m, self.n)): Q(1)})
+        return self.tensor_unit(1)
 
     def h(self, i, power=0):
         if not 0 <= i < self.m:
             raise ShapeError(f"H index {i} out of range")
-        return Element(self, {(power, Monomial.h_gen(self.m, self.n, i)): Q(1)})
+        return TensorElement(self, 1, {(power, (Monomial.h_gen(self.m, self.n, i),)): Q(1)})
 
     def x(self, mu, power=0):
         if not 0 <= mu < self.n:
             raise ShapeError(f"X index {mu} out of range")
-        return Element(self, {(power, Monomial.x_gen(self.m, self.n, mu)): Q(1)})
+        return TensorElement(self, 1, {(power, (Monomial.x_gen(self.m, self.n, mu),)): Q(1)})
 
     def element(self, terms):
-        """Build an element from a mapping (power, monomial) -> coefficient.
+        """Build a 1-leg element from a mapping (power, monomial) -> coefficient.
 
         Monomials may be Monomial instances or (h_exps, x_exps) pairs.
         Terms above the truncation order are dropped; zeros are pruned.
         """
-        out = {}
-        for (k, mono), coeff in terms.items():
+        for k, mono in terms:
             if k < 0:
                 raise ShapeError("negative deformation power")
-            mono = Monomial(tuple(mono[0]), tuple(mono[1]))
-            if len(mono.h) != self.m or len(mono.x) != self.n:
-                raise ShapeError("monomial arity does not match the algebra")
-            if any(e < 0 for e in mono.h) or any(e < 0 for e in mono.x):
+            if any(e < 0 for e in mono[0]) or any(e < 0 for e in mono[1]):
                 raise ShapeError("negative exponent")
-            c = Q(coeff)
-            if c and k <= self.order:
-                out[(k, mono)] = out.get((k, mono), Q(0)) + c
-        return Element(self, _prune(out))
-
-    def gid_h(self, i):
-        """Word letter id for H_i."""
-        if not 0 <= i < self.m:
-            raise MalformedWordError(f"H index {i} out of range")
-        return i
-
-    def gid_x(self, mu):
-        """Word letter id for X_mu."""
-        if not 0 <= mu < self.n:
-            raise MalformedWordError(f"X index {mu} out of range")
-        return self.m + mu
+        return self.tensor_element(1, {(k, (mono,)): c for (k, mono), c in terms.items()})
 
     def from_word(self, word):
         """Normal-order a word of (generator id, deformation power) letters.
@@ -206,24 +187,21 @@ class Algebra:
         return TensorElement(self, legs, _prune(out))
 
     def outer(self, *factors):
-        """Tensor product of elements, one per leg."""
-        legs = len(factors)
-        if legs < 1:
+        """Tensor product of the factors, their legs side by side."""
+        if not factors:
             raise ShapeError("outer requires at least one factor")
         out = {}
         for combo in itertools.product(*(f.terms.items() for f in factors)):
             k = sum(key[0] for key, _ in combo)
             if k > self.order:
                 continue
-            monos = tuple(key[1] for key, _ in combo)
+            monos = tuple(mono for key, _ in combo for mono in key[1])
             c = Q(1)
             for _, v in combo:
                 c *= v
             key = (k, monos)
             out[key] = out.get(key, Q(0)) + c
-        if legs == 1:
-            return Element(self, _prune(out_to_single(out)))
-        return TensorElement(self, legs, _prune(out))
+        return TensorElement(self, sum(f.legs for f in factors), _prune(out))
 
     # -- normal-ordering kernels ------------------------------------------------
 
@@ -287,23 +265,6 @@ class Algebra:
 
     # -- products ----------------------------------------------------------------
 
-    def mul_elements(self, a, b):
-        out = {}
-        order = self.order
-        for (k1, m1), c1 in a.terms.items():
-            for (k2, m2), c2 in b.terms.items():
-                base = k1 + k2
-                if base > order:
-                    continue
-                c12 = c1 * c2
-                for (km, mono), cm in self._mono_mul(m1, m2).items():
-                    k = base + km
-                    if k > order:
-                        continue
-                    key = (k, mono)
-                    out[key] = out.get(key, Q(0)) + c12 * cm
-        return Element(self, _prune(out))
-
     def mul_tensors(self, a, b):
         out = {}
         order = self.order
@@ -331,15 +292,24 @@ class Algebra:
         return TensorElement(self, a.legs, _prune(out))
 
 
-def out_to_single(terms):
-    """Unwrap one-leg tensor keys to plain element keys."""
-    return {(k, monos[0]): c for (k, monos), c in terms.items()}
+class TensorElement:
+    """Sparse element of a tensor power of the algebra, one monomial per leg.
 
+    Terms are keyed ``(power, (mono_1, ..., mono_legs))``.  An element of the
+    algebra itself is the 1-leg case.
+    """
 
-class _Graded:
-    """Shared arithmetic for Element and TensorElement."""
+    __slots__ = ("algebra", "legs", "terms")
 
-    __slots__ = ()
+    def __init__(self, algebra, legs, terms):
+        if legs < 1:
+            raise ShapeError("tensor elements need at least one leg")
+        self.algebra = algebra
+        self.legs = legs
+        self.terms = terms
+
+    def _with_terms(self, terms):
+        return TensorElement(self.algebra, self.legs, terms)
 
     def _check_compat(self, other):
         if type(other) is not type(self):
@@ -347,11 +317,8 @@ class _Graded:
         a, b = self.algebra, other.algebra
         if (a.m, a.n, a.order) != (b.m, b.n, b.order):
             raise ShapeError("operands live in algebras of different shape")
-        if getattr(self, "legs", 1) != getattr(other, "legs", 1):
+        if self.legs != other.legs:
             raise ShapeError("operands have different numbers of tensor legs")
-
-    def _with_terms(self, terms):
-        raise NotImplementedError
 
     def __add__(self, other):
         self._check_compat(other)
@@ -376,17 +343,42 @@ class _Graded:
             return self._with_terms({})
         return self._with_terms({k: c * v for k, v in self.terms.items()})
 
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._check_compat(other)
+        if self.algebra is not other.algebra:
+            raise ShapeError("product of elements from distinct algebras")
+        return self.algebra.mul_tensors(self, other)
+
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ShapeError("powers must be non-negative integers")
+        acc = self.algebra.tensor_unit(self.legs)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
     def is_zero(self):
         return not self.terms
+
+    def is_pure_h(self):
+        return all(mono.is_pure_h for _, monos in self.terms for mono in monos)
 
     def valuation(self):
         """Smallest deformation power present, or None for zero."""
         return min((k for k, _ in self.terms), default=None)
+
+    def unit_series(self):
+        """Coefficients of the unit monomial, keyed by deformation power."""
+        return {
+            k: c for (k, monos), c in self.terms.items() if all(mono.is_unit for mono in monos)
+        }
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -397,74 +389,11 @@ class _Graded:
         a, b = self.algebra, other.algebra
         return (
             (a.m, a.n, a.order) == (b.m, b.n, b.order)
-            and getattr(self, "legs", 1) == getattr(other, "legs", 1)
+            and self.legs == other.legs
             and self.terms == other.terms
         )
 
     __hash__ = None
-
-
-class Element(_Graded):
-    """Sparse normal-ordered element of the deformed algebra."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = terms
-
-    def _with_terms(self, terms):
-        return Element(self.algebra, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_compat(other)
-        if self.algebra is not other.algebra:
-            raise ShapeError("product of elements from distinct algebras")
-        return self.algebra.mul_elements(self, other)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ShapeError("powers must be non-negative integers")
-        acc = self.algebra.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def is_pure_h(self):
-        return all(mono.is_pure_h for _, mono in self.terms)
-
-    def unit_series(self):
-        """Coefficients of the unit monomial, keyed by deformation power."""
-        return {k: c for (k, mono), c in self.terms.items() if mono.is_unit}
-
-    def __repr__(self):
-        return f"Element({format_terms(self.sorted_terms(), self.algebra)})"
-
-
-class TensorElement(_Graded):
-    """Sparse element of a 2- or 3-fold tensor power, one monomial per leg."""
-
-    __slots__ = ("algebra", "legs", "terms")
-
-    def __init__(self, algebra, legs, terms):
-        if legs < 2:
-            raise ShapeError("tensor elements need at least two legs")
-        self.algebra = algebra
-        self.legs = legs
-        self.terms = terms
-
-    def _with_terms(self, terms):
-        return TensorElement(self.algebra, self.legs, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_compat(other)
-        if self.algebra is not other.algebra:
-            raise ShapeError("product of tensors from distinct algebras")
-        return self.algebra.mul_tensors(self, other)
 
     def permute(self, perm):
         """Reorder legs; perm[i] is the source leg for target slot i."""
@@ -511,12 +440,13 @@ class TensorElement(_Graded):
             rest = monos[:leg] + monos[leg + 1 :]
             key = (k, rest)
             out[key] = out.get(key, Q(0)) + c
-        if self.legs == 2:
-            return Element(self.algebra, _prune(out_to_single(out)))
         return TensorElement(self.algebra, self.legs - 1, _prune(out))
 
     def __repr__(self):
         return f"TensorElement({format_terms(self.sorted_terms(), self.algebra)})"
+
+
+Element = TensorElement
 
 
 def normal_order(word, algebra):
@@ -532,10 +462,7 @@ def exp_truncated(a):
     """
     if any(k < 1 for k, _ in a.terms):
         raise TruncationError("exponent has a term of deformation power zero")
-    if isinstance(a, TensorElement):
-        acc = a.algebra.tensor_unit(a.legs)
-    else:
-        acc = a.algebra.one()
+    acc = a.algebra.tensor_unit(a.legs)
     power = acc
     for j in range(1, a.algebra.order + 1):
         power = power * a
@@ -557,7 +484,7 @@ class SeriesMatrix:
         alg = None
         for row in rows:
             for e in row:
-                if not isinstance(e, Element):
+                if not isinstance(e, Element) or e.legs != 1:
                     raise ShapeError("series matrix entries must be elements")
                 if not e.is_pure_h():
                     raise ShapeError("series matrix entries must be pure-H")
@@ -697,8 +624,6 @@ def format_monomial(mono, h_names=None, x_names=None):
 
 def format_term(key, coeff, h_names=None, x_names=None):
     k, monos = key
-    if isinstance(monos, Monomial):
-        monos = (monos,)
     body = " ⊗ ".join(format_monomial(mo, h_names, x_names) for mo in monos)
     parts = []
     if coeff != 1:

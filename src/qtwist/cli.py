@@ -13,7 +13,6 @@ import sys
 
 from .algebra import format_term
 from .errors import (
-    DegenerateRMatrixError,
     NoValidXiError,
     QTwistError,
     SpecError,
@@ -39,8 +38,6 @@ def _load_spec(args, parser):
 
 def _term_document(key, coeff):
     power, monos = key
-    if not isinstance(monos, tuple) or not hasattr(monos[0], "h"):
-        monos = (monos,)
     return {
         "power": power,
         "coeff": str(coeff),
@@ -139,20 +136,27 @@ def cmd_validate(args, parser, out):
     return 0 if report.passed else 1
 
 
-def cmd_check(args, parser, out):
+def _load_context(args, parser, out):
+    """Load the spec at the requested order, validate it and build its context.
+
+    Returns None after printing the validation report of an invalid spec.
+    """
     spec = _load_spec(args, parser)
     if args.order is not None:
         spec = spec.with_order(args.order)
     validation = validate_spec(spec)
     if not validation.passed:
         out.write(render_validation_text(validation))
+        return None
+    return build_context(spec)
+
+
+def cmd_check(args, parser, out):
+    ctx = _load_context(args, parser, out)
+    if ctx is None:
         return 1
     try:
-        ctx = build_context(spec)
         report = run_suite(ctx, suite=args.suite, jobs=args.jobs)
-    except (DegenerateRMatrixError, SpecError) as exc:
-        out.write(f"cannot build context: {exc}\n")
-        return 1
     except UnsupportedPresetError as exc:
         parser.error(str(exc))
     if args.format == "machine":
@@ -163,15 +167,10 @@ def cmd_check(args, parser, out):
 
 
 def cmd_expand(args, parser, out):
-    spec = _load_spec(args, parser)
-    if args.order is not None:
-        spec = spec.with_order(args.order)
-    expr = args.expr
-    try:
-        ctx = build_context(spec)
-    except (DegenerateRMatrixError, SpecError) as exc:
-        out.write(f"cannot build context: {exc}\n")
+    ctx = _load_context(args, parser, out)
+    if ctx is None:
         return 1
+    spec, expr = ctx.spec, args.expr
     if expr == "phi":
         obj = ctx.phi
     elif expr == "F":
@@ -219,7 +218,9 @@ def build_parser():
     p_chk.add_argument("--suite", choices=SUITES, default="all")
     p_chk.add_argument("--order", type=int, default=None)
     p_chk.add_argument("--format", choices=("text", "machine"), default="text")
-    p_chk.add_argument("--jobs", type=int, default=1)
+    p_chk.add_argument(
+        "--jobs", type=int, default=1, help="accepted; checks always run serially"
+    )
 
     p_exp = sub.add_parser("expand", help="print a named expansion")
     p_exp.add_argument("path", nargs="?", help="spec file (JSON)")

@@ -34,8 +34,8 @@ class HopfContext:
     """Bundles a derived structure with the cached Hopf-side data.
 
     The heavyweight pieces (coproduct images, matrix exponentials, the twist
-    and the R-matrix) are built lazily and cached; everything is immutable
-    after construction, so a context can be shared across parallel checks.
+    and the R-matrix) are built lazily and cached, so every check run on a
+    context reuses them.
     """
 
     def __init__(self, derived: DerivedStructure):
@@ -105,7 +105,7 @@ class HopfContext:
     def coproduct(self, a):
         """Deformed coproduct, extended from the generators as an algebra map."""
         out = self.algebra.tensor_zero(2)
-        for (k, mono), c in a.terms.items():
+        for (k, (mono,)), c in a.terms.items():
             delta = self._delta_monomial(mono)
             shifted = {}
             for (dk, monos), dc in delta.terms.items():

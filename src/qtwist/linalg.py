@@ -37,16 +37,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    if len(v) != len(a[0]):
-        raise ShapeError("matrix-vector product: dimensions differ")
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Q(0)) for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _bareiss_forward(mat):
     """Fraction-free forward elimination, in place.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import (
@@ -93,9 +93,6 @@ class AlgebraSpec:
     def with_order(self, order):
         return dataclasses.replace(self, order=order)
 
-    def generator_names(self):
-        return self.h_names + self.x_names
-
 
 @dataclass(frozen=True)
 class ValidationCheck:
@@ -128,7 +125,6 @@ class DerivedStructure:
     alpha_up: tuple
     r_low: tuple
     alpha_low: tuple
-    beta: tuple
     algebra: Algebra
 
     def bracket(self, j, mu):
@@ -136,20 +132,19 @@ class DerivedStructure:
 
     def alpha_h_matrix(self):
         """The matrix sum_i alpha_up[i] * h*H_i with entries in the algebra."""
-        alg = self.algebra
-        rows = []
-        for muu in range(self.spec.n):
-            row = []
-            for nu in range(self.spec.n):
-                terms = {}
-                for i in range(self.spec.m):
-                    c = self.alpha_up[i][muu][nu]
-                    if c:
-                        key = (1, Monomial.h_gen(self.spec.m, self.spec.n, i))
-                        terms[key] = terms.get(key, Q(0)) + c
-                row.append(alg.element(terms))
-            rows.append(row)
-        return SeriesMatrix(rows)
+        return _alpha_h_matrix(self.algebra, self.alpha_up)
+
+
+def _alpha_h_matrix(algebra, alpha_up):
+    m, n = algebra.m, algebra.n
+    rows = []
+    for muu in range(n):
+        row = []
+        for nu in range(n):
+            terms = {(1, Monomial.h_gen(m, n, i)): alpha_up[i][muu][nu] for i in range(m)}
+            row.append(algebra.element(terms))
+        rows.append(row)
+    return SeriesMatrix(rows)
 
 
 def _compute_alpha_up(spec):
@@ -204,63 +199,88 @@ def classical_algebra(spec):
     return Algebra(spec.m, spec.n, spec.order, table)
 
 
+class _Classical(NamedTuple):
+    """The classical data of a spec, each missing part with its reason."""
+
+    beta_clash: Optional[tuple]  # (mu, nu, entry) of two non-commuting betas
+    r_low: Optional[tuple]
+    r_defect: Optional[str]  # why r_low is None
+    alpha_up: tuple
+    alpha_low: Optional[tuple]
+
+
+def _classical(spec):
+    """Derive the classical data once, for validation and construction alike."""
+    beta = _beta_matrices(spec)
+    beta_clash = next(
+        (
+            (mu, nu, hit)
+            for mu in range(spec.n)
+            for nu in range(mu + 1, spec.n)
+            if (hit := _mat_commute(beta[mu], beta[nu])) is not None
+        ),
+        None,
+    )
+    r_low = r_defect = alpha_low = None
+    if spec.m != spec.n:
+        r_defect = f"r is {spec.m}x{spec.n}, not square"
+    else:
+        try:
+            r_low = _r_low(spec)
+        except SingularMatrixError:
+            r_defect = "r is singular"
+    alpha_up = _compute_alpha_up(spec)
+    if r_low is not None:
+        alpha_low = tuple(
+            tuple(
+                tuple(
+                    sum(
+                        (r_low[i][muu] * alpha_up[i][rho][nu] for i in range(spec.m)),
+                        Q(0),
+                    )
+                    for nu in range(spec.n)
+                )
+                for rho in range(spec.n)
+            )
+            for muu in range(spec.n)
+        )
+    return _Classical(beta_clash, r_low, r_defect, alpha_up, alpha_low)
+
+
+def _require_classical(spec):
+    """The classical data of a spec that can be quantized; raises otherwise."""
+    classical = _classical(spec)
+    if classical.beta_clash is not None:
+        mu, nu, bad = classical.beta_clash
+        raise SpecError(
+            f"Jacobi identity fails: beta[{mu}] and beta[{nu}] "
+            f"do not commute at entry {bad}"
+        )
+    if spec.m != spec.n:
+        raise DegenerateRMatrixError(
+            "r must be square and invertible; only non-degenerate pairings "
+            "are supported"
+        )
+    if classical.r_low is None:
+        raise DegenerateRMatrixError(
+            "r is singular; restrict the declaration to the subalgebra on "
+            "which r is invertible before quantizing"
+        )
+    return classical
+
+
 def derive_alpha(spec):
     """Derive the coupling matrices and the deformed bracket table.
 
     Requires the Jacobi identity (commuting beta matrices) and invertible r;
     raises SpecError or DegenerateRMatrixError otherwise.
     """
-    beta = _beta_matrices(spec)
-    for mu in range(spec.n):
-        for nu in range(mu + 1, spec.n):
-            bad = _mat_commute(beta[mu], beta[nu])
-            if bad is not None:
-                raise SpecError(
-                    f"Jacobi identity fails: beta[{mu}] and beta[{nu}] "
-                    f"do not commute at entry {bad}"
-                )
-    if spec.m != spec.n:
-        raise DegenerateRMatrixError(
-            "r must be square and invertible; only non-degenerate pairings "
-            "are supported"
-        )
-    try:
-        r_low = _r_low(spec)
-    except SingularMatrixError as exc:
-        raise DegenerateRMatrixError(
-            "r is singular; restrict the declaration to the subalgebra on "
-            "which r is invertible before quantizing"
-        ) from exc
-    alpha_up = _compute_alpha_up(spec)
-    alpha_low = tuple(
-        tuple(
-            tuple(
-                sum(
-                    (r_low[i][muu] * alpha_up[i][rho][nu] for i in range(spec.m)),
-                    Q(0),
-                )
-                for nu in range(spec.n)
-            )
-            for rho in range(spec.n)
-        )
-        for muu in range(spec.n)
-    )
+    classical = _require_classical(spec)
     # Build [H_j, X_mu] = sum_nu f(2 alpha.H)^nu_mu B^i_{j,nu} H_i with
     # f(t) = (e^t - 1)/t, in a scratch copy of the Abelian algebra (the
     # series is pure-H, so no bracket is ever consulted while building it).
     scratch = Algebra(spec.m, spec.n, spec.order, {})
-    rows = []
-    for muu in range(spec.n):
-        row = []
-        for nu in range(spec.n):
-            terms = {}
-            for i in range(spec.m):
-                c = alpha_up[i][muu][nu]
-                if c:
-                    terms[(1, Monomial.h_gen(spec.m, spec.n, i))] = c
-            row.append(scratch.element(terms))
-        rows.append(row)
-    alpha_h = SeriesMatrix(rows)
+    alpha_h = _alpha_h_matrix(scratch, classical.alpha_up)
     f_matrix = series_apply(expm1_over_t_coefficients(spec.order), alpha_h.scale(2))
     table = {}
     for j in range(spec.m):
@@ -274,14 +294,13 @@ def derive_alpha(spec):
                     c = spec.B[i][j][nu]
                     if c:
                         acc = acc + (entry * scratch.h(i)).scale(c)
-            table[(j, mu)] = dict(acc.terms)
+            table[(j, mu)] = {(k, mono): c for (k, (mono,)), c in acc.terms.items()}
     algebra = Algebra(spec.m, spec.n, spec.order, table)
     return DerivedStructure(
         spec=spec,
-        alpha_up=alpha_up,
-        r_low=r_low,
-        alpha_low=alpha_low,
-        beta=beta,
+        alpha_up=classical.alpha_up,
+        r_low=classical.r_low,
+        alpha_low=classical.alpha_low,
         algebra=algebra,
     )
 
@@ -314,39 +333,20 @@ def cybe_residual(spec):
 
 def validate_spec(spec):
     """Run the classical precondition checks in a fixed order."""
-    checks = []
-    beta = _beta_matrices(spec)
-    bad = None
-    for mu in range(spec.n):
-        for nu in range(mu + 1, spec.n):
-            hit = _mat_commute(beta[mu], beta[nu])
-            if hit is not None:
-                bad = (mu, nu, hit)
-                break
-        if bad:
-            break
-    checks.append(
+    classical = _classical(spec)
+    clash = classical.beta_clash
+    checks = [
         ValidationCheck(
             "jacobi",
-            bad is None,
+            clash is None,
             None
-            if bad is None
-            else f"beta[{bad[0]}] and beta[{bad[1]}] disagree at entry {bad[2]}",
-        )
-    )
+            if clash is None
+            else f"beta[{clash[0]}] and beta[{clash[1]}] disagree at entry {clash[2]}",
+        ),
+        ValidationCheck("invertible-r", classical.r_low is not None, classical.r_defect),
+    ]
 
-    r_low = None
-    r_witness = None
-    if spec.m != spec.n:
-        r_witness = f"r is {spec.m}x{spec.n}, not square"
-    else:
-        try:
-            r_low = _r_low(spec)
-        except SingularMatrixError:
-            r_witness = "r is singular"
-    checks.append(ValidationCheck("invertible-r", r_witness is None, r_witness))
-
-    alpha_up = _compute_alpha_up(spec)
+    alpha_up = classical.alpha_up
     bad = None
     for i in range(spec.m):
         for j in range(spec.m):
@@ -396,26 +396,14 @@ def validate_spec(spec):
         )
     )
 
-    if r_low is None:
+    alpha_low = classical.alpha_low
+    if alpha_low is None:
         checks.append(
             ValidationCheck(
                 "alpha-symmetry", False, "needs invertible r to lower indices"
             )
         )
     else:
-        alpha_low = [
-            [
-                [
-                    sum(
-                        (r_low[i][muu] * alpha_up[i][rho][nu] for i in range(spec.m)),
-                        Q(0),
-                    )
-                    for nu in range(spec.n)
-                ]
-                for rho in range(spec.n)
-            ]
-            for muu in range(spec.n)
-        ]
         bad = None
         for rho in range(spec.n):
             for muu in range(spec.n):
@@ -459,8 +447,7 @@ def h_prime_rank(spec):
     Returns (rank, witness): when the rank falls short of m the witness is a
     coefficient vector for a central element lying in the X part.
     """
-    derived = derive_alpha(spec)
-    stacked = _stacked_alpha_low(spec, derived.alpha_low)
+    stacked = _stacked_alpha_low(spec, _require_classical(spec).alpha_low)
     rank = linalg.rank(stacked)
     if rank >= spec.m:
         return rank, None
@@ -477,13 +464,13 @@ def choose_xi(spec):
     """
     if spec.xi is not None:
         return spec.xi
-    derived = derive_alpha(spec)
+    alpha_low = _require_classical(spec).alpha_low
     for idx in range(spec.n):
         for scale in (Q(1), Q(1, 2)):
             cols = []
             for sigma in range(spec.n):
                 cols.append(
-                    [scale * derived.alpha_low[sigma][muu][idx] for muu in range(spec.n)]
+                    [scale * alpha_low[sigma][muu][idx] for muu in range(spec.n)]
                 )
             mat = [[cols[sigma][muu] for sigma in range(spec.n)] for muu in range(spec.n)]
             if linalg.rank(mat) == spec.m:

@@ -9,12 +9,11 @@ name the lexicographically smallest surviving term.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Monomial, SeriesMatrix, format_term
+from .algebra import Monomial, SeriesMatrix, exp_truncated, format_term
 from .errors import NoValidXiError, ShapeError, UnsupportedPresetError
 from .hopf import HopfContext
 from .model import choose_xi, cybe_residual
@@ -46,8 +45,6 @@ class CheckReport:
 
 def _norm_key(key):
     power, monos = key
-    if isinstance(monos, Monomial):
-        monos = (monos,)
     return (power, len(monos), monos)
 
 
@@ -273,8 +270,6 @@ def check_classical_basis(ctx, xi=None, phi=None):
 
 def _hyperbolic(ctx, sign_split):
     """2*sinh or 2*cosh of the lifted third generator, as a truncated series."""
-    from .algebra import exp_truncated
-
     h3 = ctx.lifted_h(2)
     plus = exp_truncated(h3)
     minus = exp_truncated(h3.scale(-1))
@@ -317,8 +312,6 @@ def check_null_plane_commutators(ctx):
 
 def check_null_plane_coproducts(ctx):
     """Closed-form coproducts of the lifted H family and the physical basis."""
-    from .algebra import exp_truncated
-
     t0 = time.perf_counter()
     alg = ctx.algebra
     ys = ctx.physical_basis()
@@ -343,8 +336,6 @@ def check_null_plane_coproducts(ctx):
 
 def check_null_plane_classical_basis(ctx):
     """K expansions match their closed forms for xi = (0, 0, 1/2)."""
-    from .algebra import exp_truncated
-
     t0 = time.perf_counter()
     if ctx.spec.metadata.get("family") != "null-plane":
         raise UnsupportedPresetError(
@@ -414,25 +405,16 @@ def _suite_checks(ctx, suite, xi=None, phi=None, rmat=None):
 
 
 def run_suite(ctx, suite="all", jobs=1, xi=None, phi=None, rmat=None):
-    """Run a named suite of checks; the report is scheduling-independent.
+    """Run a named suite of checks, one after another, in a fixed order.
 
     `phi` and `rmat` override the context's twist and R-matrix (used by the
-    mutation tests); `xi` overrides the classical basis coefficients.
+    mutation tests); `xi` overrides the classical basis coefficients.  `jobs`
+    is accepted and has no effect.
     """
     fns = _suite_checks(ctx, suite, xi=xi, phi=phi, rmat=rmat)
-    needs = {"all", "twist", "ybe", "triangular", "hopf", "classical"}
-    if suite in needs and jobs > 1:
-        # materialize the shared caches before fanning out
-        _ = ctx.phi, ctx.phi_inverse, ctx.universal_r, ctx.exp_2alpha_h
-        _ = ctx.exp_neg2alpha_h, ctx.one_minus_exp_neg2
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda fn: fn(), fns))
-    else:
-        results = [fn() for fn in fns]
     return CheckReport(
         spec_name=ctx.spec.name,
         order=ctx.algebra.order,
         suite=suite,
-        results=tuple(results),
+        results=tuple(fn() for fn in fns),
     )

@@ -62,6 +62,11 @@ def naive_normal_order(alg, word, coeff=Q(1), extra_power=0, out=None):
     return out
 
 
+def one_leg(terms):
+    """An oracle term map keyed like a 1-leg element: (power, (monomial,))."""
+    return {(k, (mono,)): c for (k, mono), c in terms.items()}
+
+
 def mono_word(alg, mono):
     word = []
     for i, e in enumerate(mono.h):
@@ -74,8 +79,8 @@ def mono_word(alg, mono):
 def naive_mul_elements(alg, a, b):
     """Product of two elements via the naive oracle, as an Element."""
     out = {}
-    for (k1, m1), c1 in a.terms.items():
-        for (k2, m2), c2 in b.terms.items():
+    for (k1, (m1,)), c1 in a.terms.items():
+        for (k2, (m2,)), c2 in b.terms.items():
             naive_normal_order(
                 alg, mono_word(alg, m1) + mono_word(alg, m2), c1 * c2, k1 + k2, out
             )

@@ -6,11 +6,13 @@ residual term map is empty.
 """
 
 import random
+import zlib
 from fractions import Fraction as Q
 
 from helpers import (
     cached_context,
     naive_normal_order,
+    one_leg,
     random_algebra,
     random_word,
     run_single_mutation,
@@ -86,7 +88,7 @@ def test_oracle_equivalence_200_words():
     while checked < 200:
         alg = pool[rng.randrange(len(pool))]
         word = random_word(rng, alg, max_len=6)
-        assert alg.from_word(word).terms == naive_normal_order(alg, word)
+        assert alg.from_word(word).terms == one_leg(naive_normal_order(alg, word))
         checked += 1
     print(ACCEPT.format("oracle equivalence on 200 random words"))
 
@@ -99,7 +101,7 @@ def test_mutation_sensitivity_twenty_per_preset():
     }
     for name, order in picks.items():
         ctx = cached_context(name, order)
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(name.encode()))
         for trial in range(20):
             target, report = run_single_mutation(ctx, rng)
             failed = [r for r in report.results if not r.passed]

@@ -218,6 +218,20 @@ def test_cmd_expand_coproduct_of_generator():
     assert "H1 ⊗ 1" in out and "1 ⊗ H1" in out
 
 
+def test_cmd_expand_validates_spec(tmp_path):
+    path = tmp_path / "skewed.json"
+    doc = spec_to_document(preset("poincare-null-plane"))
+    doc["r"][0][1] = "1"  # still invertible, but no longer consistent
+    path.write_text(json.dumps(doc))
+    code, checked = run_cli("check", str(path))
+    assert code == 1
+    code, out = run_cli("expand", str(path), "--expr", "phi")
+    assert code == 1 and out == checked
+    for name in ("consistency", "alpha-commute", "alpha-symmetry", "cybe"):
+        assert f"FAIL {name}" in out
+    assert "phi =" not in out
+
+
 def test_cmd_expand_unknown_expr_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli("expand", "--preset", "jordanian-borel", "--expr", "zeta")

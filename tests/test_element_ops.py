@@ -28,7 +28,7 @@ def test_unit_laws():
 def test_h_square():
     alg = Algebra(1, 1, 3, {})
     h = alg.h(0)
-    assert (h * h).terms == {(0, Monomial((2,), (0,))): Q(1)}
+    assert (h * h).terms == {(0, (Monomial((2,), (0,)),)): Q(1)}
 
 
 def test_product_matches_oracle():
@@ -92,9 +92,9 @@ def test_truncation_coherence():
         high = Algebra(m, n, order + 1, table)
         a_low = random_element(rng, low)
         b_low = random_element(rng, low)
-        a_high = high.element(dict(a_low.terms))
-        b_high = high.element(dict(b_low.terms))
-        dropped = low.element(dict((a_high * b_high).terms))
+        a_high = high.tensor_element(1, a_low.terms)
+        b_high = high.tensor_element(1, b_low.terms)
+        dropped = low.tensor_element(1, (a_high * b_high).terms)
         assert dropped == a_low * b_low
 
 
@@ -107,9 +107,9 @@ def test_exp_single_commuting_generator():
     alg = Algebra(1, 1, 2, {})
     e = exp_truncated(alg.h(0, power=1))
     assert e.terms == {
-        (0, Monomial((0,), (0,))): Q(1),
-        (1, Monomial((1,), (0,))): Q(1),
-        (2, Monomial((2,), (0,))): Q(1, 2),
+        (0, (Monomial((0,), (0,)),)): Q(1),
+        (1, (Monomial((1,), (0,)),)): Q(1),
+        (2, (Monomial((2,), (0,)),)): Q(1, 2),
     }
 
 
@@ -125,7 +125,7 @@ def test_exp_times_exp_of_negation_is_unit():
     for _ in range(20):
         alg = pool[rng.randrange(len(pool))]
         a = random_element(rng, alg, max_terms=2, max_deg=1)
-        a = alg.element({(max(k, 1), mono): c for (k, mono), c in a.terms.items()})
+        a = alg.element({(max(k, 1), mono): c for (k, (mono,)), c in a.terms.items()})
         assert exp_truncated(a) * exp_truncated(a.scale(-1)) == alg.one()
         t = random_tensor(rng, alg)
         t = alg.tensor_element(

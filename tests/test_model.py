@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -263,8 +264,61 @@ def test_h_prime_rank_invariant_under_h_basis_change():
         assert validate_spec(spec).passed
         rank, witness = h_prime_rank(spec)
         assert (rank, witness) == (3, None)
+        assert choose_xi(spec) == (Q(0), Q(0), Q(1))
         # the lowered coupling is a basis invariant
         assert derive_alpha(spec).alpha_low == derive_alpha(base).alpha_low
+
+
+_SINGULAR = (
+    "r is singular; restrict the declaration to the subalgebra on "
+    "which r is invertible before quantizing"
+)
+_JACOBI = "Jacobi identity fails: beta[0] and beta[1] do not commute at entry (0, 0)"
+
+
+def _bad_specs():
+    """Declarations breaking Jacobi, invertible r, or both, each with the
+    error derive_alpha raises and the witness of the invertible-r check."""
+    jacobi, _ = _brute_force_jacobi_violation()
+    zeros = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    singular = [[1, 1], [1, 1]]
+    return [
+        (jacobi, SpecError, _JACOBI, None),
+        (
+            AlgebraSpec(name="singular", m=2, n=2, B=zeros, r=singular, order=2),
+            DegenerateRMatrixError,
+            _SINGULAR,
+            "r is singular",
+        ),
+        (dataclasses.replace(jacobi, r=singular), SpecError, _JACOBI, "r is singular"),
+        (
+            AlgebraSpec(name="wide", m=1, n=2, B=[[[0, 0]]], r=[[1, 0]], order=2),
+            DegenerateRMatrixError,
+            "r must be square and invertible; only non-degenerate pairings are supported",
+            "r is 1x2, not square",
+        ),
+    ]
+
+
+def test_validation_verdicts_match_derivation():
+    """derive_alpha raises exactly when jacobi or invertible-r fails, and
+    choose_xi and h_prime_rank raise the same error."""
+    rng = random.Random(53)
+    good = [abelian_spec(), abelian_spec(3)]
+    good += [random_valid_spec_2d(rng) for _ in range(5)]
+    good += [preset(name) for name in ("poincare-null-plane", "jordanian-borel", "shift-ring(3)")]
+    for spec in good:
+        jacobi, invertible = validate_spec(spec).checks[:2]
+        assert jacobi.passed and invertible.passed
+        derive_alpha(spec)
+    for spec, error, message, r_witness in _bad_specs():
+        jacobi, invertible = validate_spec(spec).checks[:2]
+        assert jacobi.passed == (error is not SpecError)
+        assert (invertible.passed, invertible.witness) == (r_witness is None, r_witness)
+        for derive in (derive_alpha, h_prime_rank, choose_xi):
+            with pytest.raises(error) as err:
+                derive(dataclasses.replace(spec, xi=None))
+            assert str(err.value) == message
 
 
 def test_choose_xi_returns_declared_values():
