@@ -81,6 +81,11 @@ class Algebra:
     ``(power, Monomial)`` to Fraction; every monomial must be pure-H.
     Elements hold a reference to their algebra, and mixed-algebra products
     are rejected, since the bracket table is part of the ring structure.
+
+    Three caches live as long as the algebra, and no entry is mutated once
+    stored: `_single_cache` holds the normal form of ``X_mu H^a``,
+    `_block_cache` that of ``X^b H^a``, and `_mono_cache` the product of
+    two normal-ordered monomials.
     """
 
     def __init__(self, m, n, order, table):
@@ -109,6 +114,7 @@ class Algebra:
                 self._table.setdefault((j, mu), {})
         self._single_cache = {}
         self._block_cache = {}
+        self._mono_cache = {}
 
     def bracket(self, j, mu):
         """Terms of [H_j, X_mu]."""
@@ -256,39 +262,61 @@ class Algebra:
         return out
 
     def _mono_mul(self, a, b):
-        """Term map for the product of two normal-ordered monomials."""
-        out = {}
-        for (k, mono), v in self._x_block_past_h(a.x, b.h).items():
-            nk = (k, Monomial(_tadd(a.h, mono.h), _tadd(mono.x, b.x)))
-            out[nk] = out.get(nk, Q(0)) + v
-        return out
+        """Product of two normal-ordered monomials, cached per pair.
+
+        Returns a tuple of ``(power, monomial, coeff)`` triples in increasing
+        power, with a coefficient of exactly 1 stored as None so that callers
+        can skip the multiply.  The tuple is shared by every caller.
+        """
+        key = (a, b)
+        cached = self._mono_cache.get(key)
+        if cached is None:
+            # (k, mono) -> (k, a.h + mono.h, mono.x + b.x) is injective, so
+            # the block's terms map to distinct terms of the product.
+            terms = sorted(self._x_block_past_h(a.x, b.h).items(), key=lambda kv: kv[0][0])
+            cached = tuple(
+                (k, Monomial(_tadd(a.h, mono.h), _tadd(mono.x, b.x)), None if v == 1 else v)
+                for (k, mono), v in terms
+            )
+            self._mono_cache[key] = cached
+        return cached
 
     # -- products ----------------------------------------------------------------
 
     def mul_tensors(self, a, b):
-        out = {}
         order = self.order
+        mono_mul = self._mono_mul
+        legs = range(a.legs)
+        # The terms of b grouped by power, so that each term of a stops at
+        # the first power that overshoots the order.
+        by_power = {}
+        for (k2, monos2), c2 in b.terms.items():
+            by_power.setdefault(k2, []).append((monos2, c2))
+        buckets = sorted(by_power.items())
+        out = {}
         for (k1, monos1), c1 in a.terms.items():
-            for (k2, monos2), c2 in b.terms.items():
+            for k2, bucket in buckets:
                 base = k1 + k2
                 if base > order:
-                    continue
-                combos = [(base, (), c1 * c2)]
-                for leg in range(a.legs):
-                    legmap = self._mono_mul(monos1[leg], monos2[leg])
-                    nxt = []
+                    break
+                for monos2, c2 in bucket:
+                    combos = [(base, (), c1 * c2)]
+                    for leg in legs:
+                        legmap = mono_mul(monos1[leg], monos2[leg])
+                        nxt = []
+                        for k, monos, c in combos:
+                            for km, mono, cm in legmap:
+                                nk = k + km
+                                if nk > order:
+                                    break
+                                nxt.append((nk, monos + (mono,), c if cm is None else c * cm))
+                        combos = nxt
+                        if not combos:
+                            break
                     for k, monos, c in combos:
-                        for (km, mono), cm in legmap.items():
-                            nk = k + km
-                            if nk > order:
-                                continue
-                            nxt.append((nk, monos + (mono,), c * cm))
-                    combos = nxt
-                    if not combos:
-                        break
-                for k, monos, c in combos:
-                    key = (k, monos)
-                    out[key] = out.get(key, Q(0)) + c
+                        key = (k, monos)
+                        prev = out.get(key)
+                        out[key] = c if prev is None else prev + c
         return TensorElement(self, a.legs, _prune(out))
 
 

@@ -104,17 +104,7 @@ class HopfContext:
 
     def coproduct(self, a):
         """Deformed coproduct, extended from the generators as an algebra map."""
-        out = self.algebra.tensor_zero(2)
-        for (k, (mono,)), c in a.terms.items():
-            delta = self._delta_monomial(mono)
-            shifted = {}
-            for (dk, monos), dc in delta.terms.items():
-                nk = dk + k
-                if nk > self.algebra.order:
-                    continue
-                shifted[(nk, monos)] = dc * c
-            out = out + self.algebra.tensor_element(2, shifted)
-        return out
+        return self.coproduct_on_leg(a, 0)
 
     def coproduct_on_leg(self, tensor, leg):
         """Apply the coproduct to one leg, widening the tensor by a leg."""

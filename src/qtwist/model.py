@@ -23,6 +23,7 @@ from .algebra import (
     Monomial,
     SeriesMatrix,
     expm1_over_t_coefficients,
+    format_term,
     series_apply,
 )
 from .errors import (
@@ -427,7 +428,8 @@ def validate_spec(spec):
     witness = None
     if not residual.is_zero():
         key = min(residual.terms)
-        witness = f"first surviving term at key {key}"
+        term = format_term(key, residual.terms[key], spec.h_names, spec.x_names)
+        witness = f"first surviving term: {term}"
     checks.append(ValidationCheck("cybe", residual.is_zero(), witness))
 
     return ValidationReport(spec.name, tuple(checks))

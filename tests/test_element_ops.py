@@ -9,6 +9,7 @@ from helpers import (
     naive_mul_tensors,
     random_algebra,
     random_element,
+    random_table,
     random_tensor,
 )
 from qtwist import ShapeError, TruncationError, exp_truncated
@@ -47,6 +48,53 @@ def test_tensor_product_matches_oracle():
         a = random_tensor(rng, alg)
         b = random_tensor(rng, alg)
         assert a * b == naive_mul_tensors(alg, a, b)
+
+
+def _tensor_at_every_power(rng, alg, legs, per_power=2):
+    terms = {}
+    for k in range(alg.order + 1):
+        for _ in range(per_power):
+            monos = tuple(
+                Monomial(
+                    tuple(rng.randint(0, 1) for _ in range(alg.m)),
+                    tuple(rng.randint(0, 1) for _ in range(alg.n)),
+                )
+                for _ in range(legs)
+            )
+            terms[(k, monos)] = Q(rng.choice([1, 1, -1, 2]), rng.randint(1, 3))
+    return alg.tensor_element(legs, terms)
+
+
+def test_power_buckets_and_cached_products_match_oracle():
+    """Operands span every power 0..N, so the walk over the powers of the
+    right operand stops part-way for every left term of positive power;
+    the second round reuses every cached monomial product."""
+    rng = random.Random(17)
+    for _ in range(3):
+        m, n, order = rng.randint(1, 2), rng.randint(1, 2), rng.randint(2, 3)
+        alg = Algebra(m, n, order, random_table(rng, m, n, order))
+        a = _tensor_at_every_power(rng, alg, 3)
+        b = _tensor_at_every_power(rng, alg, 3)
+        pairs = [(a, b), (b, a), (a, a)]
+        want = [naive_mul_tensors(alg, x, y) for x, y in pairs]
+        assert [x * y for x, y in pairs] == want
+        filled = len(alg._mono_cache)
+        assert [x * y for x, y in pairs] == want
+        assert len(alg._mono_cache) == filled
+
+
+def test_products_do_not_alias_cached_terms():
+    rng = random.Random(19)
+    alg = Algebra(2, 2, 3, {(0, 0): {(1, ((1, 0), (0, 0))): 1}, (1, 1): {(0, ((0, 1), (0, 0))): 2}})
+    a = _tensor_at_every_power(rng, alg, 3)
+    b = _tensor_at_every_power(rng, alg, 3)
+    want = naive_mul_tensors(alg, a, b)
+    first = a * b
+    assert first == want
+    for key in first.terms:
+        first.terms[key] = Q(7)
+    first.terms[(0, (Monomial.unit(2, 2),) * 3)] = Q(5)
+    assert a * b == want
 
 
 def test_tensor_example_second_leg_reorders(jordanian3):

@@ -194,6 +194,16 @@ def test_cybe_jordanian_matches_bracket_oracle():
     assert cybe_residual(spec) == oracle
 
 
+def test_cybe_witness_names_generators():
+    spec = preset("poincare-null-plane")
+    r = [list(row) for row in spec.r]
+    r[0][1] = 1
+    cybe = validate_spec(dataclasses.replace(spec, r=r)).checks[-1]
+    assert cybe.name == "cybe" and not cybe.passed
+    assert any(name in cybe.witness for name in spec.h_names + spec.x_names)
+    assert "Monomial(" not in cybe.witness
+
+
 def test_h_prime_rank_presets():
     assert h_prime_rank(preset("poincare-null-plane")) == (3, None)
     for k in (1, 2, 3, 5):

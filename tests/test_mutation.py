@@ -1,7 +1,6 @@
 """Targeted mutation coverage; the 20-per-preset sweep lives in acceptance."""
 
 import random
-import zlib
 
 import pytest
 
@@ -11,7 +10,6 @@ from helpers import cached_context, run_single_mutation
 @pytest.mark.parametrize("target", ["B", "r", "phi", "rmat"])
 def test_each_target_kind_is_detected(target):
     ctx = cached_context("jordanian-borel", 4)
-    rng = random.Random(zlib.crc32(target.encode()))
 
     class Forced(random.Random):
         def choice(self, seq):
