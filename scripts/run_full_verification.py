@@ -13,6 +13,7 @@ from qtwist.verify import run_suite
 RUNS = (
     ("poincare-null-plane", 4, "all"),
     ("poincare-null-plane", 5, "all"),
+    ("poincare-null-plane", 6, "all"),
     ("jordanian-borel", 6, "all"),
     ("shift-ring(3)", 4, "all"),
 )

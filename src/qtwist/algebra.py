@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MalformedWordError, ShapeError, TruncationError
@@ -82,10 +82,13 @@ class Algebra:
     Elements hold a reference to their algebra, and mixed-algebra products
     are rejected, since the bracket table is part of the ring structure.
 
-    Three caches live as long as the algebra, and no entry is mutated once
-    stored: `_single_cache` holds the normal form of ``X_mu H^a``,
-    `_block_cache` that of ``X^b H^a``, and `_mono_cache` the product of
-    two normal-ordered monomials.
+    Four caches live as long as the algebra, and no entry is mutated once
+    stored: the intern table gives each distinct monomial a small int id in
+    first-seen order (`_ids` maps a Monomial to its id, `_monos` an id back
+    to its Monomial, and `unit_id` is the id of the unit monomial);
+    `_single_cache` holds the normal form of ``X_mu H^a`` and `_block_cache`
+    that of ``X^b H^a``, both as Fraction term maps; `_mono_cache` holds the
+    product of two interned monomials, keyed by their pair of ids.
     """
 
     def __init__(self, m, n, order, table):
@@ -112,9 +115,23 @@ class Algebra:
         for j in range(m):
             for mu in range(n):
                 self._table.setdefault((j, mu), {})
+        self._ids = {}
+        self._monos = []
+        self.unit_id = self._intern(Monomial.unit(m, n))
         self._single_cache = {}
         self._block_cache = {}
         self._mono_cache = {}
+
+    def _intern(self, mono):
+        mid = self._ids.get(mono)
+        if mid is None:
+            mid = self._ids[mono] = len(self._monos)
+            self._monos.append(mono)
+        return mid
+
+    def monomial(self, mid):
+        """The Monomial with intern id `mid`."""
+        return self._monos[mid]
 
     def bracket(self, j, mu):
         """Terms of [H_j, X_mu]."""
@@ -144,11 +161,6 @@ class Algebra:
         Monomials may be Monomial instances or (h_exps, x_exps) pairs.
         Terms above the truncation order are dropped; zeros are pruned.
         """
-        for k, mono in terms:
-            if k < 0:
-                raise ShapeError("negative deformation power")
-            if any(e < 0 for e in mono[0]) or any(e < 0 for e in mono[1]):
-                raise ShapeError("negative exponent")
         return self.tensor_element(1, {(k, (mono,)): c for (k, mono), c in terms.items()})
 
     def from_word(self, word):
@@ -172,42 +184,57 @@ class Algebra:
     # -- tensor constructors ---------------------------------------------------
 
     def tensor_unit(self, legs):
-        unit = Monomial.unit(self.m, self.n)
-        return TensorElement(self, legs, {(0, (unit,) * legs): Q(1)})
+        return _canonical(self, legs, {(0, (self.unit_id,) * legs): 1}, 1)
 
     def tensor_zero(self, legs):
-        return TensorElement(self, legs, {})
+        return _canonical(self, legs, {}, 1)
 
     def tensor_element(self, legs, terms):
-        out = {}
+        """Build a tensor from a mapping (power, (monomial, ...)) -> coefficient.
+
+        This is where monomials are validated and interned.  Terms above the
+        truncation order are dropped; zeros are pruned.
+        """
+        return TensorElement(self, legs, terms)
+
+    def _nums(self, legs, terms):
+        """Integer numerators and their common denominator for a term map."""
+        acc = {}
         for (k, monos), coeff in terms.items():
             if len(monos) != legs:
                 raise ShapeError("tensor term with wrong number of legs")
+            if k < 0:
+                raise ShapeError("negative deformation power")
             monos = tuple(Monomial(tuple(mo[0]), tuple(mo[1])) for mo in monos)
             for mo in monos:
                 if len(mo.h) != self.m or len(mo.x) != self.n:
                     raise ShapeError("monomial arity does not match the algebra")
+                if any(e < 0 for e in mo.h) or any(e < 0 for e in mo.x):
+                    raise ShapeError("negative exponent")
             c = Q(coeff)
-            if c and 0 <= k <= self.order:
-                out[(k, monos)] = out.get((k, monos), Q(0)) + c
-        return TensorElement(self, legs, _prune(out))
+            if c and k <= self.order:
+                key = (k, tuple(self._intern(mo) for mo in monos))
+                acc[key] = acc.get(key, Q(0)) + c
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it, so the result is already in canonical form.
+        acc = {key: c for key, c in acc.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        return {key: c.numerator * (den // c.denominator) for key, c in acc.items()}, den
 
     def outer(self, *factors):
         """Tensor product of the factors, their legs side by side."""
         if not factors:
             raise ShapeError("outer requires at least one factor")
+        factors = [f._on(self) for f in factors]
         out = {}
-        for combo in itertools.product(*(f.terms.items() for f in factors)):
+        for combo in itertools.product(*(f.nums.items() for f in factors)):
             k = sum(key[0] for key, _ in combo)
             if k > self.order:
                 continue
-            monos = tuple(mono for key, _ in combo for mono in key[1])
-            c = Q(1)
-            for _, v in combo:
-                c *= v
-            key = (k, monos)
-            out[key] = out.get(key, Q(0)) + c
-        return TensorElement(self, sum(f.legs for f in factors), _prune(out))
+            key = (k, tuple(mid for key, _ in combo for mid in key[1]))
+            out[key] = out.get(key, 0) + prod(v for _, v in combo)
+        den = prod(f.den for f in factors)
+        return _canonical(self, sum(f.legs for f in factors), out, den)
 
     # -- normal-ordering kernels ------------------------------------------------
 
@@ -262,20 +289,26 @@ class Algebra:
         return out
 
     def _mono_mul(self, a, b):
-        """Product of two normal-ordered monomials, cached per pair.
+        """Product of the monomials with ids `a` and `b`, cached per pair.
 
-        Returns a tuple of ``(power, monomial, coeff)`` triples in increasing
-        power, with a coefficient of exactly 1 stored as None so that callers
-        can skip the multiply.  The tuple is shared by every caller.
+        Returns a tuple of ``(power, id, coeff)`` triples in increasing
+        power.  A coefficient of exactly 1 is stored as None so that callers
+        can skip the multiply; any other is an integer pair ``(num, den)``.
+        The tuple is shared by every caller.
         """
         key = (a, b)
         cached = self._mono_cache.get(key)
         if cached is None:
+            ma, mb = self._monos[a], self._monos[b]
             # (k, mono) -> (k, a.h + mono.h, mono.x + b.x) is injective, so
             # the block's terms map to distinct terms of the product.
-            terms = sorted(self._x_block_past_h(a.x, b.h).items(), key=lambda kv: kv[0][0])
+            terms = sorted(self._x_block_past_h(ma.x, mb.h).items(), key=lambda kv: kv[0][0])
             cached = tuple(
-                (k, Monomial(_tadd(a.h, mono.h), _tadd(mono.x, b.x)), None if v == 1 else v)
+                (
+                    k,
+                    self._intern(Monomial(_tadd(ma.h, mono.h), _tadd(mono.x, mb.x))),
+                    None if v == 1 else (v.numerator, v.denominator),
+                )
                 for (k, mono), v in terms
             )
             self._mono_cache[key] = cached
@@ -285,59 +318,79 @@ class Algebra:
 
     def mul_tensors(self, a, b):
         order = self.order
-        mono_mul = self._mono_mul
+        cache, mono_mul = self._mono_cache, self._mono_mul
         legs = range(a.legs)
         # The terms of b grouped by power, so that each term of a stops at
         # the first power that overshoots the order.
         by_power = {}
-        for (k2, monos2), c2 in b.terms.items():
-            by_power.setdefault(k2, []).append((monos2, c2))
+        for (k2, ids2), c2 in b.nums.items():
+            by_power.setdefault(k2, []).append((ids2, c2))
         buckets = sorted(by_power.items())
+        # Numerator sums keyed by the denominator their combos picked up
+        # from cached leg coefficients; merged over the lcm at the end.
         out = {}
-        for (k1, monos1), c1 in a.terms.items():
+        parts = {1: out}
+        for (k1, ids1), c1 in a.nums.items():
             for k2, bucket in buckets:
                 base = k1 + k2
                 if base > order:
                     break
-                for monos2, c2 in bucket:
-                    combos = [(base, (), c1 * c2)]
+                for ids2, c2 in bucket:
+                    combos = [(base, (), c1 * c2, 1)]
                     for leg in legs:
-                        legmap = mono_mul(monos1[leg], monos2[leg])
+                        # A cached empty product is falsy and is returned
+                        # again by _mono_mul, from the same cache.
+                        pair = (ids1[leg], ids2[leg])
+                        legmap = cache.get(pair) or mono_mul(*pair)
                         nxt = []
-                        for k, monos, c in combos:
-                            for km, mono, cm in legmap:
+                        for k, ids, c, d in combos:
+                            for km, mid, cm in legmap:
                                 nk = k + km
                                 if nk > order:
                                     break
-                                nxt.append((nk, monos + (mono,), c if cm is None else c * cm))
+                                if cm is None:
+                                    nxt.append((nk, ids + (mid,), c, d))
+                                else:
+                                    nxt.append((nk, ids + (mid,), c * cm[0], d * cm[1]))
                         combos = nxt
                         if not combos:
                             break
-                    for k, monos, c in combos:
-                        key = (k, monos)
-                        prev = out.get(key)
-                        out[key] = c if prev is None else prev + c
-        return TensorElement(self, a.legs, _prune(out))
+                    for k, ids, c, d in combos:
+                        acc = out if d == 1 else parts.get(d)
+                        if acc is None:
+                            acc = parts[d] = {}
+                        key = (k, ids)
+                        acc[key] = acc.get(key, 0) + c
+        return _from_parts(self, a.legs, parts, a.den * b.den)
 
 
 class TensorElement:
     """Sparse element of a tensor power of the algebra, one monomial per leg.
 
-    Terms are keyed ``(power, (mono_1, ..., mono_legs))``.  An element of the
-    algebra itself is the 1-leg case.
+    An element is stored as integer numerators over one denominator: `nums`
+    maps ``(power, (id_1, ..., id_legs))`` to a non-zero int, the ids being
+    the algebra's interned monomials, and `den` is an int > 0.  The form is
+    canonical (``gcd(den, *nums) == 1``, and ``den == 1`` for zero), so two
+    elements of one algebra are equal exactly when `nums` and `den` are.
+    `terms` is a view built on each access, keyed ``(power, (mono_1, ...,
+    mono_legs))`` with Fraction values; changing it leaves the element as
+    it is.  An element of the algebra itself is the 1-leg case.
     """
 
-    __slots__ = ("algebra", "legs", "terms")
+    __slots__ = ("algebra", "legs", "nums", "den")
 
     def __init__(self, algebra, legs, terms):
         if legs < 1:
             raise ShapeError("tensor elements need at least one leg")
         self.algebra = algebra
         self.legs = legs
-        self.terms = terms
+        self.nums, self.den = algebra._nums(legs, terms)
 
-    def _with_terms(self, terms):
-        return TensorElement(self.algebra, self.legs, terms)
+    @property
+    def terms(self):
+        """The terms as ``{(power, (Monomial, ...)): Fraction}``, built anew."""
+        monos, den = self.algebra._monos, self.den
+        return {(k, tuple(monos[i] for i in ids)): Q(v, den) for (k, ids), v in self.nums.items()}
 
     def _check_compat(self, other):
         if type(other) is not type(self):
@@ -348,28 +401,35 @@ class TensorElement:
         if self.legs != other.legs:
             raise ShapeError("operands have different numbers of tensor legs")
 
-    def __add__(self, other):
+    def _on(self, algebra):
+        """This element with its monomial ids interned in `algebra`."""
+        if self.algebra is algebra:
+            return self
+        return TensorElement(algebra, self.legs, self.terms)
+
+    def _combine(self, other, sign):
         self._check_compat(other)
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, Q(0)) + v
-        return self._with_terms(_prune(out))
+        other = other._on(self.algebra)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {key: v * fa for key, v in self.nums.items()}
+        for key, v in other.nums.items():
+            out[key] = out.get(key, 0) + v * fb
+        return _canonical(self.algebra, self.legs, out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_compat(other)
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, Q(0)) - v
-        return self._with_terms(_prune(out))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._with_terms({k: -v for k, v in self.terms.items()})
+        return _canonical(self.algebra, self.legs, {k: -v for k, v in self.nums.items()}, self.den)
 
     def scale(self, c):
         c = Q(c)
-        if not c:
-            return self._with_terms({})
-        return self._with_terms({k: c * v for k, v in self.terms.items()})
+        nums = {k: c.numerator * v for k, v in self.nums.items()}
+        return _canonical(self.algebra, self.legs, nums, c.denominator * self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -393,19 +453,21 @@ class TensorElement:
         return acc
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_pure_h(self):
-        return all(mono.is_pure_h for _, monos in self.terms for mono in monos)
+        monos = self.algebra._monos
+        return all(monos[i].is_pure_h for _, ids in self.nums for i in ids)
 
     def valuation(self):
         """Smallest deformation power present, or None for zero."""
-        return min((k for k, _ in self.terms), default=None)
+        return min((k for k, _ in self.nums), default=None)
 
     def unit_series(self):
         """Coefficients of the unit monomial, keyed by deformation power."""
+        unit = self.algebra.unit_id
         return {
-            k: c for (k, monos), c in self.terms.items() if all(mono.is_unit for mono in monos)
+            k: Q(v, self.den) for (k, ids), v in self.nums.items() if all(i == unit for i in ids)
         }
 
     def sorted_terms(self):
@@ -415,11 +477,11 @@ class TensorElement:
         if type(other) is not type(self):
             return NotImplemented
         a, b = self.algebra, other.algebra
-        return (
-            (a.m, a.n, a.order) == (b.m, b.n, b.order)
-            and self.legs == other.legs
-            and self.terms == other.terms
-        )
+        if self.legs != other.legs or (a.m, a.n, a.order) != (b.m, b.n, b.order):
+            return False
+        if a is b:
+            return self.den == other.den and self.nums == other.nums
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -427,11 +489,9 @@ class TensorElement:
         """Reorder legs; perm[i] is the source leg for target slot i."""
         if sorted(perm) != list(range(self.legs)):
             raise ShapeError("not a permutation of the legs")
-        out = {}
-        for (k, monos), c in self.terms.items():
-            key = (k, tuple(monos[p] for p in perm))
-            out[key] = out.get(key, Q(0)) + c
-        return self._with_terms(out)
+        # A permutation of the legs maps distinct keys to distinct keys.
+        nums = {(k, tuple(ids[p] for p in perm)): v for (k, ids), v in self.nums.items()}
+        return _canonical(self.algebra, self.legs, nums, self.den)
 
     def swap(self):
         """Exchange the two legs of a 2-tensor."""
@@ -445,14 +505,14 @@ class TensorElement:
             raise ShapeError("positions must be distinct, one per leg")
         if any(not 0 <= p < legs for p in positions):
             raise ShapeError("position out of range")
-        unit = Monomial.unit(self.algebra.m, self.algebra.n)
+        unit = self.algebra.unit_id
         out = {}
-        for (k, monos), c in self.terms.items():
+        for (k, ids), v in self.nums.items():
             wide = [unit] * legs
-            for mono, p in zip(monos, positions):
-                wide[p] = mono
-            out[(k, tuple(wide))] = c
-        return TensorElement(self.algebra, legs, out)
+            for mid, p in zip(ids, positions):
+                wide[p] = mid
+            out[(k, tuple(wide))] = v
+        return _canonical(self.algebra, legs, out, self.den)
 
     def strip_unit_leg(self, leg):
         """Keep terms whose given leg is the unit monomial, dropping that leg.
@@ -461,17 +521,53 @@ class TensorElement:
         """
         if not 0 <= leg < self.legs:
             raise ShapeError("leg out of range")
-        out = {}
-        for (k, monos), c in self.terms.items():
-            if not monos[leg].is_unit:
-                continue
-            rest = monos[:leg] + monos[leg + 1 :]
-            key = (k, rest)
-            out[key] = out.get(key, Q(0)) + c
-        return TensorElement(self.algebra, self.legs - 1, _prune(out))
+        unit = self.algebra.unit_id
+        # With the dropped leg fixed to the unit, distinct keys stay distinct.
+        nums = {
+            (k, ids[:leg] + ids[leg + 1 :]): v
+            for (k, ids), v in self.nums.items()
+            if ids[leg] == unit
+        }
+        return _canonical(self.algebra, self.legs - 1, nums, self.den)
 
     def __repr__(self):
         return f"TensorElement({format_terms(self.sorted_terms(), self.algebra)})"
+
+
+def _canonical(algebra, legs, nums, den):
+    """The element ``nums / den`` in canonical form.
+
+    Zero numerators are dropped and numerators and denominator are divided
+    by their gcd, which leaves ``den == 1`` for zero.
+    """
+    if legs < 1:
+        raise ShapeError("tensor elements need at least one leg")
+    nums = {key: v for key, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {key: v // g for key, v in nums.items()}
+        den //= g
+    el = object.__new__(TensorElement)
+    el.algebra, el.legs, el.nums, el.den = algebra, legs, nums, den
+    return el
+
+
+def _from_parts(algebra, legs, parts, den):
+    """The element ``sum_d parts[d] / (d * den)`` in canonical form.
+
+    `parts` maps each denominator ``d`` to a numerator map; the maps are
+    merged once, over the lcm of their denominators.
+    """
+    if len(parts) == 1:
+        ((d, nums),) = parts.items()
+        return _canonical(algebra, legs, nums, d * den)
+    lcm_d = lcm(*parts)
+    out = {}
+    for d, nums in parts.items():
+        f = lcm_d // d
+        for key, v in nums.items():
+            out[key] = out.get(key, 0) + v * f
+    return _canonical(algebra, legs, out, lcm_d * den)
 
 
 Element = TensorElement
@@ -488,7 +584,7 @@ def exp_truncated(a):
     Requires every term of `a` to carry deformation power >= 1, which makes
     the sum exact at the truncation order.
     """
-    if any(k < 1 for k, _ in a.terms):
+    if any(k < 1 for k, _ in a.nums):
         raise TruncationError("exponent has a term of deformation power zero")
     acc = a.algebra.tensor_unit(a.legs)
     power = acc

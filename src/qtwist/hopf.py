@@ -15,6 +15,7 @@ from functools import cached_property
 from .algebra import (
     Monomial,
     SeriesMatrix,
+    _from_parts,
     exp_coefficients,
     exp_truncated,
     series_apply,
@@ -88,10 +89,12 @@ class HopfContext:
             out.append(t)
         return tuple(out)
 
-    def _delta_monomial(self, mono):
-        cached = self._delta_cache.get(mono)
+    def _delta_monomial(self, mid):
+        """Coproduct of the monomial with intern id `mid`, cached per id."""
+        cached = self._delta_cache.get(mid)
         if cached is not None:
             return cached
+        mono = self.algebra.monomial(mid)
         t = self.algebra.tensor_unit(2)
         for i, e in enumerate(mono.h):
             for _ in range(e):
@@ -99,7 +102,7 @@ class HopfContext:
         for mu, e in enumerate(mono.x):
             for _ in range(e):
                 t = t * self._delta_x_gens[mu]
-        self._delta_cache[mono] = t
+        self._delta_cache[mid] = t
         return t
 
     def coproduct(self, a):
@@ -111,17 +114,24 @@ class HopfContext:
         if not 0 <= leg < tensor.legs:
             raise ShapeError("leg out of range")
         alg = self.algebra
-        out = {}
-        for (k, monos), c in tensor.terms.items():
-            delta = self._delta_monomial(monos[leg])
-            for (dk, pair), dc in delta.terms.items():
+        tensor = tensor._on(alg)
+        order = alg.order
+        # Numerator sums keyed by the denominator of the coproduct images
+        # they came from; merged over the lcm at the end.
+        parts = {}
+        for (k, ids), c in tensor.nums.items():
+            delta = self._delta_monomial(ids[leg])
+            out = parts.get(delta.den)
+            if out is None:
+                out = parts[delta.den] = {}
+            head, tail = ids[:leg], ids[leg + 1 :]
+            for (dk, pair), dc in delta.nums.items():
                 nk = k + dk
-                if nk > alg.order:
+                if nk > order:
                     continue
-                wide = monos[:leg] + pair + monos[leg + 1 :]
-                key = (nk, wide)
-                out[key] = out.get(key, Q(0)) + c * dc
-        return alg.tensor_element(tensor.legs + 1, out)
+                key = (nk, head + pair + tail)
+                out[key] = out.get(key, 0) + c * dc
+        return _from_parts(alg, tensor.legs + 1, parts, tensor.den)
 
     def counit(self, a):
         """Counit as a rational per deformation power (unit-monomial slice)."""

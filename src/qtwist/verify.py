@@ -52,7 +52,7 @@ def _finish(name, ctx, parts, t0):
     count = 0
     best = None
     for label, residual in parts:
-        count += len(residual.terms)
+        count += len(residual.nums)
         for key, coeff in residual.terms.items():
             cand = ((_norm_key(key), label), key, coeff)
             if best is None or cand[0] < best[0]:

@@ -122,8 +122,12 @@ def naive_exp_tensor(alg, a, order):
     return acc
 
 
-def random_table(rng, m, n, order, max_terms=2, max_deg=2):
-    """A random pure-H bracket table (any table gives a well-defined ring)."""
+def random_table(rng, m, n, order, max_terms=2, max_deg=2, rational=False):
+    """A random pure-H bracket table (any table gives a well-defined ring).
+
+    Coefficients are integers unless `rational`, which draws a denominator
+    in 1..3 as well.
+    """
     table = {}
     for j in range(m):
         for mu in range(n):
@@ -133,7 +137,7 @@ def random_table(rng, m, n, order, max_terms=2, max_deg=2):
                 h = tuple(rng.randint(0, 1) for _ in range(m))
                 if sum(h) > max_deg:
                     continue
-                c = Q(rng.randint(-3, 3))
+                c = Q(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1)
                 if c:
                     key = (k, Monomial(h, (0,) * n))
                     entry[key] = entry.get(key, Q(0)) + c

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,57 @@ def test_products_do_not_alias_cached_terms():
         first.terms[key] = Q(7)
     first.terms[(0, (Monomial.unit(2, 2),) * 3)] = Q(5)
     assert a * b == want
+
+
+def _assert_canonical(t):
+    assert t.den > 0
+    assert gcd(t.den, *t.nums.values()) == 1
+    assert all(t.nums.values())
+    if t.is_zero():
+        assert t.den == 1
+
+
+def test_rational_tables_match_oracle_in_canonical_form():
+    """Bracket coefficients with denominators put (num, den) coefficients in
+    the monomial-product cache, so products merge partial sums over several
+    denominators."""
+    rng = random.Random(23)
+    fractional_legs = 0
+    for _ in range(8):
+        m, n, order = rng.randint(1, 2), rng.randint(1, 2), rng.randint(2, 3)
+        table = random_table(rng, m, n, order, rational=True)
+        alg = Algebra(m, n, order, table)
+        for legs in (1, 2, 3):
+            a = _tensor_at_every_power(rng, alg, legs)
+            b = _tensor_at_every_power(rng, alg, legs)
+            got = a * b
+            assert got == naive_mul_tensors(alg, a, b)
+            for t in (a, b, got, got - a, got.scale(Q(-3, 2)), got - got):
+                _assert_canonical(t)
+            assert (got - got).is_zero()
+            # A second algebra interns the same monomials in another order.
+            twin = Algebra(m, n, order, table)
+            b2, a2 = twin.tensor_element(legs, b.terms), twin.tensor_element(legs, a.terms)
+            assert a2 * b2 == got and got == a2 * b2
+            assert b2 * a2 == b * a
+        fractional_legs += sum(
+            cm is not None and cm[1] > 1
+            for legmap in alg._mono_cache.values()
+            for _, _, cm in legmap
+        )
+    assert fractional_legs
+
+
+def test_tensor_element_validates_every_term():
+    alg = Algebra(1, 1, 3, {})
+    unit = Monomial.unit(1, 1)
+    with pytest.raises(ShapeError):
+        alg.tensor_element(1, {(-1, (unit,)): Q(1)})
+    with pytest.raises(ShapeError):
+        alg.tensor_element(2, {(0, (unit, Monomial((-1,), (0,)))): Q(1)})
+    with pytest.raises(ShapeError):
+        alg.tensor_element(1, {(0, (Monomial((0,), (-2,)),)): Q(1)})
+    assert alg.tensor_element(1, {(4, (unit,)): Q(1)}).is_zero()
 
 
 def test_tensor_example_second_leg_reorders(jordanian3):

@@ -14,11 +14,13 @@ from qtwist import (
     DegenerateRMatrixError,
     NoValidXiError,
     SpecError,
+    build_context,
     choose_xi,
     cybe_residual,
     derive_alpha,
     h_prime_rank,
     preset,
+    run_suite,
     validate_spec,
 )
 from qtwist.algebra import Monomial
@@ -235,7 +237,9 @@ def test_h_prime_rank_with_central_extension():
     assert witness == (Q(0), Q(0), Q(0), Q(1))
 
 
-def test_h_prime_rank_invariant_under_h_basis_change():
+def _rotated_null_plane_specs(order=2):
+    """Five null-plane specs in seeded H bases, each with r != I; four have
+    fractions in r and two in B."""
     rng = random.Random(41)
     base = preset("poincare-null-plane")
     for _ in range(5):
@@ -270,13 +274,24 @@ def test_h_prime_rank_invariant_under_h_basis_change():
             [sum(sinv[b][i] * base.r[i][mu] for i in range(3)) for mu in range(3)]
             for b in range(3)
         ]
-        spec = AlgebraSpec(name="rotated", m=3, n=3, B=B, r=r, order=2)
+        yield AlgebraSpec(name="rotated", m=3, n=3, B=B, r=r, order=order)
+
+
+def test_h_prime_rank_invariant_under_h_basis_change():
+    base = preset("poincare-null-plane")
+    for spec in _rotated_null_plane_specs():
         assert validate_spec(spec).passed
         rank, witness = h_prime_rank(spec)
         assert (rank, witness) == (3, None)
         assert choose_xi(spec) == (Q(0), Q(0), Q(1))
         # the lowered coupling is a basis invariant
         assert derive_alpha(spec).alpha_low == derive_alpha(base).alpha_low
+
+
+def test_rotated_null_plane_specs_pass_every_check():
+    for spec in _rotated_null_plane_specs():
+        report = run_suite(build_context(spec), "all")
+        assert [r.name for r in report.results if not r.passed] == []
 
 
 _SINGULAR = (
