@@ -22,15 +22,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MalformedWordError, ShapeError, TruncationError
 
 Q = Fraction
-
-
-def _tadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _tinc(t, i):
@@ -68,12 +65,6 @@ class Monomial(NamedTuple):
         return not any(self.x)
 
 
-def _prune(terms):
-    for key in [k for k, v in terms.items() if v == 0]:
-        del terms[key]
-    return terms
-
-
 class Algebra:
     """Carrier for truncated deformed arithmetic.
 
@@ -82,13 +73,20 @@ class Algebra:
     Elements hold a reference to their algebra, and mixed-algebra products
     are rejected, since the bracket table is part of the ring structure.
 
-    Four caches live as long as the algebra, and no entry is mutated once
-    stored: the intern table gives each distinct monomial a small int id in
-    first-seen order (`_ids` maps a Monomial to its id, `_monos` an id back
-    to its Monomial, and `unit_id` is the id of the unit monomial);
-    `_single_cache` holds the normal form of ``X_mu H^a`` and `_block_cache`
-    that of ``X^b H^a``, both as Fraction term maps; `_mono_cache` holds the
-    product of two interned monomials, keyed by their pair of ids.
+    Normal ordering runs on integers.  `_int_table` holds each bracket as
+    ``((power, h_exps, num), ...)`` triples over one denominator; `bracket`
+    returns the Fraction form.  Five caches live as long as the algebra, and
+    no entry is mutated once stored: the intern table gives each distinct
+    monomial a small int id in first-seen order (`_ids` maps a Monomial to
+    its id, `_monos` an id back to its Monomial, and `unit_id` is the id of
+    the unit monomial); `_single_cache` holds the normal form of
+    ``X_mu H^a`` and `_block_cache` that of ``X^b H^a``, each as integer
+    numerators keyed by raw ``(power, h_exps, x_exps)`` tuples over one
+    denominator, in lowest terms, a block in increasing power; `_mono_cache`
+    holds the product of two interned monomials, keyed by their pair of ids;
+    and `_free_cache` maps the id pair of each reorder-free product (the
+    left monomial has no X or the right one no H, so the product is a
+    single monomial at power 0 with coefficient 1) to the id of that product.
     """
 
     def __init__(self, m, n, order, table):
@@ -111,16 +109,26 @@ class Algebra:
                 c = Q(coeff)
                 if c and k <= order:
                     clean[(k, mono)] = clean.get((k, mono), Q(0)) + c
-            self._table[(j, mu)] = _prune(clean)
+            self._table[(j, mu)] = {key: c for key, c in clean.items() if c}
+        self._int_table = {}
         for j in range(m):
             for mu in range(n):
-                self._table.setdefault((j, mu), {})
+                entry = self._table.setdefault((j, mu), {})
+                den = lcm(*(c.denominator for c in entry.values()))
+                self._int_table[(j, mu)] = (
+                    tuple(
+                        (k, mono.h, c.numerator * (den // c.denominator))
+                        for (k, mono), c in entry.items()
+                    ),
+                    den,
+                )
         self._ids = {}
         self._monos = []
         self.unit_id = self._intern(Monomial.unit(m, n))
         self._single_cache = {}
         self._block_cache = {}
         self._mono_cache = {}
+        self._free_cache = {}
 
     def _intern(self, mono):
         mid = self._ids.get(mono)
@@ -239,52 +247,69 @@ class Algebra:
     # -- normal-ordering kernels ------------------------------------------------
 
     def _single_x_past_h(self, mu, h_exps):
-        """Normal form of the word X_mu * H^h_exps, as extra-power term map."""
+        """Normal form of the word X_mu * H^h_exps, as ``(terms, den)``.
+
+        `terms` maps ``(power, h_exps, x_exps)`` to an integer numerator over
+        the denominator `den`, in lowest terms.
+        """
         key = (mu, h_exps)
         cached = self._single_cache.get(key)
         if cached is not None:
             return cached
         if not any(h_exps):
-            out = {(0, Monomial(h_exps, Monomial.x_gen(self.m, self.n, mu).x)): Q(1)}
-            self._single_cache[key] = out
-            return out
-        j = next(i for i, e in enumerate(h_exps) if e)
-        rest = _tdec(h_exps, j)
-        out = {}
-        # X H_j = H_j X - [H_j, X]
-        for (k, mono), v in self._single_x_past_h(mu, rest).items():
-            nk = (k, Monomial(_tinc(mono.h, j), mono.x))
-            out[nk] = out.get(nk, Q(0)) + v
-        for (k, mono), v in self.bracket(j, mu).items():
-            if k > self.order:
-                continue
-            nk = (k, Monomial(_tadd(mono.h, rest), mono.x))
-            out[nk] = out.get(nk, Q(0)) - v
-        _prune(out)
+            out = {(0, h_exps, Monomial.x_gen(self.m, self.n, mu).x): 1}, 1
+        else:
+            j = next(i for i, e in enumerate(h_exps) if e)
+            rest = _tdec(h_exps, j)
+            sub, sub_den = self._single_x_past_h(mu, rest)
+            bracket, bracket_den = self._int_table[(j, mu)]
+            den = lcm(sub_den, bracket_den)
+            fs, fb = den // sub_den, den // bracket_den
+            # X H_j = H_j X - [H_j, X].  The bracket is pure-H, so only the
+            # terms carried over from X_mu H^rest can hold X_mu.
+            terms = {(k, _tinc(h, j), x): v * fs for (k, h, x), v in sub.items()}
+            no_x = (0,) * self.n
+            for k, h, v in bracket:
+                nk = (k, tuple(map(add, h, rest)), no_x)
+                terms[nk] = terms.get(nk, 0) - v * fb
+            out = _reduced(terms, den)
         self._single_cache[key] = out
         return out
 
     def _x_block_past_h(self, x_exps, h_exps):
-        """Normal form of the word X^x_exps * H^h_exps."""
+        """Normal form of the word X^x_exps * H^h_exps, as ``(terms, den)``.
+
+        The layout is that of `_single_x_past_h`, with the terms in
+        increasing power.
+        """
         if not any(x_exps) or not any(h_exps):
-            return {(0, Monomial(h_exps, x_exps)): Q(1)}
+            return {(0, h_exps, x_exps): 1}, 1
         key = (x_exps, h_exps)
         cached = self._block_cache.get(key)
         if cached is not None:
             return cached
+        order = self.order
         mu = max(i for i, e in enumerate(x_exps) if e)
         head = _tdec(x_exps, mu)
-        out = {}
-        for (k1, m1), v1 in self._single_x_past_h(mu, h_exps).items():
-            if k1 > self.order:
-                continue
-            for (k2, m2), v2 in self._x_block_past_h(head, m1.h).items():
-                k = k1 + k2
-                if k > self.order:
-                    continue
-                nk = (k, Monomial(m2.h, _tadd(m2.x, m1.x)))
-                out[nk] = out.get(nk, Q(0)) + v1 * v2
-        _prune(out)
+        # X^x H^h = X^head (X_mu H^h).  With no head this is the single map;
+        # otherwise each of its terms H^h1 X^x1 leaves the block X^head H^h1,
+        # over that block's own denominator.
+        terms, den = self._single_x_past_h(mu, h_exps)
+        if any(head):
+            parts = {}
+            for (k1, h1, x1), v1 in terms.items():
+                sub, sub_den = self._x_block_past_h(head, h1)
+                acc = parts.get(sub_den)
+                if acc is None:
+                    acc = parts[sub_den] = {}
+                for (k2, h2, x2), v2 in sub.items():
+                    k = k1 + k2
+                    if k > order:
+                        break
+                    nk = (k, h2, tuple(map(add, x2, x1)))
+                    acc[nk] = acc.get(nk, 0) + v1 * v2
+            terms, den = _reduced(*_merged(parts, den))
+        out = dict(sorted(terms.items())), den
         self._block_cache[key] = out
         return out
 
@@ -293,24 +318,32 @@ class Algebra:
 
         Returns a tuple of ``(power, id, coeff)`` triples in increasing
         power.  A coefficient of exactly 1 is stored as None so that callers
-        can skip the multiply; any other is an integer pair ``(num, den)``.
-        The tuple is shared by every caller.
+        can skip the multiply; any other is an integer pair ``(num, den)``
+        in lowest terms.  The tuple is shared by every caller.  A
+        reorder-free product is also entered in `_free_cache`.
         """
         key = (a, b)
         cached = self._mono_cache.get(key)
         if cached is None:
             ma, mb = self._monos[a], self._monos[b]
-            # (k, mono) -> (k, a.h + mono.h, mono.x + b.x) is injective, so
-            # the block's terms map to distinct terms of the product.
-            terms = sorted(self._x_block_past_h(ma.x, mb.h).items(), key=lambda kv: kv[0][0])
-            cached = tuple(
-                (
-                    k,
-                    self._intern(Monomial(_tadd(ma.h, mono.h), _tadd(mono.x, mb.x))),
-                    None if v == 1 else (v.numerator, v.denominator),
-                )
-                for (k, mono), v in terms
-            )
+            if not any(ma.x) or not any(mb.h):
+                mono = Monomial(tuple(map(add, ma.h, mb.h)), tuple(map(add, ma.x, mb.x)))
+                mid = self._free_cache[key] = self._intern(mono)
+                cached = ((0, mid, None),)
+            else:
+                block, den = self._x_block_past_h(ma.x, mb.h)
+                out = []
+                # (k, h, x) -> (k, a.h + h, x + b.x) is injective, so the
+                # block's terms map to distinct terms of the product.
+                for (k, h, x), v in block.items():
+                    mono = Monomial(tuple(map(add, ma.h, h)), tuple(map(add, x, mb.x)))
+                    mid = self._intern(mono)
+                    if v == den:
+                        out.append((k, mid, None))
+                    else:
+                        g = gcd(v, den)
+                        out.append((k, mid, (v // g, den // g)))
+                cached = tuple(out)
             self._mono_cache[key] = cached
         return cached
 
@@ -319,6 +352,7 @@ class Algebra:
     def mul_tensors(self, a, b):
         order = self.order
         cache, mono_mul = self._mono_cache, self._mono_mul
+        free = self._free_cache.get
         legs = range(a.legs)
         # The terms of b grouped by power, so that each term of a stops at
         # the first power that overshoots the order.
@@ -336,6 +370,13 @@ class Algebra:
                 if base > order:
                     break
                 for ids2, c2 in bucket:
+                    # When every leg is a known reorder-free product, the
+                    # pair yields one term: no combos, no coefficients.
+                    pids = tuple(map(free, zip(ids1, ids2)))
+                    if None not in pids:
+                        key = (base, pids)
+                        out[key] = out.get(key, 0) + c1 * c2
+                        continue
                     combos = [(base, (), c1 * c2, 1)]
                     for leg in legs:
                         # A cached empty product is falsy and is returned
@@ -535,39 +576,51 @@ class TensorElement:
 
 
 def _canonical(algebra, legs, nums, den):
-    """The element ``nums / den`` in canonical form.
+    """The element ``nums / den`` in canonical form (see `_reduced`)."""
+    if legs < 1:
+        raise ShapeError("tensor elements need at least one leg")
+    el = object.__new__(TensorElement)
+    el.algebra, el.legs = algebra, legs
+    el.nums, el.den = _reduced(nums, den)
+    return el
+
+
+def _reduced(nums, den):
+    """``nums / den`` in lowest terms, as a new ``(nums, den)`` pair.
 
     Zero numerators are dropped and numerators and denominator are divided
     by their gcd, which leaves ``den == 1`` for zero.
     """
-    if legs < 1:
-        raise ShapeError("tensor elements need at least one leg")
     nums = {key: v for key, v in nums.items() if v}
     g = gcd(den, *nums.values())
     if g != 1:
         nums = {key: v // g for key, v in nums.items()}
         den //= g
-    el = object.__new__(TensorElement)
-    el.algebra, el.legs, el.nums, el.den = algebra, legs, nums, den
-    return el
+    return nums, den
 
 
-def _from_parts(algebra, legs, parts, den):
-    """The element ``sum_d parts[d] / (d * den)`` in canonical form.
+def _merged(parts, den):
+    """``sum_d parts[d] / (d * den)`` as numerators over one denominator.
 
     `parts` maps each denominator ``d`` to a numerator map; the maps are
-    merged once, over the lcm of their denominators.
+    merged once, over the lcm of their denominators.  The result is not
+    reduced.
     """
     if len(parts) == 1:
         ((d, nums),) = parts.items()
-        return _canonical(algebra, legs, nums, d * den)
+        return nums, d * den
     lcm_d = lcm(*parts)
     out = {}
     for d, nums in parts.items():
         f = lcm_d // d
         for key, v in nums.items():
             out[key] = out.get(key, 0) + v * f
-    return _canonical(algebra, legs, out, lcm_d * den)
+    return out, lcm_d * den
+
+
+def _from_parts(algebra, legs, parts, den):
+    """The element ``sum_d parts[d] / (d * den)`` in canonical form."""
+    return _canonical(algebra, legs, *_merged(parts, den))
 
 
 Element = TensorElement

@@ -96,7 +96,14 @@ def check_qybe(ctx, rmat=None):
     r12 = r.embed(3, (0, 1))
     r13 = r.embed(3, (0, 2))
     r23 = r.embed(3, (1, 2))
-    residual = r12 * r13 * r23 - r23 * r13 * r12
+    # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
+    # R12 and R13, so R13 R12 is R12 R13 with those legs exchanged.
+    lhs = r12 * r13
+    rhs = lhs.permute((0, 2, 1))
+    # Rebinding frees R12 R13 before the second 3-leg product, which keeps
+    # peak memory at that of forming R23 R13 R12 directly.
+    lhs = lhs * r23
+    residual = lhs - r23 * rhs
     return _finish("qybe", ctx, [("yang-baxter", residual)], t0)
 
 

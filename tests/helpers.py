@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from qtwist import AlgebraSpec, build_context, preset
 from qtwist.algebra import Algebra, Monomial
+from qtwist.linalg import inverse
 
 Q = Fraction
 
@@ -229,6 +230,44 @@ def random_valid_spec_2d(rng, order=3):
     return AlgebraSpec(
         name="random-2d", m=2, n=2, B=B, r=eye, order=order
     )
+
+
+def rotated_null_plane_specs(order=2):
+    """Five null-plane specs in seeded H bases, each with r != I; four have
+    fractions in r and two in B."""
+    rng = random.Random(41)
+    base = preset("poincare-null-plane")
+    for _ in range(5):
+        while True:
+            s = [[Q(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+            det = (
+                s[0][0] * (s[1][1] * s[2][2] - s[1][2] * s[2][1])
+                - s[0][1] * (s[1][0] * s[2][2] - s[1][2] * s[2][0])
+                + s[0][2] * (s[1][0] * s[2][1] - s[1][1] * s[2][0])
+            )
+            if det:
+                break
+        sinv = inverse(s)
+        # H'_a = sum_j s[j][a] H_j ; B and r transform contravariantly
+        B = [
+            [
+                [
+                    sum(
+                        sinv[b][i] * s[j][a] * base.B[i][j][mu]
+                        for i in range(3)
+                        for j in range(3)
+                    )
+                    for mu in range(3)
+                ]
+                for a in range(3)
+            ]
+            for b in range(3)
+        ]
+        r = [
+            [sum(sinv[b][i] * base.r[i][mu] for i in range(3)) for mu in range(3)]
+            for b in range(3)
+        ]
+        yield AlgebraSpec(name="rotated", m=3, n=3, B=B, r=r, order=order)
 
 
 @lru_cache(maxsize=None)

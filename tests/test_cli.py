@@ -3,10 +3,11 @@ import io
 import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from helpers import abelian_spec
+from helpers import abelian_spec, rotated_null_plane_specs
 from qtwist import SpecFileError, parse_spec_file, preset, render_spec_file
 from qtwist.cli import main
 from qtwist.model import PRESET_NAMES
@@ -33,6 +34,12 @@ def test_roundtrip_all_presets():
 def test_shipped_preset_files_match_compiled():
     for name in PRESET_NAMES:
         assert parse_spec_text(preset_file_text(name)) == preset(name)
+
+
+def test_rotated_spec_data_file_matches_generator():
+    """The dense-table spec that the full verification script runs."""
+    path = Path(__file__).parent / "data" / "rotated-null-plane.json"
+    assert parse_spec_file(path) == next(rotated_null_plane_specs(order=3))
 
 
 def test_rational_strings_parse_exactly():

@@ -7,11 +7,13 @@ output: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import io
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from helpers import cached_context, mutate_tensor
+from helpers import cached_context, mutate_tensor, rotated_null_plane_specs
+from qtwist import build_context
 from qtwist.cli import main, render_report_machine
 from qtwist.verify import run_suite
 
@@ -28,6 +30,21 @@ def _mutated_phi():
     return render_report_machine(run_suite(ctx, "all", phi=bad))
 
 
+@lru_cache(maxsize=1)
+def _rotated_context():
+    """The first seeded rotated null-plane spec: r != I, a dense rational table."""
+    return build_context(next(rotated_null_plane_specs(order=3)))
+
+
+def _rotated(mutated):
+    ctx = _rotated_context()
+    if not mutated:
+        return render_report_machine(run_suite(ctx, "all"))
+    # Index 1 of the sorted terms is the first term of power 1.
+    bad = mutate_tensor(ctx.algebra, ctx.universal_r, sorted(ctx.universal_r.terms)[1])
+    return render_report_machine(run_suite(ctx, "all", rmat=bad))
+
+
 def _expand(expr):
     out = io.StringIO()
     argv = ["expand", "--preset", "poincare-null-plane", "--order", "2"]
@@ -41,6 +58,8 @@ CASES = {
     "check-jordanian-borel-n6": lambda: _suite("jordanian-borel", 6),
     "check-shift-ring3-n3": lambda: _suite("shift-ring(3)", 3),
     "check-jordanian-borel-n4-phi-mutated": _mutated_phi,
+    "check-rotated-null-plane-n3": lambda: _rotated(False),
+    "check-rotated-null-plane-n3-rmat-mutated": lambda: _rotated(True),
     "expand-phi": lambda: _expand("phi"),
     "expand-K": lambda: _expand("K"),
     "expand-coproduct-X1": lambda: _expand("coproduct:X1"),

@@ -8,6 +8,7 @@ from helpers import (
     abelian_spec,
     naive_mul_tensors,
     random_valid_spec_2d,
+    rotated_null_plane_specs,
 )
 from qtwist import (
     AlgebraSpec,
@@ -237,49 +238,9 @@ def test_h_prime_rank_with_central_extension():
     assert witness == (Q(0), Q(0), Q(0), Q(1))
 
 
-def _rotated_null_plane_specs(order=2):
-    """Five null-plane specs in seeded H bases, each with r != I; four have
-    fractions in r and two in B."""
-    rng = random.Random(41)
-    base = preset("poincare-null-plane")
-    for _ in range(5):
-        while True:
-            s = [[Q(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            det = (
-                s[0][0] * (s[1][1] * s[2][2] - s[1][2] * s[2][1])
-                - s[0][1] * (s[1][0] * s[2][2] - s[1][2] * s[2][0])
-                + s[0][2] * (s[1][0] * s[2][1] - s[1][1] * s[2][0])
-            )
-            if det:
-                break
-        from qtwist.linalg import inverse
-
-        sinv = inverse(s)
-        # H'_a = sum_j s[j][a] H_j ; B and r transform contravariantly
-        B = [
-            [
-                [
-                    sum(
-                        sinv[b][i] * s[j][a] * base.B[i][j][mu]
-                        for i in range(3)
-                        for j in range(3)
-                    )
-                    for mu in range(3)
-                ]
-                for a in range(3)
-            ]
-            for b in range(3)
-        ]
-        r = [
-            [sum(sinv[b][i] * base.r[i][mu] for i in range(3)) for mu in range(3)]
-            for b in range(3)
-        ]
-        yield AlgebraSpec(name="rotated", m=3, n=3, B=B, r=r, order=order)
-
-
 def test_h_prime_rank_invariant_under_h_basis_change():
     base = preset("poincare-null-plane")
-    for spec in _rotated_null_plane_specs():
+    for spec in rotated_null_plane_specs():
         assert validate_spec(spec).passed
         rank, witness = h_prime_rank(spec)
         assert (rank, witness) == (3, None)
@@ -289,7 +250,7 @@ def test_h_prime_rank_invariant_under_h_basis_change():
 
 
 def test_rotated_null_plane_specs_pass_every_check():
-    for spec in _rotated_null_plane_specs():
+    for spec in rotated_null_plane_specs():
         report = run_suite(build_context(spec), "all")
         assert [r.name for r in report.results if not r.passed] == []
 

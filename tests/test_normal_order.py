@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
 from helpers import (
     mono_word,
+    naive_mul_tensors,
     naive_normal_order,
     one_leg,
     random_algebra,
     random_element,
+    random_table,
     random_word,
 )
 from qtwist import MalformedWordError
@@ -115,3 +118,64 @@ def test_canonical_word_rewriting_matches_oracle_any_table():
         from helpers import naive_mul_elements
 
         assert a * b == naive_mul_elements(alg, a, b)
+
+
+def _in_lowest_terms(nums, den):
+    return den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
+
+
+def _mixed_leg_tensor(rng, alg, legs):
+    """Leg monomials drawn from unit, pure-H, pure-X and mixed shapes, so a
+    product pairs reorder-free legs with legs that need reordering."""
+
+    def exps(size):
+        return tuple(rng.randint(0, 1) for _ in range(size))
+
+    zh, zx = (0,) * alg.m, (0,) * alg.n
+    shapes = (lambda: (zh, zx), lambda: (exps(alg.m), zx), lambda: (zh, exps(alg.n)))
+    shapes += (lambda: (exps(alg.m), exps(alg.n)),)
+    terms = {}
+    for k in range(alg.order + 1):
+        for _ in range(2):
+            monos = tuple(Monomial(*rng.choice(shapes)()) for _ in range(legs))
+            terms[(k, monos)] = Q(rng.choice([1, -1, 2]), rng.randint(1, 3))
+    return alg.tensor_element(legs, terms)
+
+
+def test_integer_normal_ordering_matches_oracle_rational_tables():
+    """Dense rational brackets give single and block maps whose sub-blocks
+    have different denominators.  Words X^b H^a, with the X letters in
+    canonical order so that any table gives one rewriting, and 2- and
+    3-leg products against the oracle; results and kernel caches are in
+    lowest terms, and every block is stored in increasing power."""
+    rng = random.Random(37)
+    mixed_pairs = 0
+    for _ in range(6):
+        m, n, order = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3)
+        table = random_table(rng, m, n, order, max_terms=3, rational=True)
+        alg = Algebra(m, n, order, table)
+        for _ in range(8):
+            xs = sorted(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+            hs = [rng.randrange(m) for _ in range(rng.randint(0, 3))]
+            word = [(m + mu, 0) for mu in xs] + [(j, 0) for j in hs]
+            got = alg.from_word(word)
+            assert got.terms == one_leg(naive_normal_order(alg, word))
+            assert _in_lowest_terms(got.nums, got.den)
+        for legs in (2, 3):
+            a = _mixed_leg_tensor(rng, alg, legs)
+            b = _mixed_leg_tensor(rng, alg, legs)
+            got = a * b
+            assert got == naive_mul_tensors(alg, a, b)
+            assert _in_lowest_terms(got.nums, got.den)
+            for (_, monos1), (_, monos2) in zip(a.terms, b.terms):
+                free = {not any(m1.x) or not any(m2.h) for m1, m2 in zip(monos1, monos2)}
+                mixed_pairs += free == {True, False}
+        for terms, den in list(alg._single_cache.values()) + list(alg._block_cache.values()):
+            assert _in_lowest_terms(terms, den)
+        for terms, _ in alg._block_cache.values():
+            powers = [k for k, _, _ in terms]
+            assert powers == sorted(powers)
+        for legmap in alg._mono_cache.values():
+            for _, _, cm in legmap:
+                assert cm is None or (cm[1] > 0 and gcd(*cm) == 1 and cm != (1, 1))
+    assert mixed_pairs

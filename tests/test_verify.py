@@ -6,6 +6,7 @@ import pytest
 from helpers import abelian_spec, cached_context
 from qtwist import UnsupportedPresetError, build_context, preset
 from qtwist.hopf import HopfContext
+from qtwist.model import PRESET_NAMES
 from qtwist.verify import (
     SUITES,
     check_alpha_exchange,
@@ -45,6 +46,20 @@ def test_abelian_spec_suite_passes():
 def test_swap_identity_on_presets(poincare4, shift3):
     assert check_alpha_exchange(poincare4).passed
     assert check_alpha_exchange(shift3).passed
+
+
+def test_exchanging_legs_two_and_three_turns_r12_r13_into_r13_r12():
+    """The identity check_qybe relies on: exchanging tensor legs 2 and 3 is
+    an algebra automorphism of A(x)A(x)A, so it holds for any 2-tensor R,
+    genuine or not."""
+    for name in PRESET_NAMES:
+        ctx = cached_context(name, 3)
+        genuine = ctx.universal_r
+        mutated = _mutate_tensor(ctx.algebra, genuine, sorted(genuine.terms)[1])
+        for r in (genuine, mutated):
+            r12, r13 = r.embed(3, (0, 1)), r.embed(3, (0, 2))
+            assert r13 * r12 == (r12 * r13).permute((0, 2, 1))
+            assert r13 * r12 != r12 * r13
 
 
 def test_classical_limit_and_basis(poincare4):
