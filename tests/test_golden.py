@@ -6,6 +6,7 @@ shows here as a diff.  Regenerate the files only for an intended change of
 output: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import dataclasses
 import io
 from functools import lru_cache
 from pathlib import Path
@@ -15,6 +16,9 @@ import pytest
 from helpers import cached_context, mutate_tensor, rotated_null_plane_specs
 from qtwist import build_context
 from qtwist.cli import main, render_report_machine
+from qtwist.errors import QTwistError
+from qtwist.hopf import HopfContext
+from qtwist.model import choose_xi
 from qtwist.verify import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,9 +44,35 @@ def _rotated(mutated):
     ctx = _rotated_context()
     if not mutated:
         return render_report_machine(run_suite(ctx, "all"))
+    if mutated == "phi":
+        bad = mutate_tensor(ctx.algebra, ctx.phi, sorted(ctx.phi.terms)[1])
+        return render_report_machine(run_suite(ctx, "all", phi=bad))
     # Index 1 of the sorted terms is the first term of power 1.
     bad = mutate_tensor(ctx.algebra, ctx.universal_r, sorted(ctx.universal_r.terms)[1])
     return render_report_machine(run_suite(ctx, "all", rmat=bad))
+
+
+def _rotated_stale(field, at, xi=None):
+    """The rotated spec with one stored B or r entry raised by 1 after derivation.
+
+    The spec has no xi, so the classical basis picks one from the stale
+    spec, which may be refused: then the error's type and message are the
+    output.
+    """
+    ctx = _rotated_context()
+    rows = [list(row) for row in getattr(ctx.spec, field)]
+    if field == "B":
+        rows = [[list(row) for row in block] for block in rows]
+    cell = rows
+    for i in at[:-1]:
+        cell = cell[i]
+    cell[at[-1]] += 1
+    spec = dataclasses.replace(ctx.spec, **{field: rows})
+    stale = HopfContext(dataclasses.replace(ctx.derived, spec=spec))
+    try:
+        return render_report_machine(run_suite(stale, "all", xi=xi))
+    except QTwistError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
 
 
 def _expand(expr):
@@ -59,7 +89,16 @@ CASES = {
     "check-shift-ring3-n3": lambda: _suite("shift-ring(3)", 3),
     "check-jordanian-borel-n4-phi-mutated": _mutated_phi,
     "check-rotated-null-plane-n3": lambda: _rotated(False),
-    "check-rotated-null-plane-n3-rmat-mutated": lambda: _rotated(True),
+    "check-rotated-null-plane-n3-rmat-mutated": lambda: _rotated("rmat"),
+    "check-rotated-null-plane-n3-phi-mutated": lambda: _rotated("phi"),
+    "check-rotated-null-plane-n3-B-stale": lambda: _rotated_stale("B", (0, 1, 2)),
+    "check-rotated-null-plane-n3-B-stale-xi": lambda: _rotated_stale(
+        "B", (0, 1, 2), xi=choose_xi(_rotated_context().spec)
+    ),
+    "check-rotated-null-plane-n3-r-stale": lambda: _rotated_stale("r", (0, 1)),
+    "check-rotated-null-plane-n3-r-stale-xi": lambda: _rotated_stale(
+        "r", (0, 1), xi=choose_xi(_rotated_context().spec)
+    ),
     "expand-phi": lambda: _expand("phi"),
     "expand-K": lambda: _expand("K"),
     "expand-coproduct-X1": lambda: _expand("coproduct:X1"),
