@@ -22,6 +22,8 @@ RUNS = (
     ("jordanian-borel", 6, "all"),
     ("shift-ring(3)", 4, "all"),
     (ROTATED, 3, "all"),
+    (ROTATED, 4, "all"),
+    (ROTATED, 5, "all"),
 )
 
 

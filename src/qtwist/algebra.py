@@ -572,7 +572,7 @@ class TensorElement:
         return _canonical(self.algebra, self.legs - 1, nums, self.den)
 
     def __repr__(self):
-        return f"TensorElement({format_terms(self.sorted_terms(), self.algebra)})"
+        return f"TensorElement({format_terms(self.sorted_terms())})"
 
 
 def _canonical(algebra, legs, nums, den):
@@ -680,11 +680,6 @@ class SeriesMatrix:
     def identity(cls, algebra, size):
         one, zero = algebra.one(), algebra.zero()
         return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    @classmethod
-    def zeros(cls, algebra, size):
-        zero = algebra.zero()
-        return cls([[zero for _ in range(size)] for _ in range(size)])
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -813,7 +808,7 @@ def format_term(key, coeff, h_names=None, x_names=None):
     return " * ".join(parts)
 
 
-def format_terms(sorted_terms, algebra, h_names=None, x_names=None):
+def format_terms(sorted_terms, h_names=None, x_names=None):
     if not sorted_terms:
         return "0"
     return " + ".join(format_term(key, c, h_names, x_names) for key, c in sorted_terms)

@@ -9,10 +9,14 @@ universal R-matrix.  All outputs live at the context's truncation order.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 from functools import cached_property
 
+from . import linalg
 from .algebra import (
+    Algebra,
     Monomial,
     SeriesMatrix,
     _from_parts,
@@ -22,6 +26,7 @@ from .algebra import (
 )
 from .errors import ShapeError, UnsupportedPresetError
 from .model import DerivedStructure, derive_alpha
+from .transport import BasisChange
 
 Q = Fraction
 
@@ -36,14 +41,81 @@ class HopfContext:
 
     The heavyweight pieces (coproduct images, matrix exponentials, the twist
     and the R-matrix) are built lazily and cached, so every check run on a
-    context reuses them.
+    context reuses them.  On a lifted twin (see `lifted`), `from_user` and
+    `to_user` are the basis changes from and to the user's context; on any
+    other context they are None.
     """
 
     def __init__(self, derived: DerivedStructure):
         self.derived = derived
         self.spec = derived.spec
         self.algebra = derived.algebra
+        self.from_user = self.to_user = None
         self._delta_cache = {}
+
+    @property
+    def lifted(self):
+        """This context in the H basis ``H'_lam = sum_i r[i][lam] H_i``, where r = I.
+
+        The context itself when ``derived.r_low`` is the identity.  The map
+        comes from the r the derived structure was built from, whose inverse
+        transpose is ``r_low``: ``H_i -> sum_lam r_low[i][lam] H'_lam``
+        forward, ``H'_lam -> sum_i r[i][lam] H_i`` back, X fixed both ways.
+        It fixes h, commutes with the coproduct and maps the twist exponent to
+        itself, so every product formed on the twin is the image of the one
+        formed here; on a stale context it is the image of the stale product.
+        """
+        return self if self._twin is None else self._twin
+
+    @cached_property
+    def _twin(self):
+        """The lifted twin, built on first use; None when r_low is the identity.
+
+        A context never caches itself, which would make it a reference cycle
+        that outlives its last use until the cyclic collector runs.
+        """
+        spec, derived, alg = self.spec, self.derived, self.algebra
+        dims = range(spec.m)
+        r_low = derived.r_low
+        eye = tuple(tuple(Q(int(i == j)) for j in dims) for i in dims)
+        if r_low == eye:
+            return None
+        r = linalg.inverse([list(col) for col in zip(*r_low)])
+        # [H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu], carried forward.  The
+        # entries are pure-H, so a table-free algebra holds them meanwhile.
+        carry = BasisChange(alg, Algebra(spec.m, spec.n, alg.order, {}), r_low)
+        table = {}
+        for a, mu in itertools.product(dims, dims):
+            acc = carry.target.zero()
+            for j in dims:
+                if r[j][a]:
+                    acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])
+            table[(a, mu)] = {(k, mono): c for (k, (mono,)), c in acc.terms.items()}
+        # The stored spec carried over by the same map; its twist matrix is
+        # r_low^T r, the identity unless the stored r is stale.
+        B = [
+            [
+                [sum(r_low[i][b] * r[j][a] * spec.B[i][j][mu] for i in dims for j in dims)
+                 for mu in dims]
+                for a in dims
+            ]
+            for b in dims
+        ]
+        twin_r = [[sum(r_low[i][a] * spec.r[i][mu] for i in dims) for mu in dims] for a in dims]
+        # Carried forward, the coupling of H'_lam is sum_i r_low[i][lam]
+        # alpha_up[i], which is alpha_low[lam]; alpha_low itself is unchanged.
+        twin = HopfContext(
+            DerivedStructure(
+                spec=dataclasses.replace(spec, B=B, r=twin_r),
+                alpha_up=derived.alpha_low,
+                r_low=eye,
+                alpha_low=derived.alpha_low,
+                algebra=Algebra(spec.m, spec.n, alg.order, table),
+            )
+        )
+        twin.from_user = BasisChange(alg, twin.algebra, r_low)
+        twin.to_user = BasisChange(twin.algebra, alg, list(zip(*r)))
+        return twin
 
     # -- series matrices ---------------------------------------------------
 

@@ -27,16 +27,6 @@ def identity(n):
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if len(b) != len(a[0]):
-        raise ShapeError("matrix product: inner dimensions differ")
-    cols = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def _bareiss_forward(mat):
     """Fraction-free forward elimination, in place.
 

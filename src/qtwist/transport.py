@@ -1,0 +1,73 @@
+"""Linear changes of the H basis, applied to tensors leg by leg.
+
+The substitution ``H_i -> sum_lam forms[i][lam] H_lam`` with every X fixed
+sends a normal-ordered monomial ``H^a X^b`` to the expanded product of the
+linear forms of its H factors, followed by ``X^b``.  The H factors commute
+and already stand left of every X, so the image is normal-ordered as it is:
+no bracket is consulted.  Between two algebras whose bracket tables
+correspond under the substitution, the map is an algebra isomorphism.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from .algebra import Monomial, _from_parts, _tinc
+
+
+class BasisChange:
+    """The substitution ``H_i -> sum_lam forms[i][lam] H_lam`` from `source` to `target`.
+
+    Calling it on a tensor of `source` returns the image in `target`.  The
+    image of each monomial is cached per intern id.
+    """
+
+    def __init__(self, source, target, forms):
+        self.source = source
+        self.target = target
+        self._forms = tuple(
+            tuple((lam, Fraction(c)) for lam, c in enumerate(row) if c) for row in forms
+        )
+        self._images = {}
+
+    def _image(self, mid):
+        """Image of the monomial with id `mid`: ``((target id, num), ...), den``."""
+        cached = self._images.get(mid)
+        if cached is not None:
+            return cached
+        mono = self.source.monomial(mid)
+        acc = {(0,) * self.target.m: Fraction(1)}
+        for i, e in enumerate(mono.h):
+            for _ in range(e):
+                nxt = {}
+                for h, c in acc.items():
+                    for lam, f in self._forms[i]:
+                        key = _tinc(h, lam)
+                        nxt[key] = nxt.get(key, 0) + c * f
+                acc = {h: c for h, c in nxt.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        intern = self.target._intern
+        image = tuple(
+            (intern(Monomial(h, mono.x)), c.numerator * (den // c.denominator))
+            for h, c in acc.items()
+        )
+        self._images[mid] = image, den
+        return image, den
+
+    def __call__(self, tensor):
+        tensor = tensor._on(self.source)
+        # Numerator sums keyed by the product of the leg images' denominators.
+        parts = {}
+        for (k, ids), v in tensor.nums.items():
+            combos = [((), v, 1)]
+            for mid in ids:
+                image, den = self._image(mid)
+                combos = [
+                    (out + (tid,), c * num, d * den) for out, c, d in combos for tid, num in image
+                ]
+            for out, c, d in combos:
+                acc = parts.setdefault(d, {})
+                key = (k, out)
+                acc[key] = acc.get(key, 0) + c
+        return _from_parts(self.target, tensor.legs, parts, tensor.den)

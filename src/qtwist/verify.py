@@ -49,9 +49,16 @@ def _norm_key(key):
 
 
 def _finish(name, ctx, parts, t0):
+    """Count the residual terms and pick the witness, in the user's basis.
+
+    On a lifted twin each residual is first mapped back to the user's
+    context, so the result is the one the check gives there.
+    """
     count = 0
     best = None
     for label, residual in parts:
+        if ctx.to_user is not None:
+            residual = ctx.to_user(residual)
         count += len(residual.nums)
         for key, coeff in residual.terms.items():
             cand = ((_norm_key(key), label), key, coeff)
@@ -74,8 +81,14 @@ def _finish(name, ctx, parts, t0):
 
 
 def _generators(ctx):
+    """The spec's generators by name; on a lifted twin, the images of the user's."""
     alg = ctx.algebra
-    gens = [(name, alg.h(i)) for i, name in enumerate(ctx.spec.h_names)]
+    if ctx.from_user is None:
+        hs = [alg.h(i) for i in range(ctx.spec.m)]
+    else:
+        user = ctx.from_user.source
+        hs = [ctx.from_user(user.h(i)) for i in range(ctx.spec.m)]
+    gens = list(zip(ctx.spec.h_names, hs))
     gens += [(name, alg.x(mu)) for mu, name in enumerate(ctx.spec.x_names)]
     return gens
 
@@ -374,29 +387,37 @@ _NULL_PLANE_CHECKS = (
 
 
 def _suite_checks(ctx, suite, xi=None, phi=None, rmat=None):
-    base = {
-        "twist": [lambda: check_twist_equation(ctx, phi=phi)],
-        "ybe": [lambda: check_qybe(ctx, rmat=rmat)],
-        "triangular": [lambda: check_triangularity(ctx, rmat=rmat)],
-        "hopf": [
-            lambda: check_hopf_axioms(ctx, phi=phi),
-            lambda: check_intertwine(ctx, rmat=rmat),
-        ],
-        "classical": [
-            lambda: check_classical_limit(ctx),
-            lambda: check_cybe(ctx),
-            lambda: check_alpha_exchange(ctx),
-            lambda: check_classical_basis(ctx, xi=xi, phi=phi),
-        ],
-    }
-    if suite in base:
-        return base[suite]
     if suite == "section3":
         if ctx.spec.metadata.get("family") != "null-plane":
             raise UnsupportedPresetError(
                 "the section3 suite needs the null-plane preset"
             )
         return [lambda fn=fn: fn(ctx) for fn in _NULL_PLANE_CHECKS]
+    if suite not in SUITES:
+        raise ShapeError(f"unknown suite {suite!r}")
+    # The product checks run on the lifted twin, with the overrides carried
+    # over; the spec-level checks and the choice of xi stay on the user's spec.
+    twin = ctx.lifted
+    if twin is not ctx:
+        phi = None if phi is None else twin.from_user(phi)
+        rmat = None if rmat is None else twin.from_user(rmat)
+    base = {
+        "twist": [lambda: check_twist_equation(twin, phi=phi)],
+        "ybe": [lambda: check_qybe(twin, rmat=rmat)],
+        "triangular": [lambda: check_triangularity(twin, rmat=rmat)],
+        "hopf": [
+            lambda: check_hopf_axioms(twin, phi=phi),
+            lambda: check_intertwine(twin, rmat=rmat),
+        ],
+        "classical": [
+            lambda: check_classical_limit(ctx),
+            lambda: check_cybe(ctx),
+            lambda: check_alpha_exchange(ctx),
+            lambda: check_classical_basis(twin, xi=_suite_xi(ctx, xi), phi=phi),
+        ],
+    }
+    if suite in base:
+        return base[suite]
     if suite == "all":
         fns = (
             base["classical"]
@@ -408,7 +429,6 @@ def _suite_checks(ctx, suite, xi=None, phi=None, rmat=None):
         if ctx.spec.metadata.get("family") == "null-plane":
             fns = fns + [lambda fn=fn: fn(ctx) for fn in _NULL_PLANE_CHECKS]
         return fns
-    raise ShapeError(f"unknown suite {suite!r}")
 
 
 def run_suite(ctx, suite="all", jobs=1, xi=None, phi=None, rmat=None):
@@ -416,7 +436,8 @@ def run_suite(ctx, suite="all", jobs=1, xi=None, phi=None, rmat=None):
 
     `phi` and `rmat` override the context's twist and R-matrix (used by the
     mutation tests); `xi` overrides the classical basis coefficients.  `jobs`
-    is accepted and has no effect.
+    is accepted and has no effect.  The product checks run on `ctx.lifted`,
+    and their residuals are reported in the basis of `ctx`.
     """
     fns = _suite_checks(ctx, suite, xi=xi, phi=phi, rmat=rmat)
     return CheckReport(

@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qtwist import AlgebraSpec, build_context, preset
-from qtwist.algebra import Algebra, Monomial
+from qtwist.algebra import Algebra, Monomial, SeriesMatrix
+from qtwist.errors import ShapeError, SingularMatrixError
 from qtwist.linalg import inverse
 
 Q = Fraction
@@ -61,6 +62,23 @@ def naive_normal_order(alg, word, coeff=Q(1), extra_power=0, out=None):
         if out[key] == 0:
             del out[key]
     return out
+
+
+def mat_mul(a, b):
+    """Product of two matrices given as lists of rows of rationals."""
+    if len(b) != len(a[0]):
+        raise ShapeError("matrix product: inner dimensions differ")
+    cols = len(b[0])
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def zero_series_matrix(algebra, size):
+    """The size-by-size SeriesMatrix with every entry zero."""
+    zero = algebra.zero()
+    return SeriesMatrix([[zero for _ in range(size)] for _ in range(size)])
 
 
 def one_leg(terms):
@@ -232,42 +250,49 @@ def random_valid_spec_2d(rng, order=3):
     )
 
 
-def rotated_null_plane_specs(order=2):
-    """Five null-plane specs in seeded H bases, each with r != I; four have
-    fractions in r and two in B."""
+def rotated_specs(name, order=2, count=5):
+    """`count` copies of a preset in seeded H bases ``H'_a = sum_j s[j][a] H_j``.
+
+    Each s is drawn with entries in -2..2 until it is invertible; B and r
+    transform contravariantly, and xi and the preset's metadata are dropped.
+    For the null-plane preset every spec has r != I; four have fractions in r
+    and two in B.  A 1-by-1 draw of s = 1 leaves the preset as it is.
+    """
     rng = random.Random(41)
-    base = preset("poincare-null-plane")
-    for _ in range(5):
+    base = preset(name)
+    dim, n = base.m, base.n
+    for _ in range(count):
         while True:
-            s = [[Q(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            det = (
-                s[0][0] * (s[1][1] * s[2][2] - s[1][2] * s[2][1])
-                - s[0][1] * (s[1][0] * s[2][2] - s[1][2] * s[2][0])
-                + s[0][2] * (s[1][0] * s[2][1] - s[1][1] * s[2][0])
-            )
-            if det:
-                break
-        sinv = inverse(s)
-        # H'_a = sum_j s[j][a] H_j ; B and r transform contravariantly
+            s = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+            try:
+                sinv = inverse(s)
+            except SingularMatrixError:
+                continue
+            break
         B = [
             [
                 [
                     sum(
                         sinv[b][i] * s[j][a] * base.B[i][j][mu]
-                        for i in range(3)
-                        for j in range(3)
+                        for i in range(dim)
+                        for j in range(dim)
                     )
-                    for mu in range(3)
+                    for mu in range(n)
                 ]
-                for a in range(3)
+                for a in range(dim)
             ]
-            for b in range(3)
+            for b in range(dim)
         ]
         r = [
-            [sum(sinv[b][i] * base.r[i][mu] for i in range(3)) for mu in range(3)]
-            for b in range(3)
+            [sum(sinv[b][i] * base.r[i][mu] for i in range(dim)) for mu in range(n)]
+            for b in range(dim)
         ]
-        yield AlgebraSpec(name="rotated", m=3, n=3, B=B, r=r, order=order)
+        yield AlgebraSpec(name="rotated", m=dim, n=n, B=B, r=r, order=order)
+
+
+def rotated_null_plane_specs(order=2):
+    """The five seeded rotations of the null-plane preset."""
+    return rotated_specs("poincare-null-plane", order)
 
 
 @lru_cache(maxsize=None)
@@ -284,6 +309,28 @@ def mutate_tensor(alg, tensor, key, delta=Q(1)):
     return alg.tensor_element(tensor.legs, terms)
 
 
+def stale_context(ctx, field, at):
+    """`ctx` with the stored B or r entry at index tuple `at` raised by 1.
+
+    Nothing is re-derived: the context keeps the derived structure of the
+    unmutated spec, as `run_single_mutation` does.
+    """
+    import dataclasses
+
+    from qtwist.hopf import HopfContext
+
+    rows = [
+        [list(row) for row in block] if field == "B" else list(block)
+        for block in getattr(ctx.spec, field)
+    ]
+    cell = rows
+    for i in at[:-1]:
+        cell = cell[i]
+    cell[at[-1]] += 1
+    spec = dataclasses.replace(ctx.spec, **{field: rows})
+    return HopfContext(dataclasses.replace(ctx.derived, spec=spec))
+
+
 def run_single_mutation(ctx, rng):
     """Perturb one stored rational in B, r, the twist, or the R-matrix by +1.
 
@@ -291,39 +338,16 @@ def run_single_mutation(ctx, rng):
     so the perturbed context is internally inconsistent and the suite must
     notice.  Returns (target, report).
     """
-    import dataclasses
-
-    from qtwist.hopf import HopfContext
     from qtwist.verify import run_suite
 
     spec = ctx.spec
     target = rng.choice(("B", "r", "phi", "rmat"))
     if target == "B":
-        i, j, mu = (
-            rng.randrange(spec.m),
-            rng.randrange(spec.m),
-            rng.randrange(spec.n),
-        )
-        B = [
-            [
-                [
-                    spec.B[a][b][c] + (1 if (a, b, c) == (i, j, mu) else 0)
-                    for c in range(spec.n)
-                ]
-                for b in range(spec.m)
-            ]
-            for a in range(spec.m)
-        ]
-        stale = dataclasses.replace(ctx.derived, spec=dataclasses.replace(spec, B=B))
-        return target, run_suite(HopfContext(stale), "all")
+        at = (rng.randrange(spec.m), rng.randrange(spec.m), rng.randrange(spec.n))
+        return target, run_suite(stale_context(ctx, "B", at), "all")
     if target == "r":
-        i, mu = rng.randrange(spec.m), rng.randrange(spec.n)
-        r = [
-            [spec.r[a][c] + (1 if (a, c) == (i, mu) else 0) for c in range(spec.n)]
-            for a in range(spec.m)
-        ]
-        stale = dataclasses.replace(ctx.derived, spec=dataclasses.replace(spec, r=r))
-        return target, run_suite(HopfContext(stale), "all")
+        at = (rng.randrange(spec.m), rng.randrange(spec.n))
+        return target, run_suite(stale_context(ctx, "r", at), "all")
     if target == "phi":
         key = rng.choice(sorted(ctx.phi.terms))
         bad = mutate_tensor(ctx.algebra, ctx.phi, key)

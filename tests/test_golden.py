@@ -6,18 +6,16 @@ shows here as a diff.  Regenerate the files only for an intended change of
 output: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
-import dataclasses
 import io
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from helpers import cached_context, mutate_tensor, rotated_null_plane_specs
+from helpers import cached_context, mutate_tensor, rotated_null_plane_specs, stale_context
 from qtwist import build_context
 from qtwist.cli import main, render_report_machine
 from qtwist.errors import QTwistError
-from qtwist.hopf import HopfContext
 from qtwist.model import choose_xi
 from qtwist.verify import run_suite
 
@@ -59,16 +57,7 @@ def _rotated_stale(field, at, xi=None):
     spec, which may be refused: then the error's type and message are the
     output.
     """
-    ctx = _rotated_context()
-    rows = [list(row) for row in getattr(ctx.spec, field)]
-    if field == "B":
-        rows = [[list(row) for row in block] for block in rows]
-    cell = rows
-    for i in at[:-1]:
-        cell = cell[i]
-    cell[at[-1]] += 1
-    spec = dataclasses.replace(ctx.spec, **{field: rows})
-    stale = HopfContext(dataclasses.replace(ctx.derived, spec=spec))
+    stale = stale_context(_rotated_context(), field, at)
     try:
         return render_report_machine(run_suite(stale, "all", xi=xi))
     except QTwistError as exc:

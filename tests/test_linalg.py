@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import mat_mul
 from qtwist import SingularMatrixError
-from qtwist.linalg import identity, inverse, mat_mul, nullspace, rank
+from qtwist.linalg import identity, inverse, nullspace, rank
 
 
 def test_identity_inverse():

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from helpers import zero_series_matrix
 from qtwist import TruncationError, series_apply
 from qtwist.algebra import (
     Algebra,
@@ -20,13 +21,13 @@ def _plain(m, n, order):
 
 def test_exp_of_zero_matrix_is_identity():
     alg = _plain(1, 2, 3)
-    z = SeriesMatrix.zeros(alg, 2)
+    z = zero_series_matrix(alg, 2)
     assert series_apply(exp_coefficients(3), z) == SeriesMatrix.identity(alg, 2)
 
 
 def test_expm1_over_t_constant_term():
     alg = _plain(1, 2, 3)
-    z = SeriesMatrix.zeros(alg, 2)
+    z = zero_series_matrix(alg, 2)
     got = series_apply(expm1_over_t_coefficients(3), z)
     assert got == SeriesMatrix.identity(alg, 2)
 
