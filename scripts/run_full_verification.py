@@ -2,11 +2,15 @@
 """Run every suite on every preset at its acceptance order and print reports.
 
 Also runs a null-plane spec rotated into a dense H basis (r != I), read from
-``tests/data/rotated-null-plane.json``.  Exit status is nonzero if any check
-fails anywhere.
+``tests/data/rotated-null-plane.json``.  After each run it prints the run's
+wall time and the peak RSS of the process so far; the runs go up in order, so
+the log shows memory by order.  Exit status is nonzero if any check fails
+anywhere.
 """
 
+import resource
 import sys
+import time
 from pathlib import Path
 
 from qtwist import build_context, parse_spec_file, preset, validate_spec
@@ -30,6 +34,7 @@ RUNS = (
 def main():
     ok = True
     for source, order, suite in RUNS:
+        t0 = time.perf_counter()
         spec = parse_spec_file(source) if isinstance(source, Path) else preset(source)
         spec = spec.with_order(order)
         validation = validate_spec(spec)
@@ -37,6 +42,10 @@ def main():
         ok &= validation.passed
         report = run_suite(build_context(spec), suite)
         sys.stdout.write(render_report_text(report))
+        # ru_maxrss is in KiB on Linux.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        wall = time.perf_counter() - t0
+        print(f"run {spec.name} N={order} {suite}: {wall:.2f} s, peak RSS so far {peak:.0f} MB")
         sys.stdout.write("\n")
         ok &= report.passed
     print("VERIFICATION", "PASS" if ok else "FAIL")

@@ -299,16 +299,14 @@ class Algebra:
             parts = {}
             for (k1, h1, x1), v1 in terms.items():
                 sub, sub_den = self._x_block_past_h(head, h1)
-                acc = parts.get(sub_den)
-                if acc is None:
-                    acc = parts[sub_den] = {}
+                acc = parts.setdefault(sub_den * den, {})
                 for (k2, h2, x2), v2 in sub.items():
                     k = k1 + k2
                     if k > order:
                         break
                     nk = (k, h2, tuple(map(add, x2, x1)))
                     acc[nk] = acc.get(nk, 0) + v1 * v2
-            terms, den = _reduced(*_merged(parts, den))
+            terms, den = _reduced(*_merged(parts))
         out = dict(sorted(terms.items())), den
         self._block_cache[key] = out
         return out
@@ -349,22 +347,32 @@ class Algebra:
 
     # -- products ----------------------------------------------------------------
 
-    def mul_tensors(self, a, b):
+    def mul_into(self, acc, a, b, scale=1):
+        """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
+
+        `acc` maps each absolute denominator to a numerator map keyed like
+        `TensorElement.nums`, the layout of `_merged`; `_from_parts` reads it
+        back as an element.  `scale` is an int or a Fraction.  This is the
+        one product loop: `mul_tensors` runs it into an empty accumulator.
+        """
         order = self.order
         cache, mono_mul = self._mono_cache, self._mono_mul
         free = self._free_cache.get
         legs = range(a.legs)
+        base_den = a.den * b.den * scale.denominator
+        s = scale.numerator
         # The terms of b grouped by power, so that each term of a stops at
         # the first power that overshoots the order.
         by_power = {}
         for (k2, ids2), c2 in b.nums.items():
             by_power.setdefault(k2, []).append((ids2, c2))
         buckets = sorted(by_power.items())
-        # Numerator sums keyed by the denominator their combos picked up
-        # from cached leg coefficients; merged over the lcm at the end.
-        out = {}
+        # The parts of `acc` by the denominator their combos picked up from
+        # cached leg coefficients, relative to `base_den`.
+        out = acc.setdefault(base_den, {})
         parts = {1: out}
         for (k1, ids1), c1 in a.nums.items():
+            c1 *= s
             for k2, bucket in buckets:
                 base = k1 + k2
                 if base > order:
@@ -397,12 +405,16 @@ class Algebra:
                         if not combos:
                             break
                     for k, ids, c, d in combos:
-                        acc = out if d == 1 else parts.get(d)
-                        if acc is None:
-                            acc = parts[d] = {}
+                        part = out if d == 1 else parts.get(d)
+                        if part is None:
+                            part = parts[d] = acc.setdefault(d * base_den, {})
                         key = (k, ids)
-                        acc[key] = acc.get(key, 0) + c
-        return _from_parts(self, a.legs, parts, a.den * b.den)
+                        part[key] = part.get(key, 0) + c
+
+    def mul_tensors(self, a, b):
+        acc = {}
+        self.mul_into(acc, a, b)
+        return _from_parts(self, a.legs, acc)
 
 
 class TensorElement:
@@ -457,6 +469,13 @@ class TensorElement:
         for key, v in other.nums.items():
             out[key] = out.get(key, 0) + v * fb
         return _canonical(self.algebra, self.legs, out, den)
+
+    def add_into(self, acc, scale=1):
+        """Add ``scale * self`` to an accumulator in the layout of `Algebra.mul_into`."""
+        s = scale.numerator
+        part = acc.setdefault(self.den * scale.denominator, {})
+        for key, v in self.nums.items():
+            part[key] = part.get(key, 0) + s * v
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -599,8 +618,8 @@ def _reduced(nums, den):
     return nums, den
 
 
-def _merged(parts, den):
-    """``sum_d parts[d] / (d * den)`` as numerators over one denominator.
+def _merged(parts):
+    """``sum_d parts[d] / d`` as numerators over one denominator.
 
     `parts` maps each denominator ``d`` to a numerator map; the maps are
     merged once, over the lcm of their denominators.  The result is not
@@ -608,19 +627,19 @@ def _merged(parts, den):
     """
     if len(parts) == 1:
         ((d, nums),) = parts.items()
-        return nums, d * den
-    lcm_d = lcm(*parts)
+        return nums, d
+    den = lcm(*parts)
     out = {}
     for d, nums in parts.items():
-        f = lcm_d // d
+        f = den // d
         for key, v in nums.items():
             out[key] = out.get(key, 0) + v * f
-    return out, lcm_d * den
+    return out, den
 
 
-def _from_parts(algebra, legs, parts, den):
-    """The element ``sum_d parts[d] / (d * den)`` in canonical form."""
-    return _canonical(algebra, legs, *_merged(parts, den))
+def _from_parts(algebra, legs, parts):
+    """The element ``sum_d parts[d] / d`` in canonical form."""
+    return _canonical(algebra, legs, *_merged(parts))
 
 
 Element = TensorElement
@@ -701,16 +720,15 @@ class SeriesMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        size = self.size
+        alg, cols = self.algebra, tuple(zip(*other.entries))
         rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = self.algebra.zero()
-                for k in range(size):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
+        for row in self.entries:
+            rows.append([])
+            for col in cols:
+                acc = {}
+                for a, b in zip(row, col):
+                    alg.mul_into(acc, a, b)
+                rows[-1].append(_from_parts(alg, 1, acc))
         return SeriesMatrix(rows)
 
     def is_zero(self):

@@ -188,14 +188,12 @@ class HopfContext:
         alg = self.algebra
         tensor = tensor._on(alg)
         order = alg.order
-        # Numerator sums keyed by the denominator of the coproduct images
-        # they came from; merged over the lcm at the end.
+        # Numerator sums keyed by their denominator, the tensor's times that
+        # of the coproduct images they came from; merged over the lcm at the end.
         parts = {}
         for (k, ids), c in tensor.nums.items():
             delta = self._delta_monomial(ids[leg])
-            out = parts.get(delta.den)
-            if out is None:
-                out = parts[delta.den] = {}
+            out = parts.setdefault(delta.den * tensor.den, {})
             head, tail = ids[:leg], ids[leg + 1 :]
             for (dk, pair), dc in delta.nums.items():
                 nk = k + dk
@@ -203,7 +201,7 @@ class HopfContext:
                     continue
                 key = (nk, head + pair + tail)
                 out[key] = out.get(key, 0) + c * dc
-        return _from_parts(alg, tensor.legs + 1, parts, tensor.den)
+        return _from_parts(alg, tensor.legs + 1, parts)
 
     def counit(self, a):
         """Counit as a rational per deformation power (unit-monomial slice)."""

@@ -22,6 +22,7 @@ from .algebra import (
     Algebra,
     Monomial,
     SeriesMatrix,
+    _from_parts,
     expm1_over_t_coefficients,
     format_term,
     series_apply,
@@ -314,22 +315,20 @@ def cybe_residual(spec):
     power zero.
     """
     alg = classical_algebra(spec)
-    two = alg.tensor_zero(2)
+    acc = {}
     for i in range(spec.m):
         for mu in range(spec.n):
             c = spec.r[i][mu]
-            if not c:
-                continue
-            two = two + alg.outer(alg.x(mu), alg.h(i)).scale(c)
-            two = two - alg.outer(alg.h(i), alg.x(mu)).scale(c)
-    r12 = two.embed(3, (0, 1))
-    r13 = two.embed(3, (0, 2))
-    r23 = two.embed(3, (1, 2))
-
-    def comm(a, b):
-        return a * b - b * a
-
-    return comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
+            if c:
+                alg.outer(alg.x(mu), alg.h(i)).add_into(acc, c)
+                alg.outer(alg.h(i), alg.x(mu)).add_into(acc, -c)
+    two = _from_parts(alg, 2, acc)
+    r12, r13, r23 = (two.embed(3, legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    acc = {}
+    for a, b in ((r12, r13), (r12, r23), (r13, r23)):
+        alg.mul_into(acc, a, b)
+        alg.mul_into(acc, b, a, -1)
+    return _from_parts(alg, 3, acc)
 
 
 def validate_spec(spec):
@@ -457,28 +456,30 @@ def h_prime_rank(spec):
     return rank, tuple(kernel[0]) if kernel else None
 
 
-def choose_xi(spec):
-    """Pick the coefficient vector for the classical basis transform.
+def scan_xi(spec, alpha_low):
+    """The first scaled basis vector whose induced first-order map has full rank.
 
-    Returns the declared xi when present.  Otherwise scans scaled canonical
-    basis vectors (scales 1 and 1/2, index-major) and returns the first one
-    whose induced first-order map has full rank.
+    Scans scales 1 and 1/2 of each canonical basis vector, index-major, for
+    the couplings `alpha_low`; returns None when none has rank ``spec.m``.
     """
-    if spec.xi is not None:
-        return spec.xi
-    alpha_low = _require_classical(spec).alpha_low
     for idx in range(spec.n):
         for scale in (Q(1), Q(1, 2)):
-            cols = []
-            for sigma in range(spec.n):
-                cols.append(
-                    [scale * alpha_low[sigma][muu][idx] for muu in range(spec.n)]
-                )
-            mat = [[cols[sigma][muu] for sigma in range(spec.n)] for muu in range(spec.n)]
+            mat = [
+                [scale * alpha_low[sigma][muu][idx] for sigma in range(spec.n)]
+                for muu in range(spec.n)
+            ]
             if linalg.rank(mat) == spec.m:
-                return tuple(
-                    scale if nu == idx else Q(0) for nu in range(spec.n)
-                )
+                return tuple(scale if nu == idx else Q(0) for nu in range(spec.n))
+    return None
+
+
+def choose_xi(spec):
+    """The classical basis coefficients: the declared xi, else `scan_xi`'s pick."""
+    if spec.xi is not None:
+        return spec.xi
+    xi = scan_xi(spec, _require_classical(spec).alpha_low)
+    if xi is not None:
+        return xi
     rank, witness = h_prime_rank(spec)
     raise NoValidXiError(
         f"no scaled basis vector yields a full-rank classical basis "

@@ -57,10 +57,11 @@ class BasisChange:
 
     def __call__(self, tensor):
         tensor = tensor._on(self.source)
-        # Numerator sums keyed by the product of the leg images' denominators.
+        # Numerator sums keyed by their denominator: the tensor's times those
+        # of its leg images.
         parts = {}
         for (k, ids), v in tensor.nums.items():
-            combos = [((), v, 1)]
+            combos = [((), v, tensor.den)]
             for mid in ids:
                 image, den = self._image(mid)
                 combos = [
@@ -70,4 +71,4 @@ class BasisChange:
                 acc = parts.setdefault(d, {})
                 key = (k, out)
                 acc[key] = acc.get(key, 0) + c
-        return _from_parts(self.target, tensor.legs, parts, tensor.den)
+        return _from_parts(self.target, tensor.legs, parts)

@@ -1,22 +1,23 @@
 """Residual-based checks: every structural identity becomes an exact zero test.
 
-A check computes one or more residual elements or tensors; it passes exactly
-when every residual term map is empty.  There are no tolerances anywhere.
+A check declares one or more labelled residuals, each a sum of signed
+products and terms; it passes exactly when every residual term map is empty.
+There are no tolerances anywhere.
 Reports are deterministic: checks run in a fixed order and witnesses always
 name the lexicographically smallest surviving term.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Monomial, SeriesMatrix, exp_truncated, format_term
-from .errors import NoValidXiError, ShapeError, UnsupportedPresetError
-from .hopf import HopfContext
-from .model import choose_xi, cybe_residual
+from .algebra import Monomial, SeriesMatrix, _from_parts, exp_truncated, format_term
+from .errors import ShapeError, UnsupportedPresetError
+from .model import cybe_residual, scan_xi
 
 Q = Fraction
 
@@ -43,27 +44,40 @@ class CheckReport:
         return all(r.passed for r in self.results)
 
 
-def _norm_key(key):
-    power, monos = key
-    return (power, len(monos), monos)
+def _check(name):
+    """Make a check named `name` from a declaration of its residual.
+
+    The declaration takes the check's arguments and returns its parts, a
+    list or a generator of ``(label, terms)``.  `terms` is a fresh list of
+    ``(scale, a)`` and ``(scale, a, b)`` items, which stand for ``scale * a``
+    and ``scale * a * b``; the part's residual is their sum.
+    """
+
+    def wrap(declare):
+        @functools.wraps(declare)
+        def check(ctx, *args, **kwargs):
+            t0 = time.perf_counter()
+            return _finish(name, ctx, declare(ctx, *args, **kwargs), t0)
+
+        return check
+
+    return wrap
 
 
 def _finish(name, ctx, parts, t0):
-    """Count the residual terms and pick the witness, in the user's basis.
+    """Evaluate a check's residual one part at a time.
 
-    On a lifted twin each residual is first mapped back to the user's
-    context, so the result is the one the check gives there.
+    Each part is summed into one accumulator and canonicalised once, mapped
+    back to the user's context on a lifted twin, counted and searched for the
+    witness, and dropped before the next part is built.  The witness is the
+    smallest surviving term by power, leg count and monomials, then label.
     """
-    count = 0
-    best = None
-    for label, residual in parts:
-        if ctx.to_user is not None:
-            residual = ctx.to_user(residual)
-        count += len(residual.nums)
-        for key, coeff in residual.terms.items():
-            cand = ((_norm_key(key), label), key, coeff)
-            if best is None or cand[0] < best[0]:
-                best = cand
+    count, best = 0, None
+    for label, terms in parts:
+        terms_left, cand = _tally(label, _residual(ctx, terms))
+        count += terms_left
+        if cand is not None and (best is None or cand[0] < best[0]):
+            best = cand
     witness = None
     if best is not None:
         (_, label), key, coeff = best
@@ -80,6 +94,43 @@ def _finish(name, ctx, parts, t0):
     )
 
 
+def _residual(ctx, terms):
+    """The sum of a part's terms in the user's basis; None for no terms.
+
+    The sum runs in the algebra of the first operand.  The list is emptied
+    as it goes, so an operand nothing else holds is released after its last
+    product.
+    """
+    if not terms:
+        return None
+    alg, legs = terms[0][1].algebra, terms[0][1].legs
+    shape, acc = alg.tensor_zero(legs), {}
+    while terms:
+        _accumulate(alg, shape, acc, *terms.pop(0))
+    residual = _from_parts(alg, legs, acc)
+    return residual if ctx.to_user is None else ctx.to_user(residual)
+
+
+def _accumulate(alg, shape, acc, scale, a, b=None):
+    """Add ``scale * a`` or ``scale * a * b`` to `acc`; operands must fit `shape`."""
+    shape._check_compat(a)
+    if b is None:
+        return a._on(alg).add_into(acc, scale)
+    shape._check_compat(b)
+    alg.mul_into(acc, a._on(alg), b._on(alg), scale)
+
+
+def _tally(label, residual):
+    """The number of terms of a part's residual and its witness candidate."""
+    if residual is None or residual.is_zero():
+        return 0, None
+    mono = residual.algebra.monomial
+    k, ids = min(residual.nums, key=lambda key: (key[0], [mono(i) for i in key[1]]))
+    monos = tuple(mono(i) for i in ids)
+    coeff = Q(residual.nums[(k, ids)], residual.den)
+    return len(residual.nums), (((k, len(monos), monos), label), (k, monos), coeff)
+
+
 def _generators(ctx):
     """The spec's generators by name; on a lifted twin, the images of the user's."""
     alg = ctx.algebra
@@ -93,82 +144,66 @@ def _generators(ctx):
     return gens
 
 
+@_check("twist-equation")
 def check_twist_equation(ctx, phi=None):
     """(coproduct (x) id)(Phi) * Phi_12  ==  (id (x) coproduct)(Phi) * Phi_23."""
-    t0 = time.perf_counter()
     p = ctx.phi if phi is None else phi
-    lhs = ctx.coproduct_on_leg(p, 0) * p.embed(3, (0, 1))
-    rhs = ctx.coproduct_on_leg(p, 1) * p.embed(3, (1, 2))
-    return _finish("twist-equation", ctx, [("cocycle", lhs - rhs)], t0)
+    lhs = (1, ctx.coproduct_on_leg(p, 0), p.embed(3, (0, 1)))
+    rhs = (-1, ctx.coproduct_on_leg(p, 1), p.embed(3, (1, 2)))
+    return [("cocycle", [lhs, rhs])]
 
 
+@_check("qybe")
 def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
-    t0 = time.perf_counter()
     r = ctx.universal_r if rmat is None else rmat
-    r12 = r.embed(3, (0, 1))
-    r13 = r.embed(3, (0, 2))
     r23 = r.embed(3, (1, 2))
+    lhs = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
     # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
-    # R12 and R13, so R13 R12 is R12 R13 with those legs exchanged.
-    lhs = r12 * r13
-    rhs = lhs.permute((0, 2, 1))
-    # Rebinding frees R12 R13 before the second 3-leg product, which keeps
-    # peak memory at that of forming R23 R13 R12 directly.
-    lhs = lhs * r23
-    residual = lhs - r23 * rhs
-    return _finish("qybe", ctx, [("yang-baxter", residual)], t0)
+    # R12 and R13, so R13 R12 is R12 R13 with those legs exchanged.  Only
+    # the list holds R12 R13 once this returns, so it is freed after the
+    # first product.
+    return [("yang-baxter", [(1, lhs, r23), (-1, r23, lhs.permute((0, 2, 1)))])]
 
 
+@_check("triangularity")
 def check_triangularity(ctx, rmat=None):
     """swap(R) * R == unit tensor."""
-    t0 = time.perf_counter()
     r = ctx.universal_r if rmat is None else rmat
-    residual = r.swap() * r - ctx.algebra.tensor_unit(2)
-    return _finish("triangularity", ctx, [("swap(R)*R-1", residual)], t0)
+    return [("swap(R)*R-1", [(1, r.swap(), r), (-1, ctx.algebra.tensor_unit(2))])]
 
 
+@_check("intertwining")
 def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
-    t0 = time.perf_counter()
     r = ctx.universal_r if rmat is None else rmat
-    parts = []
     for name, g in _generators(ctx):
         delta = ctx.coproduct(g)
-        parts.append((name, r * delta - delta.swap() * r))
-    return _finish("intertwining", ctx, parts, t0)
+        yield name, [(1, r, delta), (-1, delta.swap(), r)]
 
 
+@_check("hopf-axioms")
 def check_hopf_axioms(ctx, phi=None):
     """Coassociativity, counit axioms, and counitality/invertibility of the twist."""
-    t0 = time.perf_counter()
     alg = ctx.algebra
     p = ctx.phi if phi is None else phi
-    parts = []
     for name, g in _generators(ctx):
         delta = ctx.coproduct(g)
-        parts.append(
-            (
-                f"coassociativity {name}",
-                ctx.coproduct_on_leg(delta, 0) - ctx.coproduct_on_leg(delta, 1),
-            )
-        )
-        parts.append((f"counit-left {name}", ctx.counit_on_leg(delta, 0) - g))
-        parts.append((f"counit-right {name}", ctx.counit_on_leg(delta, 1) - g))
+        coassoc = [(1, ctx.coproduct_on_leg(delta, 0)), (-1, ctx.coproduct_on_leg(delta, 1))]
+        yield f"coassociativity {name}", coassoc
+        yield f"counit-left {name}", [(1, ctx.counit_on_leg(delta, 0)), (-1, g)]
+        yield f"counit-right {name}", [(1, ctx.counit_on_leg(delta, 1)), (-1, g)]
     one = alg.one()
-    parts.append(("twist-counital-left", ctx.counit_on_leg(p, 0) - one))
-    parts.append(("twist-counital-right", ctx.counit_on_leg(p, 1) - one))
-    unit2 = alg.tensor_unit(2)
-    parts.append(("twist-inverse", ctx.phi_inverse * p - unit2))
-    return _finish("hopf-axioms", ctx, parts, t0)
+    yield "twist-counital-left", [(1, ctx.counit_on_leg(p, 0)), (-1, one)]
+    yield "twist-counital-right", [(1, ctx.counit_on_leg(p, 1)), (-1, one)]
+    yield "twist-inverse", [(1, ctx.phi_inverse, p), (-1, alg.tensor_unit(2))]
 
 
+@_check("classical-limit")
 def check_classical_limit(ctx):
     """Power-zero slice of each bracket table entry equals B."""
-    t0 = time.perf_counter()
     spec = ctx.spec
     alg = ctx.algebra
-    parts = []
     for j in range(spec.m):
         for mu in range(spec.n):
             got = alg.element(
@@ -181,17 +216,16 @@ def check_classical_limit(ctx):
                     if spec.B[i][j][mu]
                 }
             )
-            parts.append((f"[{spec.h_names[j]},{spec.x_names[mu]}]", got - want))
-    return _finish("classical-limit", ctx, parts, t0)
+            yield f"[{spec.h_names[j]},{spec.x_names[mu]}]", [(1, got), (-1, want)]
 
 
+@_check("cybe")
 def check_cybe(ctx):
     """Classical Yang-Baxter residual of the r-matrix."""
-    t0 = time.perf_counter()
-    residual = cybe_residual(ctx.spec)
-    return _finish("cybe", ctx, [("[[r,r]]", residual)], t0)
+    return [("[[r,r]]", [(1, cybe_residual(ctx.spec))])]
 
 
+@_check("alpha-exchange")
 def check_alpha_exchange(ctx):
     """Exchange identity for the lowered coupling against e^{2 alpha.H} - I.
 
@@ -199,44 +233,35 @@ def check_alpha_exchange(ctx):
     sum_s alpha^mu_{rho,s} W^s_nu == sum_s alpha^mu_{nu,s} W^s_rho,
     with W = e^{2 alpha.H} - I.
     """
-    t0 = time.perf_counter()
     spec = ctx.spec
-    alg = ctx.algebra
-    w = ctx.exp_2alpha_h - SeriesMatrix.identity(alg, spec.n)
+    w = ctx.exp_2alpha_h - SeriesMatrix.identity(ctx.algebra, spec.n)
     low = ctx.derived.alpha_low
-
-    def contracted(mu, a, b):
-        acc = alg.zero()
-        for s in range(spec.n):
-            c = low[a][mu][s]
-            if c:
-                acc = acc + w.entry(s, b).scale(c)
-        return acc
-
-    parts = []
     for mu in range(spec.n):
         for rho in range(spec.n):
             for nu in range(rho + 1, spec.n):
-                parts.append(
-                    (
-                        f"(mu,rho,nu)=({mu},{rho},{nu})",
-                        contracted(mu, rho, nu) - contracted(mu, nu, rho),
-                    )
-                )
-    return _finish("alpha-exchange", ctx, parts, t0)
+                yield f"(mu,rho,nu)=({mu},{rho},{nu})", [
+                    (sign * low[a][mu][s], w.entry(s, b))
+                    for sign, a, b in ((1, rho, nu), (-1, nu, rho))
+                    for s in range(spec.n)
+                    if low[a][mu][s]
+                ]
 
 
 def _suite_xi(ctx, xi):
+    """The classical basis coefficients: the override, the spec's, or a scan.
+
+    The scan reads the context's own derived couplings, so a context whose
+    stored B or r is stale gets the xi it was built for.
+    """
     if xi is not None:
         return tuple(Q(v) for v in xi)
     if ctx.spec.xi is not None:
         return ctx.spec.xi
-    try:
-        return choose_xi(ctx.spec)
-    except NoValidXiError:
-        return (Q(0),) * ctx.spec.n
+    found = scan_xi(ctx.spec, ctx.derived.alpha_low)
+    return (Q(0),) * ctx.spec.n if found is None else found
 
 
+@_check("classical-basis")
 def check_classical_basis(ctx, xi=None, phi=None):
     """The classical basis obeys undeformed brackets and twists to primitives.
 
@@ -244,135 +269,104 @@ def check_classical_basis(ctx, xi=None, phi=None):
     the closed-form coproduct of K, and exact primitivity of both K and X
     under the twisted coproduct.
     """
-    t0 = time.perf_counter()
     spec = ctx.spec
     alg = ctx.algebra
-    xi = _suite_xi(ctx, xi)
-    ks = ctx.classical_K(xi)
+    ks = ctx.classical_K(_suite_xi(ctx, xi))
     low = ctx.derived.alpha_low
-    parts = []
     for mu in range(spec.n):
         for nu in range(spec.n):
             x = alg.x(nu)
-            lhs = ks[mu] * x - x * ks[mu]
-            rhs = alg.zero()
-            for s in range(spec.n):
-                c = low[s][mu][nu]
-                if c:
-                    rhs = rhs + ks[s].scale(2 * c)
-            parts.append((f"bracket K{mu + 1},{spec.x_names[nu]}", lhs - rhs))
+            terms = [(1, ks[mu], x), (-1, x, ks[mu])]
+            terms += [(-2 * low[s][mu][nu], ks[s]) for s in range(spec.n) if low[s][mu][nu]]
+            yield f"bracket K{mu + 1},{spec.x_names[nu]}", terms
     one = alg.one()
     for mu in range(spec.n):
-        want = alg.outer(ks[mu], one)
+        terms = [(1, ctx.coproduct(ks[mu])), (-1, alg.outer(ks[mu], one))]
         for nu in range(spec.n):
             entry = ctx.exp_neg2alpha_h.entry(mu, nu)
             if not entry.is_zero() and not ks[nu].is_zero():
-                want = want + alg.outer(entry, ks[nu])
-        parts.append((f"coproduct K{mu + 1}", ctx.coproduct(ks[mu]) - want))
+                terms.append((-1, alg.outer(entry, ks[nu])))
+        yield f"coproduct K{mu + 1}", terms
     for mu in range(spec.n):
-        prim = alg.outer(ks[mu], one) + alg.outer(one, ks[mu])
-        parts.append(
-            (f"twisted-primitive K{mu + 1}", ctx.twisted_coproduct(ks[mu], phi=phi) - prim)
-        )
-        x = alg.x(mu)
-        prim = alg.outer(x, one) + alg.outer(one, x)
-        parts.append(
-            (
-                f"twisted-primitive {spec.x_names[mu]}",
-                ctx.twisted_coproduct(x, phi=phi) - prim,
-            )
-        )
-    return _finish("classical-basis", ctx, parts, t0)
+        for label, a in ((f"K{mu + 1}", ks[mu]), (spec.x_names[mu], alg.x(mu))):
+            prim = [(-1, alg.outer(a, one)), (-1, alg.outer(one, a))]
+            yield f"twisted-primitive {label}", [(1, ctx.twisted_coproduct(a, phi=phi))] + prim
 
 
 # -- null-plane closed forms ------------------------------------------------
 
 
-def _hyperbolic(ctx, sign_split):
-    """2*sinh or 2*cosh of the lifted third generator, as a truncated series."""
-    h3 = ctx.lifted_h(2)
-    plus = exp_truncated(h3)
-    minus = exp_truncated(h3.scale(-1))
-    if sign_split == "sinh":
-        return plus - minus
-    return plus + minus
-
-
+@_check("null-plane-commutators")
 def check_null_plane_commutators(ctx):
     """All brackets among the lifted H family and the physical basis.
 
     The three non-vanishing families have hyperbolic closed forms; every
     other pair commutes.
     """
-    t0 = time.perf_counter()
     ys = ctx.physical_basis()
     hs = [ctx.lifted_h(mu) for mu in range(3)]
-    two_sinh = _hyperbolic(ctx, "sinh")
-    two_cosh = _hyperbolic(ctx, "cosh")
 
     def comm(a, b):
-        return a * b - b * a
+        return [(1, a, b), (-1, b, a)]
 
-    parts = []
-    expectations = {}
+    plus = exp_truncated(hs[2])
+    minus = exp_truncated(hs[2].scale(-1))
+    # [H^i, Y_i] and [H^3, Y_3] are 2 sinh(H^3); [H^i, Y_3] is 2 cosh(H^3) H^i.
+    two_sinh = [(-1, plus), (1, minus)]
+    expected = {(2, 2): two_sinh}
     for i in (0, 1):
-        expectations[(i, i)] = two_sinh
-        expectations[(i, 2)] = two_cosh * hs[i]
-    expectations[(2, 2)] = two_sinh
+        expected[(i, i)] = two_sinh
+        expected[(i, 2)] = [(-1, plus, hs[i]), (-1, minus, hs[i])]
     for mu in range(3):
         for nu in range(3):
-            want = expectations.get((mu, nu), ctx.algebra.zero())
-            parts.append((f"[H^{mu + 1},Y{nu + 1}]", comm(hs[mu], ys[nu]) - want))
+            yield f"[H^{mu + 1},Y{nu + 1}]", comm(hs[mu], ys[nu]) + expected.get((mu, nu), [])
     for mu in range(3):
         for nu in range(mu + 1, 3):
-            parts.append((f"[Y{mu + 1},Y{nu + 1}]", comm(ys[mu], ys[nu])))
-            parts.append((f"[H^{mu + 1},H^{nu + 1}]", comm(hs[mu], hs[nu])))
-    return _finish("null-plane-commutators", ctx, parts, t0)
+            yield f"[Y{mu + 1},Y{nu + 1}]", comm(ys[mu], ys[nu])
+            yield f"[H^{mu + 1},H^{nu + 1}]", comm(hs[mu], hs[nu])
 
 
+@_check("null-plane-coproducts")
 def check_null_plane_coproducts(ctx):
     """Closed-form coproducts of the lifted H family and the physical basis."""
-    t0 = time.perf_counter()
     alg = ctx.algebra
     ys = ctx.physical_basis()
     hs = [ctx.lifted_h(mu) for mu in range(3)]
     e_plus = exp_truncated(hs[2])
     e_minus = exp_truncated(hs[2].scale(-1))
     one = alg.one()
-    parts = []
     for mu in range(3):
-        want = alg.outer(hs[mu], one) + alg.outer(one, hs[mu])
-        parts.append((f"coproduct H^{mu + 1}", ctx.coproduct(hs[mu]) - want))
-    for i in (0, 1):
-        want = alg.outer(e_plus, ys[i]) + alg.outer(ys[i], e_minus)
-        parts.append((f"coproduct Y{i + 1}", ctx.coproduct(ys[i]) - want))
-    want = alg.outer(e_plus, ys[2]) + alg.outer(ys[2], e_minus)
-    for i in (0, 1):
-        want = want + alg.outer(e_plus * hs[i], ys[i])
-        want = want - alg.outer(ys[i], hs[i] * e_minus)
-    parts.append(("coproduct Y3", ctx.coproduct(ys[2]) - want))
-    return _finish("null-plane-coproducts", ctx, parts, t0)
+        prim = [(-1, alg.outer(hs[mu], one)), (-1, alg.outer(one, hs[mu]))]
+        yield f"coproduct H^{mu + 1}", [(1, ctx.coproduct(hs[mu]))] + prim
+    for i in range(3):
+        terms = [
+            (1, ctx.coproduct(ys[i])),
+            (-1, alg.outer(e_plus, ys[i])),
+            (-1, alg.outer(ys[i], e_minus)),
+        ]
+        if i == 2:
+            for j in (0, 1):
+                terms.append((-1, alg.outer(e_plus * hs[j], ys[j])))
+                terms.append((1, alg.outer(ys[j], hs[j] * e_minus)))
+        yield f"coproduct Y{i + 1}", terms
 
 
+@_check("null-plane-classical-basis")
 def check_null_plane_classical_basis(ctx):
     """K expansions match their closed forms for xi = (0, 0, 1/2)."""
-    t0 = time.perf_counter()
     if ctx.spec.metadata.get("family") != "null-plane":
         raise UnsupportedPresetError(
             "closed-form classical basis is only defined for the null-plane preset"
         )
-    alg = ctx.algebra
-    xi = (Q(0), Q(0), Q(1, 2))
-    ks = ctx.classical_K(xi)
+    half = Q(1, 2)
+    ks = ctx.classical_K((Q(0), Q(0), half))
     hs = [ctx.lifted_h(mu) for mu in range(3)]
     e_neg2 = exp_truncated(hs[2].scale(-2))
-    one = alg.one()
-    parts = [
-        ("K1", ks[0] - hs[0] * e_neg2),
-        ("K2", ks[1] - hs[1] * e_neg2),
-        ("K3", ks[2] - (one - e_neg2).scale(Q(1, 2))),
+    return [
+        ("K1", [(1, ks[0]), (-1, hs[0], e_neg2)]),
+        ("K2", [(1, ks[1]), (-1, hs[1], e_neg2)]),
+        ("K3", [(1, ks[2]), (-half, ctx.algebra.one()), (half, e_neg2)]),
     ]
-    return _finish("null-plane-classical-basis", ctx, parts, t0)
 
 
 # -- suites -------------------------------------------------------------------
@@ -389,9 +383,7 @@ _NULL_PLANE_CHECKS = (
 def _suite_checks(ctx, suite, xi=None, phi=None, rmat=None):
     if suite == "section3":
         if ctx.spec.metadata.get("family") != "null-plane":
-            raise UnsupportedPresetError(
-                "the section3 suite needs the null-plane preset"
-            )
+            raise UnsupportedPresetError("the section3 suite needs the null-plane preset")
         return [lambda fn=fn: fn(ctx) for fn in _NULL_PLANE_CHECKS]
     if suite not in SUITES:
         raise ShapeError(f"unknown suite {suite!r}")
@@ -419,13 +411,7 @@ def _suite_checks(ctx, suite, xi=None, phi=None, rmat=None):
     if suite in base:
         return base[suite]
     if suite == "all":
-        fns = (
-            base["classical"]
-            + base["hopf"]
-            + base["twist"]
-            + base["triangular"]
-            + base["ybe"]
-        )
+        fns = base["classical"] + base["hopf"] + base["twist"] + base["triangular"] + base["ybe"]
         if ctx.spec.metadata.get("family") == "null-plane":
             fns = fns + [lambda fn=fn: fn(ctx) for fn in _NULL_PLANE_CHECKS]
         return fns
@@ -440,9 +426,4 @@ def run_suite(ctx, suite="all", jobs=1, xi=None, phi=None, rmat=None):
     and their residuals are reported in the basis of `ctx`.
     """
     fns = _suite_checks(ctx, suite, xi=xi, phi=phi, rmat=rmat)
-    return CheckReport(
-        spec_name=ctx.spec.name,
-        order=ctx.algebra.order,
-        suite=suite,
-        results=tuple(fn() for fn in fns),
-    )
+    return CheckReport(ctx.spec.name, ctx.algebra.order, suite, tuple(fn() for fn in fns))

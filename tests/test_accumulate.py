@@ -1,0 +1,97 @@
+"""The accumulating product `Algebra.mul_into` against products built one by one.
+
+Each algebra has rational bracket coefficients, so products pick up leg
+coefficients over several denominators.  A mix of signed products and plain
+terms summed in one accumulator must equal the same sum formed with the
+element operators, and the naive rewriting oracle must agree on the products.
+"""
+
+import random
+from fractions import Fraction as Q
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from helpers import naive_mul_tensors
+from qtwist import build_context, parse_spec_file, preset
+from qtwist.algebra import Monomial, _from_parts
+
+ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
+
+
+@lru_cache(maxsize=None)
+def _algebra(name):
+    if name == "rotated-null-plane twin":
+        ctx = build_context(parse_spec_file(ROTATED).with_order(3))
+        assert ctx.lifted is not ctx
+        return ctx.lifted.algebra
+    return build_context(preset(name).with_order(3)).algebra
+
+
+ALGEBRAS = ("jordanian-borel", "shift-ring(3)", "rotated-null-plane twin")
+
+
+def _tensor(rng, alg, legs):
+    """Four terms at powers 0 and 1 with fractional coefficients, so that
+    products keep terms below the order and reorder X past H."""
+    terms = {}
+    for _ in range(4):
+        monos = tuple(
+            Monomial(
+                tuple(rng.randint(0, 1) for _ in range(alg.m)),
+                tuple(rng.randint(0, 1) for _ in range(alg.n)),
+            )
+            for _ in range(legs)
+        )
+        terms[(rng.randint(0, 1), monos)] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+    return alg.tensor_element(legs, terms)
+
+
+def _operands(name, legs, count):
+    alg = _algebra(name)
+    rng = random.Random(f"{name}/{legs}")
+    return alg, [_tensor(rng, alg, legs) for _ in range(count)]
+
+
+def _summed(alg, legs, items):
+    acc = {}
+    for scale, a, *b in items:
+        if b:
+            alg.mul_into(acc, a, b[0], scale)
+        else:
+            a.add_into(acc, scale)
+    return _from_parts(alg, legs, acc)
+
+
+@pytest.mark.parametrize("legs", (1, 2, 3))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_signed_products_and_terms_match_the_operators(name, legs):
+    alg, (a, b, c, d, e, f) = _operands(name, legs, 6)
+    items = [(1, a, b), (-1, c, d), (Q(2, 3), e), (-1, f), (Q(-5, 7), b, a)]
+    got = _summed(alg, legs, items)
+    want = a * b - c * d + e.scale(Q(2, 3)) - f + (b * a).scale(Q(-5, 7))
+    assert got == want
+    oracle = naive_mul_tensors(alg, a, b) - naive_mul_tensors(alg, c, d)
+    assert _summed(alg, legs, [(1, a, b), (-1, c, d)]) == oracle
+
+
+@pytest.mark.parametrize("legs", (1, 2, 3))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_an_empty_accumulator_gives_the_product(name, legs):
+    alg, (a, b) = _operands(name, legs, 2)
+    product = alg.mul_tensors(a, b)
+    assert product == naive_mul_tensors(alg, a, b)
+    assert _summed(alg, legs, [(1, a, b)]) == product
+    assert _summed(alg, legs, [(Q(-3, 2), a, b)]) == product.scale(Q(-3, 2))
+
+
+@pytest.mark.parametrize("legs", (1, 2, 3))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_a_cancelling_pair_leaves_the_canonical_zero(name, legs):
+    alg, (a, b) = _operands(name, legs, 2)
+    product = a * b
+    assert not product.is_zero() and product.den > 1
+    zero = _summed(alg, legs, [(1, a, b), (-1, a, b)])
+    assert zero.is_zero() and zero.nums == {} and zero.den == 1
+    assert zero == alg.tensor_zero(legs)

@@ -3,8 +3,7 @@
 The direct path applies every check function to the user's context itself.
 For seeded rotations of each preset into a dense H basis, at orders 2 and
 3, the genuine spec and one mutant of each kind (stale B, stale r, phi,
-rmat) must give byte-identical machine reports on both paths, or the same
-error where the stale spec is refused.
+rmat) must give byte-identical machine reports on both paths.
 """
 
 import gc
@@ -18,8 +17,6 @@ from helpers import cached_context, mutate_tensor, rotated_specs, stale_context
 from qtwist import build_context
 from qtwist.algebra import Monomial
 from qtwist.cli import render_report_machine
-from qtwist.errors import QTwistError
-from qtwist.model import choose_xi
 from qtwist.verify import (
     CheckReport,
     check_alpha_exchange,
@@ -55,13 +52,6 @@ def direct_report(ctx, xi=None, phi=None, rmat=None):
     return CheckReport(ctx.spec.name, ctx.algebra.order, "all", results)
 
 
-def _render(run):
-    try:
-        return render_report_machine(run())
-    except QTwistError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @lru_cache(maxsize=None)
 def _contexts(name, order):
     return tuple(build_context(spec) for spec in rotated_specs(name, order, ROTATIONS[order]))
@@ -84,23 +74,15 @@ def _cases(ctx, rng):
     )
 
 
-def _assert_same(label, target, **overrides):
-    want = _render(lambda: direct_report(target, **overrides))
-    assert _render(lambda: run_suite(target, "all", **overrides)) == want, label
-    return want
-
-
 @pytest.mark.parametrize("order", sorted(ROTATIONS))
 @pytest.mark.parametrize("name", PRESETS)
 def test_transported_reports_match_direct(name, order):
     for index, ctx in enumerate(_contexts(name, order)):
         rng = random.Random(f"{name}/{order}/{index}")
         for label, target, overrides in _cases(ctx, rng):
-            if not _assert_same((index, label), target, **overrides).startswith("{"):
-                # A stale spec refused when xi is picked from it: run the
-                # product checks too, with the xi of the genuine spec.
-                xi = choose_xi(ctx.spec)
-                _assert_same((index, label, "xi"), target, xi=xi, **overrides)
+            want = render_report_machine(direct_report(target, **overrides))
+            got = render_report_machine(run_suite(target, "all", **overrides))
+            assert got == want, (index, label)
 
 
 def test_twin_is_the_context_itself_exactly_when_r_low_is_identity():

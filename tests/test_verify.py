@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +10,7 @@ from qtwist.hopf import HopfContext
 from qtwist.model import PRESET_NAMES
 from qtwist.verify import (
     SUITES,
+    _finish,
     check_alpha_exchange,
     check_classical_basis,
     check_classical_limit,
@@ -173,6 +175,22 @@ def test_order_monotonicity():
     for order in (0, 1, 2):
         ctx = build_context(preset("jordanian-borel").with_order(order))
         assert run_suite(ctx, "all").passed
+
+
+def test_evaluator_empties_each_part_and_counts_over_all_parts(jordanian3):
+    """Each part's list is consumed as it is summed; parts count together, and
+    the witness is the smallest term over all parts."""
+    ctx = jordanian3
+    r = ctx.universal_r
+    genuine = [(1, r.swap(), r), (-1, ctx.algebra.tensor_unit(2))]
+    left, right = [(Q(1, 2), r)], [(1, r.scale(2)), (-1, r), (-1, r.swap(), r)]
+    parts = [("genuine", genuine), ("left", left), ("right", right), ("none", [])]
+    result = _finish("demo", ctx, parts, time.perf_counter())
+    assert genuine == left == right == []
+    twice = len((r - ctx.algebra.tensor_unit(2)).nums)
+    assert result.residual_terms == len(r.nums) + twice and not result.passed
+    # The unit term 1 (x) 1 of R survives only on the left.
+    assert result.witness == "left: 1/2 * 1 ⊗ 1"
 
 
 def test_parallel_report_identical(jordanian3):
