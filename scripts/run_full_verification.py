@@ -23,6 +23,7 @@ RUNS = (
     ("poincare-null-plane", 4, "all"),
     ("poincare-null-plane", 5, "all"),
     ("poincare-null-plane", 6, "all"),
+    ("poincare-null-plane", 7, "all"),
     ("jordanian-borel", 6, "all"),
     ("shift-ring(3)", 4, "all"),
     (ROTATED, 3, "all"),

@@ -20,6 +20,7 @@ associative by confluence.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import add
@@ -84,9 +85,10 @@ class Algebra:
     numerators keyed by raw ``(power, h_exps, x_exps)`` tuples over one
     denominator, in lowest terms, a block in increasing power; `_mono_cache`
     holds the product of two interned monomials, keyed by their pair of ids;
-    and `_free_cache` maps the id pair of each reorder-free product (the
-    left monomial has no X or the right one no H, so the product is a
-    single monomial at power 0 with coefficient 1) to the id of that product.
+    and `_free_rows` maps a left id to its row, ``{right id: product id}``,
+    of the reorder-free products found so far (the left monomial has no X or
+    the right one no H, so the product is a single monomial at power 0 with
+    coefficient 1).  A row is created on first use.
     """
 
     def __init__(self, m, n, order, table):
@@ -128,7 +130,7 @@ class Algebra:
         self._single_cache = {}
         self._block_cache = {}
         self._mono_cache = {}
-        self._free_cache = {}
+        self._free_rows = defaultdict(dict)
 
     def _intern(self, mono):
         mid = self._ids.get(mono)
@@ -318,7 +320,8 @@ class Algebra:
         power.  A coefficient of exactly 1 is stored as None so that callers
         can skip the multiply; any other is an integer pair ``(num, den)``
         in lowest terms.  The tuple is shared by every caller.  A
-        reorder-free product is also entered in `_free_cache`.
+        reorder-free product is also entered in the row of `a` in
+        `_free_rows`.
         """
         key = (a, b)
         cached = self._mono_cache.get(key)
@@ -326,16 +329,19 @@ class Algebra:
             ma, mb = self._monos[a], self._monos[b]
             if not any(ma.x) or not any(mb.h):
                 mono = Monomial(tuple(map(add, ma.h, mb.h)), tuple(map(add, ma.x, mb.x)))
-                mid = self._free_cache[key] = self._intern(mono)
+                mid = self._free_rows[a][b] = self._intern(mono)
                 cached = ((0, mid, None),)
             else:
                 block, den = self._x_block_past_h(ma.x, mb.h)
-                out = []
+                ids, out = self._ids, []
                 # (k, h, x) -> (k, a.h + h, x + b.x) is injective, so the
                 # block's terms map to distinct terms of the product.
                 for (k, h, x), v in block.items():
-                    mono = Monomial(tuple(map(add, ma.h, h)), tuple(map(add, x, mb.x)))
-                    mid = self._intern(mono)
+                    # A Monomial hashes and compares as its plain tuple.
+                    hx = (tuple(map(add, ma.h, h)), tuple(map(add, x, mb.x)))
+                    mid = ids.get(hx)
+                    if mid is None:
+                        mid = self._intern(Monomial(*hx))
                     if v == den:
                         out.append((k, mid, None))
                     else:
@@ -357,7 +363,7 @@ class Algebra:
         """
         order = self.order
         cache, mono_mul = self._mono_cache, self._mono_mul
-        free = self._free_cache.get
+        row, get = self._free_rows.__getitem__, dict.get
         legs = range(a.legs)
         base_den = a.den * b.den * scale.denominator
         s = scale.numerator
@@ -367,28 +373,49 @@ class Algebra:
         for (k2, ids2), c2 in b.nums.items():
             by_power.setdefault(k2, []).append((ids2, c2))
         buckets = sorted(by_power.items())
-        # The parts of `acc` by the denominator their combos picked up from
+        # The parts of `acc` by the denominator their terms picked up from
         # cached leg coefficients, relative to `base_den`.
         out = acc.setdefault(base_den, {})
         parts = {1: out}
         for (k1, ids1), c1 in a.nums.items():
             c1 *= s
+            rows = tuple(map(row, ids1))
             for k2, bucket in buckets:
                 base = k1 + k2
                 if base > order:
                     break
                 for ids2, c2 in bucket:
-                    # When every leg is a known reorder-free product, the
-                    # pair yields one term: no combos, no coefficients.
-                    pids = tuple(map(free, zip(ids1, ids2)))
-                    if None not in pids:
+                    # Each leg's product id if it is a known reorder-free one,
+                    # else None (the leg reorders, or is not known yet).
+                    pids = tuple(map(get, rows, ids2))
+                    misses = pids.count(None)
+                    if not misses:
                         key = (base, pids)
                         out[key] = out.get(key, 0) + c1 * c2
                         continue
-                    combos = [(base, (), c1 * c2, 1)]
-                    for leg in legs:
+                    if misses == 1:
+                        # One leg reorders: its terms go straight into place.
+                        leg = pids.index(None)
+                        head, tail = pids[:leg], pids[leg + 1 :]
+                        pair = (ids1[leg], ids2[leg])
+                        c = c1 * c2
                         # A cached empty product is falsy and is returned
                         # again by _mono_mul, from the same cache.
+                        for km, mid, cm in cache.get(pair) or mono_mul(*pair):
+                            k = base + km
+                            if k > order:
+                                break
+                            if cm is None:
+                                part, v = out, c
+                            else:
+                                part, v = parts.get(cm[1]), c * cm[0]
+                                if part is None:
+                                    part = parts[cm[1]] = acc.setdefault(cm[1] * base_den, {})
+                            key = (k, head + (mid,) + tail)
+                            part[key] = part.get(key, 0) + v
+                        continue
+                    combos = [(base, (), c1 * c2, 1)]
+                    for leg in legs:
                         pair = (ids1[leg], ids2[leg])
                         legmap = cache.get(pair) or mono_mul(*pair)
                         nxt = []

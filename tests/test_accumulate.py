@@ -15,7 +15,7 @@ import pytest
 
 from helpers import naive_mul_tensors
 from qtwist import build_context, parse_spec_file, preset
-from qtwist.algebra import Monomial, _from_parts
+from qtwist.algebra import Algebra, Monomial, _from_parts
 
 ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 
@@ -95,3 +95,46 @@ def test_a_cancelling_pair_leaves_the_canonical_zero(name, legs):
     zero = _summed(alg, legs, [(1, a, b), (-1, a, b)])
     assert zero.is_zero() and zero.nums == {} and zero.den == 1
     assert zero == alg.tensor_zero(legs)
+
+
+def _fresh(name):
+    """An algebra with the bracket table of `name` and empty caches."""
+    alg = _algebra(name)
+    table = {(j, mu): alg.bracket(j, mu) for j in range(alg.m) for mu in range(alg.n)}
+    return Algebra(alg.m, alg.n, alg.order, table)
+
+
+def _reordering_legs(alg, a, b):
+    """The sets of legs that reorder X past H, over the pairs a product visits."""
+    mono = alg.monomial
+    return {
+        tuple(
+            leg
+            for leg, (i, j) in enumerate(zip(ids1, ids2))
+            if any(mono(i).x) and any(mono(j).h)
+        )
+        for k1, ids1 in a.nums
+        for k2, ids2 in b.nums
+        if k1 + k2 <= alg.order
+    }
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_products_shaped_like_the_checks_match_the_oracle(name):
+    """3-leg operands embedded with unit legs, as in ``R12·R13``,
+    ``(R12R13)·R23`` and ``(Δ⊗id)(φ)·φ12``, whose pairs reorder on one leg
+    at each position, or on two.  The second round runs on a warm algebra."""
+    alg = _fresh(name)
+    rng = random.Random(f"shapes/{name}")
+    r, s, phi = _tensor(rng, alg, 2), _tensor(rng, alg, 2), _tensor(rng, alg, 2)
+    r12, r13, r23 = r.embed(3, (0, 1)), r.embed(3, (0, 2)), s.embed(3, (1, 2))
+    pairs = [(r12, r13), (naive_mul_tensors(alg, r12, r13), r23)]
+    pairs.append((_tensor(rng, alg, 3), phi.embed(3, (0, 1))))
+    pairs += [(b, a) for a, b in pairs]
+    legs = set().union(*(_reordering_legs(alg, a, b) for a, b in pairs))
+    assert {(0,), (1,), (2,)} <= legs and any(len(ls) == 2 for ls in legs)
+    want = [naive_mul_tensors(alg, a, b) for a, b in pairs]
+    for _ in range(2):
+        assert [alg.mul_tensors(a, b) for a, b in pairs] == want
+        for (a, b), product in zip(pairs, want):
+            assert _summed(alg, 3, [(Q(-5, 7), a, b)]) == product.scale(Q(-5, 7))
