@@ -5,7 +5,8 @@ Also runs a null-plane spec rotated into a dense H basis (r != I), read from
 ``tests/data/rotated-null-plane.json``.  After each run it prints the run's
 wall time and the peak RSS of the process so far; the runs go up in order, so
 the log shows memory by order.  Exit status is nonzero if any check fails
-anywhere.
+anywhere, or if the peak RSS after null-plane N=7 is over
+`N7_PEAK_LIMIT_MB`.
 """
 
 import resource
@@ -31,6 +32,11 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
+# Peak RSS bound in MB after null-plane N=7, which peaks near 270 MB with the
+# Yang-Baxter residual summed slice by slice, and near 480 MB when it is
+# summed whole.
+N7_PEAK_LIMIT_MB = 400
+
 
 def main():
     ok = True
@@ -47,6 +53,9 @@ def main():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         wall = time.perf_counter() - t0
         print(f"run {spec.name} N={order} {suite}: {wall:.2f} s, peak RSS so far {peak:.0f} MB")
+        if (source, order) == ("poincare-null-plane", 7) and peak > N7_PEAK_LIMIT_MB:
+            print(f"peak RSS {peak:.0f} MB is over the {N7_PEAK_LIMIT_MB} MB bound for this run")
+            ok = False
         sys.stdout.write("\n")
         ok &= report.passed
     print("VERIFICATION", "PASS" if ok else "FAIL")

@@ -373,11 +373,15 @@ class Algebra:
         for (k2, ids2), c2 in b.nums.items():
             by_power.setdefault(k2, []).append((ids2, c2))
         buckets = sorted(by_power.items())
+        # A term of a above `top` pairs with no term of b.
+        top = order - buckets[0][0] if buckets else -1
         # The parts of `acc` by the denominator their terms picked up from
         # cached leg coefficients, relative to `base_den`.
         out = acc.setdefault(base_den, {})
         parts = {1: out}
         for (k1, ids1), c1 in a.nums.items():
+            if k1 > top:
+                continue
             c1 *= s
             rows = tuple(map(row, ids1))
             for k2, bucket in buckets:

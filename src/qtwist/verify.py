@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Monomial, SeriesMatrix, _from_parts, exp_truncated, format_term
+from .algebra import Monomial, SeriesMatrix, _canonical, _from_parts, exp_truncated, format_term
 from .errors import ShapeError, UnsupportedPresetError
 from .model import cybe_residual, scan_xi
 
@@ -158,12 +158,28 @@ def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
     r = ctx.universal_r if rmat is None else rmat
     r23 = r.embed(3, (1, 2))
-    lhs = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
-    # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
-    # R12 and R13, so R13 R12 is R12 R13 with those legs exchanged.  Only
-    # the list holds R12 R13 once this returns, so it is freed after the
-    # first product.
-    return [("yang-baxter", [(1, lhs, r23), (-1, r23, lhs.permute((0, 2, 1)))])]
+    t = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+    # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
+    # monomial of its term of T = R12 R13, and parts made of whole slices of
+    # T by leg-0 X exponents split the residual into disjoint parts.  A
+    # change of H basis fixes every X, so they stay disjoint in the user's
+    # basis.
+    alg, den, slices = t.algebra, t.den, {}
+    for key, v in t.nums.items():
+        slices.setdefault(alg.monomial(key[1][0]).x, {})[key] = v
+    # Only the slices hold T's terms from here on; each is freed with its part.
+    del t
+    while slices:
+        nums = slices.popitem()[1]
+        # Each part walks all of R23 twice, so it takes slices until it holds
+        # as many terms of T as R23 has, and pairs outweigh that walk.
+        while slices and len(nums) < len(r23.nums):
+            nums.update(slices.popitem()[1])
+        tc = _canonical(alg, 3, nums, den)
+        # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
+        # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
+        # legs exchanged.
+        yield "yang-baxter", [(1, tc, r23), (-1, r23, tc.permute((0, 2, 1)))]
 
 
 @_check("triangularity")

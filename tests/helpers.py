@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qtwist import AlgebraSpec, build_context, preset
-from qtwist.algebra import Algebra, Monomial, SeriesMatrix
+from qtwist.algebra import Algebra, Monomial, SeriesMatrix, _from_parts, format_term
 from qtwist.errors import ShapeError, SingularMatrixError
 from qtwist.linalg import inverse
 
@@ -301,6 +301,34 @@ def cached_context(name, order=None):
     if order is not None and order != spec.order:
         spec = spec.with_order(order)
     return build_context(spec)
+
+
+def unsliced_qybe(ctx, rmat=None):
+    """The Yang-Baxter residual ``R12 R13 R23 - R23 R13 R12``, summed whole.
+
+    The reference for `check_qybe`, which sums the residual one slice at a
+    time: here both products are formed from whole operands, ``R13 R12``
+    directly rather than by exchanging legs, and summed into one
+    accumulator.  On a lifted twin the residual is mapped back to the user's
+    basis.  Returns ``(residual, witness, keys)``: the witness as the
+    check's report names it, or None, and the number of accumulator keys
+    before cancellation.
+    """
+    r = ctx.universal_r if rmat is None else rmat
+    alg = r.algebra
+    r12, r13, r23 = (r.embed(3, legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    acc = {}
+    alg.mul_into(acc, r12 * r13, r23)
+    alg.mul_into(acc, r23, r13 * r12, -1)
+    keys = sum(map(len, acc.values()))
+    residual = _from_parts(alg, 3, acc)
+    if ctx.to_user is not None:
+        residual = ctx.to_user(residual)
+    if residual.is_zero():
+        return residual, None, keys
+    key, coeff = min(residual.terms.items())
+    term = format_term(key, coeff, ctx.spec.h_names, ctx.spec.x_names)
+    return residual, f"yang-baxter: {term}", keys
 
 
 def mutate_tensor(alg, tensor, key, delta=Q(1)):

@@ -3,7 +3,9 @@
 The direct path applies every check function to the user's context itself.
 For seeded rotations of each preset into a dense H basis, at orders 2 and
 3, the genuine spec and one mutant of each kind (stale B, stale r, phi,
-rmat) must give byte-identical machine reports on both paths.
+rmat) must give byte-identical machine reports on both paths.  Both paths
+sum the Yang-Baxter residual slice by slice, so the slicing has its own
+oracle in `tests/test_qybe_slices.py`.
 """
 
 import gc
