@@ -3,8 +3,9 @@
 
 Also runs a null-plane spec rotated into a dense H basis (r != I), read from
 ``tests/data/rotated-null-plane.json``.  After each run it prints the run's
-wall time and the peak RSS of the process so far; the runs go up in order, so
-the log shows memory by order.  Exit status is nonzero if any check fails
+wall time, its process CPU time (user plus system, which drifts less than
+wall time on a shared machine) and the peak RSS of the process so far; the
+runs go up in order, so the log shows memory by order.  Exit status is nonzero if any check fails
 anywhere, or if the peak RSS after null-plane N=7 is over
 `N7_PEAK_LIMIT_MB`.
 """
@@ -38,10 +39,15 @@ RUNS = (
 N7_PEAK_LIMIT_MB = 400
 
 
+def cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def main():
     ok = True
     for source, order, suite in RUNS:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), cpu_seconds()
         spec = parse_spec_file(source) if isinstance(source, Path) else preset(source)
         spec = spec.with_order(order)
         validation = validate_spec(spec)
@@ -51,8 +57,11 @@ def main():
         sys.stdout.write(render_report_text(report))
         # ru_maxrss is in KiB on Linux.
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        wall = time.perf_counter() - t0
-        print(f"run {spec.name} N={order} {suite}: {wall:.2f} s, peak RSS so far {peak:.0f} MB")
+        wall, cpu = time.perf_counter() - t0, cpu_seconds() - c0
+        print(
+            f"run {spec.name} N={order} {suite}: {wall:.2f} s wall, {cpu:.2f} s CPU, "
+            f"peak RSS so far {peak:.0f} MB"
+        )
         if (source, order) == ("poincare-null-plane", 7) and peak > N7_PEAK_LIMIT_MB:
             print(f"peak RSS {peak:.0f} MB is over the {N7_PEAK_LIMIT_MB} MB bound for this run")
             ok = False

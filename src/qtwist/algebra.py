@@ -19,16 +19,19 @@ associative by confluence.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
-from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from functools import reduce
+from math import factorial, gcd, lcm
+from operator import add, or_
+from typing import NamedTuple
 
 from .errors import MalformedWordError, ShapeError, TruncationError
 
 Q = Fraction
+
+# Bits per exponent field of a packed term key (see `Algebra`).
+_W = 8
+_FIELD = (1 << _W) - 1
 
 
 def _tinc(t, i):
@@ -74,30 +77,29 @@ class Algebra:
     Elements hold a reference to their algebra, and mixed-algebra products
     are rejected, since the bracket table is part of the ring structure.
 
+    A term of a tensor is keyed by one int of packed exponents: the power,
+    then the field of each leg from leg 0, a field holding the leg's H and
+    then X exponents in `_W` bits each, most significant first.  Integer
+    order is thus that of ``(power, [Monomial, ...])``, and the layout
+    depends only on ``(m, n)`` and the number of legs (`_layout`).  Packing
+    is linear: a product's key is the sum of its factors' plus a correction.
+
     Normal ordering runs on integers.  `_int_table` holds each bracket as
     ``((power, h_exps, num), ...)`` triples over one denominator; `bracket`
-    returns the Fraction form.  Five caches live as long as the algebra, and
-    no entry is mutated once stored: the intern table gives each distinct
-    monomial a small int id in first-seen order (`_ids` maps a Monomial to
-    its id, `_monos` an id back to its Monomial, and `unit_id` is the id of
-    the unit monomial); `_single_cache` holds the normal form of
-    ``X_mu H^a`` and `_block_cache` that of ``X^b H^a``, each as integer
-    numerators keyed by raw ``(power, h_exps, x_exps)`` tuples over one
-    denominator, in lowest terms, a block in increasing power; `_mono_cache`
-    holds the product of two interned monomials, keyed by their pair of ids;
-    and `_free_rows` maps a left id to its row, ``{right id: product id}``,
-    of the reorder-free products found so far (the left monomial has no X or
-    the right one no H, so the product is a single monomial at power 0 with
-    coefficient 1).  A row is created on first use.
+    returns the Fraction form.  Four caches live as long as the algebra, and
+    no entry is mutated once stored: `_monos` maps a leg field to its
+    Monomial; `_single_cache` holds the normal form of ``X_mu H^a`` and
+    `_block_cache` that of ``X^b H^a``, each as integer numerators keyed by
+    raw ``(power, h_exps, x_exps)`` tuples over one denominator, in lowest
+    terms, a block in increasing power; and `_rows` holds the same blocks
+    as leg products, by X part and H part of a leg field (see `_mono_mul`).
     """
 
     def __init__(self, m, n, order, table):
         if m < 0 or n < 0 or order < 0:
             raise ShapeError("dimensions and order must be non-negative")
-        self.m = m
-        self.n = n
-        self.order = order
-        self._table = {}
+        self.m, self.n, self.order = m, n, order
+        self._table, self._int_table = {}, {}
         for (j, mu), entry in table.items():
             if not (0 <= j < m and 0 <= mu < n):
                 raise ShapeError(f"bracket table key ({j}, {mu}) out of range")
@@ -112,40 +114,68 @@ class Algebra:
                 if c and k <= order:
                     clean[(k, mono)] = clean.get((k, mono), Q(0)) + c
             self._table[(j, mu)] = {key: c for key, c in clean.items() if c}
-        self._int_table = {}
         for j in range(m):
             for mu in range(n):
                 entry = self._table.setdefault((j, mu), {})
                 den = lcm(*(c.denominator for c in entry.values()))
-                self._int_table[(j, mu)] = (
-                    tuple(
-                        (k, mono.h, c.numerator * (den // c.denominator))
-                        for (k, mono), c in entry.items()
-                    ),
-                    den,
+                terms = tuple(
+                    (k, mono.h, c.numerator * (den // c.denominator))
+                    for (k, mono), c in entry.items()
                 )
-        self._ids = {}
-        self._monos = []
-        self.unit_id = self._intern(Monomial.unit(m, n))
-        self._single_cache = {}
-        self._block_cache = {}
-        self._mono_cache = {}
-        self._free_rows = defaultdict(dict)
-
-    def _intern(self, mono):
-        mid = self._ids.get(mono)
-        if mid is None:
-            mid = self._ids[mono] = len(self._monos)
-            self._monos.append(mono)
-        return mid
-
-    def monomial(self, mid):
-        """The Monomial with intern id `mid`."""
-        return self._monos[mid]
+                self._int_table[(j, mu)] = terms, den
+        self._leg_bits = (m + n) * _W
+        self._leg_mask = (1 << self._leg_bits) - 1
+        self._layouts, self._monos, self._rows = {}, {}, {}
+        self._single_cache, self._block_cache = {}, {}
 
     def bracket(self, j, mu):
         """Terms of [H_j, X_mu]."""
         return self._table[(j, mu)]
+
+    # -- packed keys -------------------------------------------------------------
+
+    def _layout(self, legs):
+        """``(power shift, leg shifts, leg X masks, leg H masks, guard)`` for `legs` legs.
+
+        `guard` has the top bit of every exponent field set.
+        """
+        layout = self._layouts.get(legs)
+        if layout is None:
+            ps = self._leg_bits * legs
+            shifts = tuple(self._leg_bits * i for i in range(legs - 1, -1, -1))
+            x_mask = (1 << (self.n * _W)) - 1
+            h_mask = self._leg_mask ^ x_mask
+            # Sums of 2**(_W * i) over the fields, times 2**(_W - 1).
+            guard = ((1 << ps) - 1) // _FIELD << (_W - 1)
+            x_masks, h_masks = (tuple(mask << s for s in shifts) for mask in (x_mask, h_mask))
+            layout = self._layouts[legs] = (ps, shifts, x_masks, h_masks, guard)
+        return layout
+
+    def _field(self, h, x):
+        """The leg field of ``H^h X^x``; raises unless every exponent fits a field."""
+        if len(h) != self.m or len(x) != self.n:
+            raise ShapeError("monomial arity does not match the algebra")
+        field = 0
+        for e in h + x:
+            if not 0 <= e <= _FIELD:
+                if e < 0:
+                    raise ShapeError("negative exponent")
+                raise ShapeError(f"exponent {e} does not fit a {_W}-bit field")
+            field = (field << _W) | e
+        return field
+
+    def _mono(self, field):
+        """The Monomial of a leg field, cached per field in `_monos`."""
+        mono = self._monos.get(field)
+        if mono is None:
+            es = tuple((field >> (_W * i)) & _FIELD for i in range(self.m + self.n - 1, -1, -1))
+            mono = self._monos[field] = Monomial(es[: self.m], es[self.m :])
+        return mono
+
+    def decode(self, key, legs):
+        """The ``(power, (Monomial, ...))`` form of a term key of a `legs`-leg tensor."""
+        ps, shifts = self._layout(legs)[:2]
+        return key >> ps, tuple(self._mono((key >> s) & self._leg_mask) for s in shifts)
 
     # -- element constructors ------------------------------------------------
 
@@ -184,17 +214,13 @@ class Algebra:
                 raise MalformedWordError(f"generator id {gid} out of range")
             if power < 0:
                 raise MalformedWordError("negative deformation power in word")
-            if gid < self.m:
-                letter = self.h(gid, power=power)
-            else:
-                letter = self.x(gid - self.m, power=power)
-            acc = acc * letter
+            acc = acc * (self.h(gid, power) if gid < self.m else self.x(gid - self.m, power))
         return acc
 
     # -- tensor constructors ---------------------------------------------------
 
     def tensor_unit(self, legs):
-        return _canonical(self, legs, {(0, (self.unit_id,) * legs): 1}, 1)
+        return _canonical(self, legs, {0: 1}, 1)
 
     def tensor_zero(self, legs):
         return _canonical(self, legs, {}, 1)
@@ -202,28 +228,24 @@ class Algebra:
     def tensor_element(self, legs, terms):
         """Build a tensor from a mapping (power, (monomial, ...)) -> coefficient.
 
-        This is where monomials are validated and interned.  Terms above the
-        truncation order are dropped; zeros are pruned.
+        Monomials are validated and packed here; terms above the order are dropped, zeros pruned.
         """
         return TensorElement(self, legs, terms)
 
     def _nums(self, legs, terms):
         """Integer numerators and their common denominator for a term map."""
+        ps, shifts = self._layout(legs)[:2]
         acc = {}
         for (k, monos), coeff in terms.items():
             if len(monos) != legs:
                 raise ShapeError("tensor term with wrong number of legs")
             if k < 0:
                 raise ShapeError("negative deformation power")
-            monos = tuple(Monomial(tuple(mo[0]), tuple(mo[1])) for mo in monos)
-            for mo in monos:
-                if len(mo.h) != self.m or len(mo.x) != self.n:
-                    raise ShapeError("monomial arity does not match the algebra")
-                if any(e < 0 for e in mo.h) or any(e < 0 for e in mo.x):
-                    raise ShapeError("negative exponent")
+            key = k << ps
+            for mo, s in zip(monos, shifts):
+                key |= self._field(tuple(mo[0]), tuple(mo[1])) << s
             c = Q(coeff)
             if c and k <= self.order:
-                key = (k, tuple(self._intern(mo) for mo in monos))
                 acc[key] = acc.get(key, Q(0)) + c
         # Over the lcm of reduced denominators the numerators share no factor
         # with it, so the result is already in canonical form.
@@ -235,16 +257,13 @@ class Algebra:
         """Tensor product of the factors, their legs side by side."""
         if not factors:
             raise ShapeError("outer requires at least one factor")
-        factors = [f._on(self) for f in factors]
-        out = {}
-        for combo in itertools.product(*(f.nums.items() for f in factors)):
-            k = sum(key[0] for key, _ in combo)
-            if k > self.order:
-                continue
-            key = (k, tuple(mid for key, _ in combo for mid in key[1]))
-            out[key] = out.get(key, 0) + prod(v for _, v in combo)
-        den = prod(f.den for f in factors)
-        return _canonical(self, sum(f.legs for f in factors), out, den)
+        legs = sum(f.legs for f in factors)
+        acc, start = self.tensor_unit(legs), 0
+        for f in factors:
+            # The factors' legs are disjoint, so no pair of terms reorders.
+            acc = self.mul_tensors(acc, f._on(self).embed(legs, range(start, start + f.legs)))
+            start += f.legs
+        return acc
 
     # -- normal-ordering kernels ------------------------------------------------
 
@@ -314,42 +333,25 @@ class Algebra:
         return out
 
     def _mono_mul(self, a, b):
-        """Product of the monomials with ids `a` and `b`, cached per pair.
+        """The block ``X^x H^h`` as leg products, for the X part `a` and H part `b` of two fields.
 
-        Returns a tuple of ``(power, id, coeff)`` triples in increasing
-        power.  A coefficient of exactly 1 is stored as None so that callers
-        can skip the multiply; any other is an integer pair ``(num, den)``
-        in lowest terms.  The tuple is shared by every caller.  A
-        reorder-free product is also entered in the row of `a` in
-        `_free_rows`.
+        ``H^h1 X^x`` times ``H^h X^x2`` is ``H^h1 (X^x H^h) X^x2``, so each of
+        its terms has the field of a block term plus ``h1`` and ``x2``: the
+        two fields' sum plus `delta`, the block term's field minus ``a + b``.
+        Returns ``(delta, power, coeff)`` triples in increasing power; a
+        coeff of exactly 1 is None, any other ``(num, den)`` in lowest terms.
+        A block H exponent that could overflow its field once added raises.
         """
-        key = (a, b)
-        cached = self._mono_cache.get(key)
-        if cached is None:
-            ma, mb = self._monos[a], self._monos[b]
-            if not any(ma.x) or not any(mb.h):
-                mono = Monomial(tuple(map(add, ma.h, mb.h)), tuple(map(add, ma.x, mb.x)))
-                mid = self._free_rows[a][b] = self._intern(mono)
-                cached = ((0, mid, None),)
-            else:
-                block, den = self._x_block_past_h(ma.x, mb.h)
-                ids, out = self._ids, []
-                # (k, h, x) -> (k, a.h + h, x + b.x) is injective, so the
-                # block's terms map to distinct terms of the product.
-                for (k, h, x), v in block.items():
-                    # A Monomial hashes and compares as its plain tuple.
-                    hx = (tuple(map(add, ma.h, h)), tuple(map(add, x, mb.x)))
-                    mid = ids.get(hx)
-                    if mid is None:
-                        mid = self._intern(Monomial(*hx))
-                    if v == den:
-                        out.append((k, mid, None))
-                    else:
-                        g = gcd(v, den)
-                        out.append((k, mid, (v // g, den // g)))
-                cached = tuple(out)
-            self._mono_cache[key] = cached
-        return cached
+        ma, mb = self._mono(a), self._mono(b)
+        block, den = self._x_block_past_h(ma.x, mb.h)
+        guard, out = self._layout(1)[4], []
+        for (k, h, x), v in block.items():
+            field = self._field(h, x)
+            if field & guard:
+                raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
+            g = gcd(v, den)
+            out.append((field - a - b, k, None if v == den else (v // g, den // g)))
+        return tuple(out)
 
     # -- products ----------------------------------------------------------------
 
@@ -360,18 +362,35 @@ class Algebra:
         `TensorElement.nums`, the layout of `_merged`; `_from_parts` reads it
         back as an element.  `scale` is an int or a Fraction.  This is the
         one product loop: `mul_tensors` runs it into an empty accumulator.
+
+        A pair of terms reorders on each leg where the left term has an X and
+        the right one an H.  A pair that reorders on none, one mask test, has
+        the key ``key1 + key2``; on one leg, each of the leg's products in
+        `_rows` adds its shifted delta and power to that.  An operand with an
+        exponent of ``2**(_W - 1)`` or more is refused, so no sum leaves its field.
         """
         order = self.order
-        cache, mono_mul = self._mono_cache, self._mono_mul
-        row, get = self._free_rows.__getitem__, dict.get
-        legs = range(a.legs)
+        ps, shifts, x_masks, h_masks, guard = self._layout(a.legs)
+        if (reduce(or_, a.nums, 0) | reduce(or_, b.nums, 0)) & guard:
+            raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
+        # The last leg's masks pick a leg's X part and H part out of its field.
+        x_mask, h_mask = x_masks[-1], h_masks[-1]
+        all_rows, mono_mul = self._rows, self._mono_mul
+        # The power fields, so that a product term adds its power in place.
+        powers = [k << ps for k in range(order + 1)]
         base_den = a.den * b.den * scale.denominator
         s = scale.numerator
         # The terms of b grouped by power, so that each term of a stops at
-        # the first power that overshoots the order.
+        # the first power that overshoots the order.  With each term go the
+        # legs that hold an H, as bits, and then the H parts of its legs.
         by_power = {}
-        for (k2, ids2), c2 in b.nums.items():
-            by_power.setdefault(k2, []).append((ids2, c2))
+        for key2, c2 in b.nums.items():
+            h_legs = 0
+            for leg, m in enumerate(h_masks):
+                if key2 & m:
+                    h_legs |= 1 << leg
+            fields = tuple((key2 >> sh) & h_mask for sh in shifts) if h_legs else None
+            by_power.setdefault(key2 >> ps, []).append((key2, c2, h_legs, fields))
         buckets = sorted(by_power.items())
         # A term of a above `top` pairs with no term of b.
         top = order - buckets[0][0] if buckets else -1
@@ -379,68 +398,67 @@ class Algebra:
         # cached leg coefficients, relative to `base_den`.
         out = acc.setdefault(base_den, {})
         parts = {1: out}
-        for (k1, ids1), c1 in a.nums.items():
+        for key1, c1 in a.nums.items():
+            k1 = key1 >> ps
             if k1 > top:
                 continue
             c1 *= s
-            rows = tuple(map(row, ids1))
+            # The legs of this term that hold an X, as bits, and for each of
+            # them its row and X part.
+            x_legs, rows = 0, [None] * len(shifts)
+            for leg, m in enumerate(x_masks):
+                if key1 & m:
+                    x_legs |= 1 << leg
+                    f1 = (key1 >> shifts[leg]) & x_mask
+                    row = all_rows.get(f1)
+                    if row is None:
+                        row = all_rows[f1] = {}
+                    rows[leg] = (row, f1)
             for k2, bucket in buckets:
                 base = k1 + k2
                 if base > order:
                     break
-                for ids2, c2 in bucket:
-                    # Each leg's product id if it is a known reorder-free one,
-                    # else None (the leg reorders, or is not known yet).
-                    pids = tuple(map(get, rows, ids2))
-                    misses = pids.count(None)
-                    if not misses:
-                        key = (base, pids)
+                for key2, c2, h_legs, fields in bucket:
+                    clash = x_legs & h_legs
+                    if not clash:
+                        key = key1 + key2
                         out[key] = out.get(key, 0) + c1 * c2
                         continue
-                    if misses == 1:
-                        # One leg reorders: its terms go straight into place.
-                        leg = pids.index(None)
-                        head, tail = pids[:leg], pids[leg + 1 :]
-                        pair = (ids1[leg], ids2[leg])
-                        c = c1 * c2
-                        # A cached empty product is falsy and is returned
-                        # again by _mono_mul, from the same cache.
-                        for km, mid, cm in cache.get(pair) or mono_mul(*pair):
-                            k = base + km
-                            if k > order:
+                    # The legs that reorder, from the last: each but the last
+                    # multiplies the partial terms by its products, and the
+                    # last adds its products to them in place.
+                    partial = [(key1 + key2, base, c1 * c2, 1)]
+                    while True:
+                        leg = clash.bit_length() - 1
+                        row, f1 = rows[leg]
+                        f2, sh = fields[leg], shifts[leg]
+                        legmap = row.get(f2)
+                        if legmap is None:
+                            legmap = row[f2] = mono_mul(f1, f2)
+                        clash ^= 1 << leg
+                        if not clash:
+                            break
+                        nxt = []
+                        for key, k, c, dd in partial:
+                            for d, km, cm in legmap:
+                                if k + km > order:
+                                    break
+                                cn, cd = cm or (1, 1)
+                                nxt.append((key + (d << sh) + powers[km], k + km, c * cn, dd * cd))
+                        partial = nxt
+                    for key, k, c, dd in partial:
+                        for d, km, cm in legmap:
+                            if k + km > order:
                                 break
                             if cm is None:
-                                part, v = out, c
+                                den, v = dd, c
                             else:
-                                part, v = parts.get(cm[1]), c * cm[0]
-                                if part is None:
-                                    part = parts[cm[1]] = acc.setdefault(cm[1] * base_den, {})
-                            key = (k, head + (mid,) + tail)
-                            part[key] = part.get(key, 0) + v
-                        continue
-                    combos = [(base, (), c1 * c2, 1)]
-                    for leg in legs:
-                        pair = (ids1[leg], ids2[leg])
-                        legmap = cache.get(pair) or mono_mul(*pair)
-                        nxt = []
-                        for k, ids, c, d in combos:
-                            for km, mid, cm in legmap:
-                                nk = k + km
-                                if nk > order:
-                                    break
-                                if cm is None:
-                                    nxt.append((nk, ids + (mid,), c, d))
-                                else:
-                                    nxt.append((nk, ids + (mid,), c * cm[0], d * cm[1]))
-                        combos = nxt
-                        if not combos:
-                            break
-                    for k, ids, c, d in combos:
-                        part = out if d == 1 else parts.get(d)
-                        if part is None:
-                            part = parts[d] = acc.setdefault(d * base_den, {})
-                        key = (k, ids)
-                        part[key] = part.get(key, 0) + c
+                                den, v = dd * cm[1], c * cm[0]
+                            part = out if den == 1 else parts.get(den)
+                            if part is None:
+                                part = parts[den] = acc.setdefault(den * base_den, {})
+                            nk = key + (d << sh) + powers[km]
+                            part[nk] = part.get(nk, 0) + v
 
     def mul_tensors(self, a, b):
         acc = {}
@@ -452,13 +470,13 @@ class TensorElement:
     """Sparse element of a tensor power of the algebra, one monomial per leg.
 
     An element is stored as integer numerators over one denominator: `nums`
-    maps ``(power, (id_1, ..., id_legs))`` to a non-zero int, the ids being
-    the algebra's interned monomials, and `den` is an int > 0.  The form is
-    canonical (``gcd(den, *nums) == 1``, and ``den == 1`` for zero), so two
-    elements of one algebra are equal exactly when `nums` and `den` are.
-    `terms` is a view built on each access, keyed ``(power, (mono_1, ...,
-    mono_legs))`` with Fraction values; changing it leaves the element as
-    it is.  An element of the algebra itself is the 1-leg case.
+    maps each term's packed key (see `Algebra`) to a non-zero int, and `den`
+    is an int > 0.  The form is canonical (``gcd(den, *nums) == 1``, and
+    ``den == 1`` for zero), so two elements of algebras of one shape are
+    equal exactly when `nums` and `den` are.  `terms` is a view built on
+    each access, keyed ``(power, (mono_1, ..., mono_legs))`` with Fraction
+    values; changing it leaves the element as it is.  An element of the
+    algebra itself is the 1-leg case.
     """
 
     __slots__ = ("algebra", "legs", "nums", "den")
@@ -473,8 +491,8 @@ class TensorElement:
     @property
     def terms(self):
         """The terms as ``{(power, (Monomial, ...)): Fraction}``, built anew."""
-        monos, den = self.algebra._monos, self.den
-        return {(k, tuple(monos[i] for i in ids)): Q(v, den) for (k, ids), v in self.nums.items()}
+        decode, legs, den = self.algebra.decode, self.legs, self.den
+        return {decode(key, legs): Q(v, den) for key, v in self.nums.items()}
 
     def _check_compat(self, other):
         if type(other) is not type(self):
@@ -486,20 +504,20 @@ class TensorElement:
             raise ShapeError("operands have different numbers of tensor legs")
 
     def _on(self, algebra):
-        """This element with its monomial ids interned in `algebra`."""
+        """This element as one of `algebra`, which must have the same shape."""
         if self.algebra is algebra:
             return self
-        return TensorElement(algebra, self.legs, self.terms)
+        a = self.algebra
+        if (a.m, a.n, a.order) != (algebra.m, algebra.n, algebra.order):
+            raise ShapeError("operands live in algebras of different shape")
+        return _wrap(algebra, self.legs, self.nums, self.den)
 
     def _combine(self, other, sign):
         self._check_compat(other)
-        other = other._on(self.algebra)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = {key: v * fa for key, v in self.nums.items()}
-        for key, v in other.nums.items():
-            out[key] = out.get(key, 0) + v * fb
-        return _canonical(self.algebra, self.legs, out, den)
+        acc = {}
+        self.add_into(acc)
+        other.add_into(acc, sign)
+        return _from_parts(self.algebra, self.legs, acc)
 
     def add_into(self, acc, scale=1):
         """Add ``scale * self`` to an accumulator in the layout of `Algebra.mul_into`."""
@@ -531,9 +549,7 @@ class TensorElement:
         return self.algebra.mul_tensors(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -547,19 +563,18 @@ class TensorElement:
         return not self.nums
 
     def is_pure_h(self):
-        monos = self.algebra._monos
-        return all(monos[i].is_pure_h for _, ids in self.nums for i in ids)
+        x_all = sum(self.algebra._layout(self.legs)[2])
+        return not any(key & x_all for key in self.nums)
 
     def valuation(self):
-        """Smallest deformation power present, or None for zero."""
-        return min((k for k, _ in self.nums), default=None)
+        """Smallest deformation power present, or None for zero: that of the smallest key."""
+        return min(self.nums) >> self.algebra._layout(self.legs)[0] if self.nums else None
 
     def unit_series(self):
         """Coefficients of the unit monomial, keyed by deformation power."""
-        unit = self.algebra.unit_id
-        return {
-            k: Q(v, self.den) for (k, ids), v in self.nums.items() if all(i == unit for i in ids)
-        }
+        ps = self.algebra._layout(self.legs)[0]
+        low = (1 << ps) - 1
+        return {key >> ps: Q(v, self.den) for key, v in self.nums.items() if not key & low}
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -570,9 +585,7 @@ class TensorElement:
         a, b = self.algebra, other.algebra
         if self.legs != other.legs or (a.m, a.n, a.order) != (b.m, b.n, b.order):
             return False
-        if a is b:
-            return self.den == other.den and self.nums == other.nums
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
@@ -580,9 +593,7 @@ class TensorElement:
         """Reorder legs; perm[i] is the source leg for target slot i."""
         if sorted(perm) != list(range(self.legs)):
             raise ShapeError("not a permutation of the legs")
-        # A permutation of the legs maps distinct keys to distinct keys.
-        nums = {(k, tuple(ids[p] for p in perm)): v for (k, ids), v in self.nums.items()}
-        return _canonical(self.algebra, self.legs, nums, self.den)
+        return self.embed(self.legs, [perm.index(leg) for leg in range(self.legs)])
 
     def swap(self):
         """Exchange the two legs of a 2-tensor."""
@@ -596,43 +607,50 @@ class TensorElement:
             raise ShapeError("positions must be distinct, one per leg")
         if any(not 0 <= p < legs for p in positions):
             raise ShapeError("position out of range")
-        unit = self.algebra.unit_id
+        alg = self.algebra
+        ps, shifts = alg._layout(self.legs)[:2]
+        wide_ps, wide = alg._layout(legs)[:2]
+        moves = [(s, wide[p]) for s, p in zip(shifts, positions)]
+        # A unit leg's field is 0, and distinct keys stay distinct.
         out = {}
-        for (k, ids), v in self.nums.items():
-            wide = [unit] * legs
-            for mid, p in zip(ids, positions):
-                wide[p] = mid
-            out[(k, tuple(wide))] = v
-        return _canonical(self.algebra, legs, out, self.den)
+        for key, v in self.nums.items():
+            new = key >> ps << wide_ps
+            for src, dst in moves:
+                new |= ((key >> src) & alg._leg_mask) << dst
+            out[new] = v
+        return _canonical(alg, legs, out, self.den)
 
     def strip_unit_leg(self, leg):
-        """Keep terms whose given leg is the unit monomial, dropping that leg.
-
-        Realizes the counit applied to one leg.
-        """
+        """Keep terms whose given leg is the unit monomial, dropping that leg: the counit on it."""
         if not 0 <= leg < self.legs:
             raise ShapeError("leg out of range")
-        unit = self.algebra.unit_id
+        alg = self.algebra
+        s = alg._layout(self.legs)[1][leg]
+        mask, low = alg._leg_mask << s, (1 << s) - 1
         # With the dropped leg fixed to the unit, distinct keys stay distinct.
         nums = {
-            (k, ids[:leg] + ids[leg + 1 :]): v
-            for (k, ids), v in self.nums.items()
-            if ids[leg] == unit
+            (key >> (s + alg._leg_bits) << s) | (key & low): v
+            for key, v in self.nums.items()
+            if not key & mask
         }
-        return _canonical(self.algebra, self.legs - 1, nums, self.den)
+        return _canonical(alg, self.legs - 1, nums, self.den)
 
     def __repr__(self):
         return f"TensorElement({format_terms(self.sorted_terms())})"
+
+
+def _wrap(algebra, legs, nums, den):
+    """An element with the given canonical numerators, which it shares."""
+    el = object.__new__(TensorElement)
+    el.algebra, el.legs, el.nums, el.den = algebra, legs, nums, den
+    return el
 
 
 def _canonical(algebra, legs, nums, den):
     """The element ``nums / den`` in canonical form (see `_reduced`)."""
     if legs < 1:
         raise ShapeError("tensor elements need at least one leg")
-    el = object.__new__(TensorElement)
-    el.algebra, el.legs = algebra, legs
-    el.nums, el.den = _reduced(nums, den)
-    return el
+    return _wrap(algebra, legs, *_reduced(nums, den))
 
 
 def _reduced(nums, den):
@@ -673,6 +691,12 @@ def _from_parts(algebra, legs, parts):
     return _canonical(algebra, legs, *_merged(parts))
 
 
+def _table_entry(el):
+    """A 1-leg element as a bracket-table entry, ``{(power, Monomial): Fraction}``."""
+    terms = ((el.algebra.decode(key, 1), v) for key, v in el.nums.items())
+    return {(k, mono): Q(v, el.den) for (k, (mono,)), v in terms}
+
+
 Element = TensorElement
 
 
@@ -687,10 +711,9 @@ def exp_truncated(a):
     Requires every term of `a` to carry deformation power >= 1, which makes
     the sum exact at the truncation order.
     """
-    if any(k < 1 for k, _ in a.nums):
+    if a.valuation() == 0:
         raise TruncationError("exponent has a term of deformation power zero")
-    acc = a.algebra.tensor_unit(a.legs)
-    power = acc
+    acc = power = a.algebra.tensor_unit(a.legs)
     for j in range(1, a.algebra.order + 1):
         power = power * a
         if power.is_zero():
@@ -735,16 +758,14 @@ class SeriesMatrix:
         return self.entries[i][j]
 
     def __add__(self, other):
-        self._check(other)
-        return SeriesMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(other, TensorElement.__add__)
 
     def __sub__(self, other):
+        return self._entrywise(other, TensorElement.__sub__)
+
+    def _entrywise(self, other, op):
         self._check(other)
-        return SeriesMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        return SeriesMatrix([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
 
     def scale(self, c):
         return SeriesMatrix([[e.scale(c) for e in row] for row in self.entries])
@@ -752,15 +773,14 @@ class SeriesMatrix:
     def __matmul__(self, other):
         self._check(other)
         alg, cols = self.algebra, tuple(zip(*other.entries))
-        rows = []
-        for row in self.entries:
-            rows.append([])
-            for col in cols:
-                acc = {}
-                for a, b in zip(row, col):
-                    alg.mul_into(acc, a, b)
-                rows[-1].append(_from_parts(alg, 1, acc))
-        return SeriesMatrix(rows)
+
+        def dot(row, col):
+            acc = {}
+            for a, b in zip(row, col):
+                alg.mul_into(acc, a, b)
+            return _from_parts(alg, 1, acc)
+
+        return SeriesMatrix([[dot(row, col) for col in cols] for row in self.entries])
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -790,11 +810,8 @@ def series_apply(coeffs, matrix):
     algebra = matrix.algebra
     if len(coeffs) < algebra.order + 1:
         raise TruncationError("need at least order+1 series coefficients")
-    for row in matrix.entries:
-        for e in row:
-            val = e.valuation()
-            if val is not None and val < 1:
-                raise TruncationError("series argument has a valuation-zero entry")
+    if any(e.valuation() == 0 for row in matrix.entries for e in row):
+        raise TruncationError("series argument has a valuation-zero entry")
     acc = SeriesMatrix.identity(algebra, matrix.size).scale(Q(coeffs[0]))
     power = SeriesMatrix.identity(algebra, matrix.size)
     for k in range(1, algebra.order + 1):
@@ -816,11 +833,6 @@ def expm1_over_t_coefficients(order):
     return [Q(1, factorial(k + 1)) for k in range(order + 1)]
 
 
-def one_minus_exp_neg_coefficients(order):
-    """Taylor coefficients of 1 - e^{-t}."""
-    return [Q(0)] + [-Q((-1) ** k, factorial(k)) for k in range(1, order + 1)]
-
-
 # -- rendering ------------------------------------------------------------------
 
 
@@ -829,31 +841,18 @@ def format_scalar(c):
 
 
 def format_monomial(mono, h_names=None, x_names=None):
-    parts = []
-    for e, name in zip(mono.h, h_names or [f"H{i+1}" for i in range(len(mono.h))]):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    for e, name in zip(mono.x, x_names or [f"X{i+1}" for i in range(len(mono.x))]):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
+    names = list(h_names or [f"H{i+1}" for i in range(len(mono.h))])
+    names += x_names or [f"X{i+1}" for i in range(len(mono.x))]
+    parts = [name if e == 1 else f"{name}^{e}" for e, name in zip(mono.h + mono.x, names) if e]
     return "*".join(parts) if parts else "1"
 
 
 def format_term(key, coeff, h_names=None, x_names=None):
     k, monos = key
-    body = " ⊗ ".join(format_monomial(mo, h_names, x_names) for mo in monos)
-    parts = []
-    if coeff != 1:
-        parts.append(format_scalar(coeff))
-    if k == 1:
-        parts.append("h")
-    elif k:
-        parts.append(f"h^{k}")
-    parts.append(body)
+    parts = [] if coeff == 1 else [format_scalar(coeff)]
+    if k:
+        parts.append("h" if k == 1 else f"h^{k}")
+    parts.append(" ⊗ ".join(format_monomial(mo, h_names, x_names) for mo in monos))
     return " * ".join(parts)
 
 

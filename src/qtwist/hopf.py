@@ -20,6 +20,7 @@ from .algebra import (
     Monomial,
     SeriesMatrix,
     _from_parts,
+    _table_entry,
     exp_coefficients,
     exp_truncated,
     series_apply,
@@ -90,7 +91,7 @@ class HopfContext:
             for j in dims:
                 if r[j][a]:
                     acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])
-            table[(a, mu)] = {(k, mono): c for (k, (mono,)), c in acc.terms.items()}
+            table[(a, mu)] = _table_entry(acc)
         # The stored spec carried over by the same map; its twist matrix is
         # r_low^T r, the identity unless the stored r is stale.
         B = [
@@ -161,12 +162,12 @@ class HopfContext:
             out.append(t)
         return tuple(out)
 
-    def _delta_monomial(self, mid):
-        """Coproduct of the monomial with intern id `mid`, cached per id."""
-        cached = self._delta_cache.get(mid)
+    def _delta_monomial(self, field):
+        """Coproduct of the monomial with leg field `field`, cached per field."""
+        cached = self._delta_cache.get(field)
         if cached is not None:
             return cached
-        mono = self.algebra.monomial(mid)
+        mono = self.algebra._mono(field)
         t = self.algebra.tensor_unit(2)
         for i, e in enumerate(mono.h):
             for _ in range(e):
@@ -174,7 +175,7 @@ class HopfContext:
         for mu, e in enumerate(mono.x):
             for _ in range(e):
                 t = t * self._delta_x_gens[mu]
-        self._delta_cache[mid] = t
+        self._delta_cache[field] = t
         return t
 
     def coproduct(self, a):
@@ -187,25 +188,36 @@ class HopfContext:
             raise ShapeError("leg out of range")
         alg = self.algebra
         tensor = tensor._on(alg)
-        order = alg.order
+        order, bits = alg.order, alg._leg_bits
+        ps, shifts = alg._layout(tensor.legs)[:2]
+        wide_ps, pair_ps = alg._layout(tensor.legs + 1)[0], alg._layout(2)[0]
+        s = shifts[leg]
+        low, pair_mask = (1 << s) - 1, (1 << pair_ps) - 1
         # Numerator sums keyed by their denominator, the tensor's times that
-        # of the coproduct images they came from; merged over the lcm at the end.
-        parts = {}
-        for (k, ids), c in tensor.nums.items():
-            delta = self._delta_monomial(ids[leg])
-            out = parts.setdefault(delta.den * tensor.den, {})
-            head, tail = ids[:leg], ids[leg + 1 :]
-            for (dk, pair), dc in delta.nums.items():
-                nk = k + dk
-                if nk > order:
-                    continue
-                key = (nk, head + pair + tail)
-                out[key] = out.get(key, 0) + c * dc
+        # of the coproduct images they came from; merged over the lcm at the
+        # end.  An image's terms are kept as (power, shifted part, numerator):
+        # the part holds the power and puts the pair of legs into place.
+        parts, images = {}, {}
+        for key, c in tensor.nums.items():
+            f = (key >> s) & alg._leg_mask
+            image = images.get(f)
+            if image is None:
+                delta = self._delta_monomial(f)
+                image = images[f] = delta.den * tensor.den, [
+                    (dk >> pair_ps, (dk >> pair_ps << wide_ps) + ((dk & pair_mask) << s), dc)
+                    for dk, dc in delta.nums.items()
+                ]
+            den, terms = image
+            out = parts.setdefault(den, {})
+            k = key >> ps
+            # The power and the legs before `leg` move up by one leg; the
+            # legs after it stay.
+            base = (key >> (s + bits)) << (s + 2 * bits) | (key & low)
+            for dk, part, dc in terms:
+                if k + dk <= order:
+                    nk = base + part
+                    out[nk] = out.get(nk, 0) + c * dc
         return _from_parts(alg, tensor.legs + 1, parts)
-
-    def counit(self, a):
-        """Counit as a rational per deformation power (unit-monomial slice)."""
-        return a.unit_series()
 
     def counit_on_leg(self, tensor, leg):
         return tensor.strip_unit_leg(leg)

@@ -13,6 +13,7 @@ Borel (Jordanian) case, and the shift-ring family.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -23,6 +24,7 @@ from .algebra import (
     Monomial,
     SeriesMatrix,
     _from_parts,
+    _table_entry,
     expm1_over_t_coefficients,
     format_term,
     series_apply,
@@ -296,7 +298,7 @@ def derive_alpha(spec):
                     c = spec.B[i][j][nu]
                     if c:
                         acc = acc + (entry * scratch.h(i)).scale(c)
-            table[(j, mu)] = {(k, mono): c for (k, (mono,)), c in acc.terms.items()}
+            table[(j, mu)] = _table_entry(acc)
     algebra = Algebra(spec.m, spec.n, spec.order, table)
     return DerivedStructure(
         spec=spec,
@@ -331,103 +333,68 @@ def cybe_residual(spec):
     return _from_parts(alg, 3, acc)
 
 
+def _found(name, bad, witness):
+    """A validation check that passes when its search found nothing.
+
+    `witness` is a format string filled with the entries of what it found.
+    """
+    return ValidationCheck(name, bad is None, None if bad is None else witness.format(*bad))
+
+
 def validate_spec(spec):
     """Run the classical precondition checks in a fixed order."""
     classical = _classical(spec)
-    clash = classical.beta_clash
-    checks = [
-        ValidationCheck(
-            "jacobi",
-            clash is None,
-            None
-            if clash is None
-            else f"beta[{clash[0]}] and beta[{clash[1]}] disagree at entry {clash[2]}",
+    alpha_up, alpha_low = classical.alpha_up, classical.alpha_low
+    hs, xs = range(spec.m), range(spec.n)
+    # Each search finds the first failing entry in loop order, or None.
+    consistency = next(
+        (
+            (i, j, k, nu)
+            for i, j, k, nu in itertools.product(hs, hs, hs, xs)
+            if sum((alpha_up[i][mu][nu] * spec.B[j][k][mu] for mu in xs), Q(0))
+            != sum((alpha_up[j][mu][nu] * spec.B[i][k][mu] for mu in xs), Q(0))
         ),
+        None,
+    )
+    commute = next(
+        (
+            (i, j, hit)
+            for i in hs
+            for j in range(i + 1, spec.m)
+            if (hit := _mat_commute(alpha_up[i], alpha_up[j])) is not None
+        ),
+        None,
+    )
+    checks = [
+        _found("jacobi", classical.beta_clash, "beta[{}] and beta[{}] disagree at entry {}"),
         ValidationCheck("invertible-r", classical.r_low is not None, classical.r_defect),
+        _found("consistency", consistency, "indices (i,j,k,nu)=({}, {}, {}, {})"),
+        _found("alpha-commute", commute, "alpha[{}] and alpha[{}] disagree at entry {}"),
     ]
-
-    alpha_up = classical.alpha_up
-    bad = None
-    for i in range(spec.m):
-        for j in range(spec.m):
-            for k in range(spec.m):
-                for nu in range(spec.n):
-                    lhs = sum(
-                        (alpha_up[i][mu][nu] * spec.B[j][k][mu] for mu in range(spec.n)),
-                        Q(0),
-                    )
-                    rhs = sum(
-                        (alpha_up[j][mu][nu] * spec.B[i][k][mu] for mu in range(spec.n)),
-                        Q(0),
-                    )
-                    if lhs != rhs:
-                        bad = (i, j, k, nu)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(
-        ValidationCheck(
-            "consistency",
-            bad is None,
-            None if bad is None else f"indices (i,j,k,nu)={bad}",
-        )
-    )
-
-    bad = None
-    for i in range(spec.m):
-        for j in range(i + 1, spec.m):
-            hit = _mat_commute(alpha_up[i], alpha_up[j])
-            if hit is not None:
-                bad = (i, j, hit)
-                break
-        if bad:
-            break
-    checks.append(
-        ValidationCheck(
-            "alpha-commute",
-            bad is None,
-            None
-            if bad is None
-            else f"alpha[{bad[0]}] and alpha[{bad[1]}] disagree at entry {bad[2]}",
-        )
-    )
-
-    alpha_low = classical.alpha_low
     if alpha_low is None:
         checks.append(
-            ValidationCheck(
-                "alpha-symmetry", False, "needs invertible r to lower indices"
-            )
+            ValidationCheck("alpha-symmetry", False, "needs invertible r to lower indices")
         )
     else:
-        bad = None
-        for rho in range(spec.n):
-            for muu in range(spec.n):
-                for nu in range(muu + 1, spec.n):
-                    if alpha_low[muu][rho][nu] != alpha_low[nu][rho][muu]:
-                        bad = (rho, muu, nu)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        checks.append(
-            ValidationCheck(
-                "alpha-symmetry",
-                bad is None,
-                None if bad is None else f"indices (rho,mu,nu)={bad}",
-            )
+        symmetry = next(
+            (
+                (rho, muu, nu)
+                for rho in xs
+                for muu in xs
+                for nu in range(muu + 1, spec.n)
+                if alpha_low[muu][rho][nu] != alpha_low[nu][rho][muu]
+            ),
+            None,
         )
+        checks.append(_found("alpha-symmetry", symmetry, "indices (rho,mu,nu)=({}, {}, {})"))
 
     residual = cybe_residual(spec)
     witness = None
     if not residual.is_zero():
-        key = min(residual.terms)
-        term = format_term(key, residual.terms[key], spec.h_names, spec.x_names)
+        # Packed keys order as (power, monomials) do.
+        key = min(residual.nums)
+        coeff = Q(residual.nums[key], residual.den)
+        term = format_term(residual.algebra.decode(key, 3), coeff, spec.h_names, spec.x_names)
         witness = f"first surviving term: {term}"
     checks.append(ValidationCheck("cybe", residual.is_zero(), witness))
 

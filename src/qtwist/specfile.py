@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .errors import SpecError, SpecFileError
@@ -161,9 +160,3 @@ def render_spec_file(spec):
 
 def write_spec_file(spec, path):
     Path(path).write_text(render_spec_file(spec), encoding="utf-8")
-
-
-def preset_file_text(name):
-    """The shipped spec file for a preset, as text."""
-    fname = name.replace("(", "-").replace(")", "") + ".json"
-    return (resources.files("qtwist") / "presets" / fname).read_text(encoding="utf-8")

@@ -13,14 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import Monomial, _from_parts, _tinc
+from .algebra import _from_parts, _tinc
 
 
 class BasisChange:
     """The substitution ``H_i -> sum_lam forms[i][lam] H_lam`` from `source` to `target`.
 
     Calling it on a tensor of `source` returns the image in `target`.  The
-    image of each monomial is cached per intern id.
+    image of each monomial is cached per leg field.
     """
 
     def __init__(self, source, target, forms):
@@ -31,12 +31,12 @@ class BasisChange:
         )
         self._images = {}
 
-    def _image(self, mid):
-        """Image of the monomial with id `mid`: ``((target id, num), ...), den``."""
-        cached = self._images.get(mid)
+    def _image(self, field):
+        """Image of the monomial with leg field `field`: ``((target field, num), ...), den``."""
+        cached = self._images.get(field)
         if cached is not None:
             return cached
-        mono = self.source.monomial(mid)
+        mono = self.source._mono(field)
         acc = {(0,) * self.target.m: Fraction(1)}
         for i, e in enumerate(mono.h):
             for _ in range(e):
@@ -47,28 +47,28 @@ class BasisChange:
                         nxt[key] = nxt.get(key, 0) + c * f
                 acc = {h: c for h, c in nxt.items() if c}
         den = lcm(*(c.denominator for c in acc.values()))
-        intern = self.target._intern
+        pack = self.target._field
         image = tuple(
-            (intern(Monomial(h, mono.x)), c.numerator * (den // c.denominator))
-            for h, c in acc.items()
+            (pack(h, mono.x), c.numerator * (den // c.denominator)) for h, c in acc.items()
         )
-        self._images[mid] = image, den
+        self._images[field] = image, den
         return image, den
 
     def __call__(self, tensor):
         tensor = tensor._on(self.source)
+        ps, shifts = self.source._layout(tensor.legs)[:2]
+        mask = self.source._leg_mask
         # Numerator sums keyed by their denominator: the tensor's times those
-        # of its leg images.
+        # of its leg images.  The two algebras share their key layout.
         parts = {}
-        for (k, ids), v in tensor.nums.items():
-            combos = [((), v, tensor.den)]
-            for mid in ids:
-                image, den = self._image(mid)
+        for key, v in tensor.nums.items():
+            combos = [(key >> ps << ps, v, tensor.den)]
+            for s in shifts:
+                image, den = self._image((key >> s) & mask)
                 combos = [
-                    (out + (tid,), c * num, d * den) for out, c, d in combos for tid, num in image
+                    (out + (tf << s), c * num, d * den) for out, c, d in combos for tf, num in image
                 ]
             for out, c, d in combos:
                 acc = parts.setdefault(d, {})
-                key = (k, out)
-                acc[key] = acc.get(key, 0) + c
+                acc[out] = acc.get(out, 0) + c
         return _from_parts(self.target, tensor.legs, parts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Monomial, SeriesMatrix, _canonical, _from_parts, exp_truncated, format_term
+from .algebra import Monomial, SeriesMatrix, _from_parts, exp_truncated, format_term
 from .errors import ShapeError, UnsupportedPresetError
 from .model import cybe_residual, scan_xi
 
@@ -124,10 +124,10 @@ def _tally(label, residual):
     """The number of terms of a part's residual and its witness candidate."""
     if residual is None or residual.is_zero():
         return 0, None
-    mono = residual.algebra.monomial
-    k, ids = min(residual.nums, key=lambda key: (key[0], [mono(i) for i in key[1]]))
-    monos = tuple(mono(i) for i in ids)
-    coeff = Q(residual.nums[(k, ids)], residual.den)
+    # Packed keys order as (power, monomials) do, so the smallest is the witness.
+    key = min(residual.nums)
+    k, monos = residual.algebra.decode(key, residual.legs)
+    coeff = Q(residual.nums[key], residual.den)
     return len(residual.nums), (((k, len(monos), monos), label), (k, monos), coeff)
 
 
@@ -157,25 +157,31 @@ def check_twist_equation(ctx, phi=None):
 def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
     r = ctx.universal_r if rmat is None else rmat
-    r23 = r.embed(3, (1, 2))
-    t = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+    alg, r23 = r.algebra, r.embed(3, (1, 2))
+    acc = {}
+    alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
     # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
     # monomial of its term of T = R12 R13, and parts made of whole slices of
     # T by leg-0 X exponents split the residual into disjoint parts.  A
     # change of H basis fixes every X, so they stay disjoint in the user's
-    # basis.
-    alg, den, slices = t.algebra, t.den, {}
-    for key, v in t.nums.items():
-        slices.setdefault(alg.monomial(key[1][0]).x, {})[key] = v
-    # Only the slices hold T's terms from here on; each is freed with its part.
-    del t
+    # basis.  T's accumulator is split as it stands, one denominator at a
+    # time, so T is never merged or held whole.
+    shift, x_mask = alg._layout(3)[1][0], alg._layout(1)[2][0]
+    slices = {}
+    while acc:
+        den, nums = acc.popitem()
+        for key, v in nums.items():
+            slices.setdefault((key >> shift) & x_mask, {}).setdefault(den, {})[key] = v
+        del nums
     while slices:
-        nums = slices.popitem()[1]
+        parts = slices.popitem()[1]
         # Each part walks all of R23 twice, so it takes slices until it holds
         # as many terms of T as R23 has, and pairs outweigh that walk.
-        while slices and len(nums) < len(r23.nums):
-            nums.update(slices.popitem()[1])
-        tc = _canonical(alg, 3, nums, den)
+        while slices and sum(map(len, parts.values())) < len(r23.nums):
+            for den, nums in slices.popitem()[1].items():
+                parts.setdefault(den, {}).update(nums)
+        tc = _from_parts(alg, 3, parts)
+        del parts
         # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
         # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
         # legs exchanged.

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
+from math import factorial
 
 from qtwist import AlgebraSpec, build_context, preset
 from qtwist.algebra import Algebra, Monomial, SeriesMatrix, _from_parts, format_term
@@ -17,6 +19,23 @@ from qtwist.errors import ShapeError, SingularMatrixError
 from qtwist.linalg import inverse
 
 Q = Fraction
+
+
+def one_minus_exp_neg_coefficients(order):
+    """Taylor coefficients of 1 - e^{-t}."""
+    return [Q(0)] + [-Q((-1) ** k, factorial(k)) for k in range(1, order + 1)]
+
+
+def cached_leg_products(alg):
+    """Every leg product in the algebra's row cache, as its triples of
+    ``(delta, power, coeff)``."""
+    return [prods for row in alg._rows.values() for prods in row.values()]
+
+
+def preset_file_text(name):
+    """The shipped spec file for a preset, as text."""
+    fname = name.replace("(", "-").replace(")", "") + ".json"
+    return (resources.files("qtwist") / "presets" / fname).read_text(encoding="utf-8")
 
 
 def naive_normal_order(alg, word, coeff=Q(1), extra_power=0, out=None):

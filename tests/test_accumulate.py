@@ -106,15 +106,10 @@ def _fresh(name):
 
 def _reordering_legs(alg, a, b):
     """The sets of legs that reorder X past H, over the pairs a product visits."""
-    mono = alg.monomial
     return {
-        tuple(
-            leg
-            for leg, (i, j) in enumerate(zip(ids1, ids2))
-            if any(mono(i).x) and any(mono(j).h)
-        )
-        for k1, ids1 in a.nums
-        for k2, ids2 in b.nums
+        tuple(leg for leg, (m1, m2) in enumerate(zip(monos1, monos2)) if any(m1.x) and any(m2.h))
+        for k1, monos1 in a.terms
+        for k2, monos2 in b.terms
         if k1 + k2 <= alg.order
     }
 

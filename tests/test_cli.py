@@ -7,13 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import abelian_spec, rotated_null_plane_specs
+from helpers import abelian_spec, preset_file_text, rotated_null_plane_specs
 from qtwist import SpecFileError, parse_spec_file, preset, render_spec_file
 from qtwist.cli import main
 from qtwist.model import PRESET_NAMES
 from qtwist.specfile import (
     parse_spec_text,
-    preset_file_text,
     spec_to_document,
     write_spec_file,
 )

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    cached_leg_products,
     mono_word,
     naive_mul_tensors,
     naive_normal_order,
@@ -175,7 +176,7 @@ def test_integer_normal_ordering_matches_oracle_rational_tables():
         for terms, _ in alg._block_cache.values():
             powers = [k for k, _, _ in terms]
             assert powers == sorted(powers)
-        for legmap in alg._mono_cache.values():
+        for legmap in cached_leg_products(alg):
             for _, _, cm in legmap:
                 assert cm is None or (cm[1] > 0 and gcd(*cm) == 1 and cm != (1, 1))
     assert mixed_pairs

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from helpers import cached_context, mutate_tensor, rotated_null_plane_specs, unsliced_qybe
-from qtwist import build_context, verify
+from qtwist import algebra, build_context, verify
 from qtwist.algebra import Algebra
 from qtwist.verify import check_qybe, run_suite
 
@@ -101,3 +101,26 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     assert sum(sizes) == keys
     assert len(sizes) > 1
     assert 2 * max(sizes) < keys
+
+
+def test_qybe_never_forms_or_canonicalises_all_of_r12_r13(monkeypatch):
+    """T = R12 R13 is accumulated and split into slices as it stands: no
+    product runs through `mul_tensors`, and no canonical form is taken of a
+    term map that holds every term of T."""
+    ctx = cached_context("poincare-null-plane", 4)
+    r = ctx.universal_r
+    t = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+    whole, seen = set(t.nums), []
+    reduced = algebra._reduced
+
+    def refused_mul_tensors(self, a, b):
+        raise AssertionError("check_qybe formed a product through mul_tensors")
+
+    def watched_reduced(nums, den):
+        seen.append(whole <= nums.keys())
+        return reduced(nums, den)
+
+    monkeypatch.setattr(Algebra, "mul_tensors", refused_mul_tensors)
+    monkeypatch.setattr(algebra, "_reduced", watched_reduced)
+    assert check_qybe(ctx).passed
+    assert seen and not any(seen)

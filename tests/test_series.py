@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from helpers import zero_series_matrix
+from helpers import one_minus_exp_neg_coefficients, zero_series_matrix
 from qtwist import TruncationError, series_apply
 from qtwist.algebra import (
     Algebra,
@@ -11,7 +11,6 @@ from qtwist.algebra import (
     SeriesMatrix,
     exp_coefficients,
     expm1_over_t_coefficients,
-    one_minus_exp_neg_coefficients,
 )
 
 
