@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
-from operator import add, or_
+from operator import or_
 from typing import NamedTuple
 
 from .errors import MalformedWordError, ShapeError, TruncationError
@@ -32,14 +32,6 @@ Q = Fraction
 # Bits per exponent field of a packed term key (see `Algebra`).
 _W = 8
 _FIELD = (1 << _W) - 1
-
-
-def _tinc(t, i):
-    return t[:i] + (t[i] + 1,) + t[i + 1 :]
-
-
-def _tdec(t, i):
-    return t[:i] + (t[i] - 1,) + t[i + 1 :]
 
 
 class Monomial(NamedTuple):
@@ -84,22 +76,31 @@ class Algebra:
     depends only on ``(m, n)`` and the number of legs (`_layout`).  Packing
     is linear: a product's key is the sum of its factors' plus a correction.
 
-    Normal ordering runs on integers.  `_int_table` holds each bracket as
-    ``((power, h_exps, num), ...)`` triples over one denominator; `bracket`
-    returns the Fraction form.  Four caches live as long as the algebra, and
-    no entry is mutated once stored: `_monos` maps a leg field to its
-    Monomial; `_single_cache` holds the normal form of ``X_mu H^a`` and
-    `_block_cache` that of ``X^b H^a``, each as integer numerators keyed by
-    raw ``(power, h_exps, x_exps)`` tuples over one denominator, in lowest
-    terms, a block in increasing power; and `_rows` holds the same blocks
-    as leg products, by X part and H part of a leg field (see `_mono_mul`).
+    Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
+    `_int_table` holds each bracket as such keys mapped to integer
+    numerators over one denominator; `bracket` returns the Fraction form.
+    Four caches live as long as the algebra, and no entry is mutated once
+    stored: `_monos` maps a leg field to its Monomial; `_single_cache` and
+    `_block_cache` hold the normal forms of ``X_mu H^a`` and ``X^b H^a`` by
+    X index or X part and H part, as packed keys mapped to numerators in
+    lowest terms, no field reaching ``2**(_W - 1)``, a block in increasing
+    key order; and `_rows` holds the blocks as leg products (`_mono_mul`).
+    `mul_into` groups its right operand by power and by the legs holding an
+    H, and turns leg products into per-call tables of shifted key offsets.
     """
 
     def __init__(self, m, n, order, table):
         if m < 0 or n < 0 or order < 0:
             raise ShapeError("dimensions and order must be non-negative")
         self.m, self.n, self.order = m, n, order
+        self._leg_bits = (m + n) * _W
+        self._leg_mask = (1 << self._leg_bits) - 1
+        self._x_mask = (1 << (n * _W)) - 1
+        self._h_mask = self._leg_mask ^ self._x_mask
+        # The field of each generator: H_0..H_{m-1}, then X_0..X_{n-1}.
+        self._units = tuple(1 << (_W * i) for i in range(m + n - 1, -1, -1))
         self._table, self._int_table = {}, {}
+        no_x = (0,) * n
         for (j, mu), entry in table.items():
             if not (0 <= j < m and 0 <= mu < n):
                 raise ShapeError(f"bracket table key ({j}, {mu}) out of range")
@@ -118,13 +119,10 @@ class Algebra:
             for mu in range(n):
                 entry = self._table.setdefault((j, mu), {})
                 den = lcm(*(c.denominator for c in entry.values()))
-                terms = tuple(
-                    (k, mono.h, c.numerator * (den // c.denominator))
+                self._int_table[(j, mu)] = {
+                    k << self._leg_bits | self._field(mono.h, no_x): c.numerator * (den // c.denominator)
                     for (k, mono), c in entry.items()
-                )
-                self._int_table[(j, mu)] = terms, den
-        self._leg_bits = (m + n) * _W
-        self._leg_mask = (1 << self._leg_bits) - 1
+                }, den
         self._layouts, self._monos, self._rows = {}, {}, {}
         self._single_cache, self._block_cache = {}, {}
 
@@ -143,11 +141,10 @@ class Algebra:
         if layout is None:
             ps = self._leg_bits * legs
             shifts = tuple(self._leg_bits * i for i in range(legs - 1, -1, -1))
-            x_mask = (1 << (self.n * _W)) - 1
-            h_mask = self._leg_mask ^ x_mask
             # Sums of 2**(_W * i) over the fields, times 2**(_W - 1).
             guard = ((1 << ps) - 1) // _FIELD << (_W - 1)
-            x_masks, h_masks = (tuple(mask << s for s in shifts) for mask in (x_mask, h_mask))
+            masks = (self._x_mask, self._h_mask)
+            x_masks, h_masks = (tuple(mask << s for s in shifts) for mask in masks)
             layout = self._layouts[legs] = (ps, shifts, x_masks, h_masks, guard)
         return layout
 
@@ -267,69 +264,78 @@ class Algebra:
 
     # -- normal-ordering kernels ------------------------------------------------
 
-    def _single_x_past_h(self, mu, h_exps):
-        """Normal form of the word X_mu * H^h_exps, as ``(terms, den)``.
+    def _checked(self, terms, den):
+        """``(terms, den)`` of packed 1-leg keys, unless a field reaches ``2**(_W - 1)``."""
+        if reduce(or_, terms, 0) & self._layout(1)[4]:
+            raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
+        return terms, den
 
-        `terms` maps ``(power, h_exps, x_exps)`` to an integer numerator over
-        the denominator `den`, in lowest terms.
+    def _single_x_past_h(self, mu, h):
+        """Normal form of ``X_mu H^h``, `h` the H part of a field, as ``(terms, den)``.
+
+        `terms` maps packed 1-leg keys to numerators over `den`, in lowest terms.
         """
-        key = (mu, h_exps)
-        cached = self._single_cache.get(key)
+        cache_key = (mu, h)
+        cached = self._single_cache.get(cache_key)
         if cached is not None:
             return cached
-        if not any(h_exps):
-            out = {(0, h_exps, Monomial.x_gen(self.m, self.n, mu).x): 1}, 1
+        if not h:
+            out = {self._units[self.m + mu]: 1}, 1
         else:
-            j = next(i for i, e in enumerate(h_exps) if e)
-            rest = _tdec(h_exps, j)
+            # H_j is the first H with a non-zero exponent, the top field of h.
+            j = self.m + self.n - 1 - (h.bit_length() - 1) // _W
+            unit = self._units[j]
+            rest = h - unit
             sub, sub_den = self._single_x_past_h(mu, rest)
-            bracket, bracket_den = self._int_table[(j, mu)]
+            bracket, bracket_den = self._checked(*self._int_table[(j, mu)])
             den = lcm(sub_den, bracket_den)
             fs, fb = den // sub_den, den // bracket_den
             # X H_j = H_j X - [H_j, X].  The bracket is pure-H, so only the
             # terms carried over from X_mu H^rest can hold X_mu.
-            terms = {(k, _tinc(h, j), x): v * fs for (k, h, x), v in sub.items()}
-            no_x = (0,) * self.n
-            for k, h, v in bracket:
-                nk = (k, tuple(map(add, h, rest)), no_x)
-                terms[nk] = terms.get(nk, 0) - v * fb
-            out = _reduced(terms, den)
-        self._single_cache[key] = out
+            terms = {key + unit: v * fs for key, v in sub.items()}
+            for key, v in bracket.items():
+                key += rest
+                terms[key] = terms.get(key, 0) - v * fb
+            out = self._checked(*_reduced(terms, den))
+        self._single_cache[cache_key] = out
         return out
 
-    def _x_block_past_h(self, x_exps, h_exps):
-        """Normal form of the word X^x_exps * H^h_exps, as ``(terms, den)``.
+    def _x_block_past_h(self, x, h):
+        """Normal form of the word ``X^x H^h``, for the X part `x` and H part `h` of leg fields.
 
-        The layout is that of `_single_x_past_h`, with the terms in
-        increasing power.
+        The layout is that of `_single_x_past_h`, with the keys in increasing
+        order, so in increasing power.
         """
-        if not any(x_exps) or not any(h_exps):
-            return {(0, h_exps, x_exps): 1}, 1
-        key = (x_exps, h_exps)
-        cached = self._block_cache.get(key)
+        if not x or not h:
+            return {x | h: 1}, 1
+        cache_key = (x, h)
+        cached = self._block_cache.get(cache_key)
         if cached is not None:
             return cached
-        order = self.order
-        mu = max(i for i, e in enumerate(x_exps) if e)
-        head = _tdec(x_exps, mu)
+        # X_mu is the last X with a non-zero exponent, the bottom field of x.
+        mu = self.n - 1 - ((x & -x).bit_length() - 1) // _W
+        head = x - self._units[self.m + mu]
         # X^x H^h = X^head (X_mu H^h).  With no head this is the single map;
         # otherwise each of its terms H^h1 X^x1 leaves the block X^head H^h1,
         # over that block's own denominator.
-        terms, den = self._single_x_past_h(mu, h_exps)
-        if any(head):
-            parts = {}
-            for (k1, h1, x1), v1 in terms.items():
+        terms, den = self._single_x_past_h(mu, h)
+        if head:
+            parts, h_mask = {}, self._h_mask
+            limit = (self.order + 1) << self._leg_bits
+            for key1, v1 in terms.items():
+                h1 = key1 & h_mask
                 sub, sub_den = self._x_block_past_h(head, h1)
                 acc = parts.setdefault(sub_den * den, {})
-                for (k2, h2, x2), v2 in sub.items():
-                    k = k1 + k2
-                    if k > order:
+                # The power and X part of key1 added to each block term.
+                rest = key1 - h1
+                for key2, v2 in sub.items():
+                    key = key2 + rest
+                    if key >= limit:
                         break
-                    nk = (k, h2, tuple(map(add, x2, x1)))
-                    acc[nk] = acc.get(nk, 0) + v1 * v2
-            terms, den = _reduced(*_merged(parts))
+                    acc[key] = acc.get(key, 0) + v1 * v2
+            terms, den = self._checked(*_reduced(*_merged(parts)))
         out = dict(sorted(terms.items())), den
-        self._block_cache[key] = out
+        self._block_cache[cache_key] = out
         return out
 
     def _mono_mul(self, a, b):
@@ -342,15 +348,11 @@ class Algebra:
         coeff of exactly 1 is None, any other ``(num, den)`` in lowest terms.
         A block H exponent that could overflow its field once added raises.
         """
-        ma, mb = self._mono(a), self._mono(b)
-        block, den = self._x_block_past_h(ma.x, mb.h)
-        guard, out = self._layout(1)[4], []
-        for (k, h, x), v in block.items():
-            field = self._field(h, x)
-            if field & guard:
-                raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
+        block, den = self._x_block_past_h(a, b)
+        bits, mask, out = self._leg_bits, self._leg_mask, []
+        for key, v in block.items():
             g = gcd(v, den)
-            out.append((field - a - b, k, None if v == den else (v // g, den // g)))
+            out.append(((key & mask) - a - b, key >> bits, None if v == den else (v // g, den // g)))
         return tuple(out)
 
     # -- products ----------------------------------------------------------------
@@ -364,101 +366,124 @@ class Algebra:
         one product loop: `mul_tensors` runs it into an empty accumulator.
 
         A pair of terms reorders on each leg where the left term has an X and
-        the right one an H.  A pair that reorders on none, one mask test, has
-        the key ``key1 + key2``; on one leg, each of the leg's products in
-        `_rows` adds its shifted delta and power to that.  An operand with an
-        exponent of ``2**(_W - 1)`` or more is refused, so no sum leaves its field.
+        the right one an H.  The terms of `b` are grouped by power and then by
+        the legs holding an H, and a left term tests each group once.  A group
+        that reorders on no leg adds ``key1 + key2``; one that reorders on one
+        leg is split by that leg's H part, and each row of a per-call table of
+        leg products (shifted delta plus power field) is added to ``key1``
+        and then to each key of the split.  A pair that reorders on more legs
+        combines their rows.  An operand with an exponent of ``2**(_W - 1)``
+        or more is refused, so no sum leaves its field.
         """
         order = self.order
         ps, shifts, x_masks, h_masks, guard = self._layout(a.legs)
         if (reduce(or_, a.nums, 0) | reduce(or_, b.nums, 0)) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
-        # The last leg's masks pick a leg's X part and H part out of its field.
-        x_mask, h_mask = x_masks[-1], h_masks[-1]
-        all_rows, mono_mul = self._rows, self._mono_mul
+        x_mask, h_mask, all_rows = self._x_mask, self._h_mask, self._rows
         # The power fields, so that a product term adds its power in place.
         powers = [k << ps for k in range(order + 1)]
         base_den = a.den * b.den * scale.denominator
         s = scale.numerator
-        # The terms of b grouped by power, so that each term of a stops at
-        # the first power that overshoots the order.  With each term go the
-        # legs that hold an H, as bits, and then the H parts of its legs.
+        # The groups of b by power: each holds the legs that hold an H, as
+        # bits, its terms, and, by leg, its terms split by that leg's H part.
         by_power = {}
         for key2, c2 in b.nums.items():
             h_legs = 0
             for leg, m in enumerate(h_masks):
                 if key2 & m:
                     h_legs |= 1 << leg
-            fields = tuple((key2 >> sh) & h_mask for sh in shifts) if h_legs else None
-            by_power.setdefault(key2 >> ps, []).append((key2, c2, h_legs, fields))
-        buckets = sorted(by_power.items())
+            groups = by_power.setdefault(key2 >> ps, {})
+            if h_legs not in groups:
+                groups[h_legs] = (h_legs, [], {})
+            groups[h_legs][1].append((key2, c2))
+        buckets = [(k, tuple(groups.values())) for k, groups in sorted(by_power.items())]
         # A term of a above `top` pairs with no term of b.
         top = order - buckets[0][0] if buckets else -1
-        # The parts of `acc` by the denominator their terms picked up from
-        # cached leg coefficients, relative to `base_den`.
+        # A term goes to the part of `acc` over `base_den` times the
+        # denominator it picked up from cached leg coefficients.
         out = acc.setdefault(base_den, {})
-        parts = {1: out}
+
+        def build(leg, f1, f2, room):
+            prods = all_rows.get((f1, f2))
+            if prods is None:
+                prods = all_rows[(f1, f2)] = self._mono_mul(f1, f2)
+            rows = []
+            for d, km, cm in prods:
+                if km > room:
+                    return room, rows
+                cn, cd = cm or (1, 1)
+                part = acc.setdefault(cd * base_den, {})
+                rows.append(((d << shifts[leg]) + powers[km], km, cn, cd, part))
+            return order, rows
+
+        # The per-call tables, by leg and left X part and then by right H
+        # part: ``(reach, rows)``, the rows of the leg products up to power
+        # `reach`, built as far as a use needs them.
+        tables = {}
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
             if k1 > top:
                 continue
             c1 *= s
             # The legs of this term that hold an X, as bits, and for each of
-            # them its row and X part.
+            # them its X part and its tables.
             x_legs, rows = 0, [None] * len(shifts)
             for leg, m in enumerate(x_masks):
                 if key1 & m:
                     x_legs |= 1 << leg
                     f1 = (key1 >> shifts[leg]) & x_mask
-                    row = all_rows.get(f1)
-                    if row is None:
-                        row = all_rows[f1] = {}
-                    rows[leg] = (row, f1)
-            for k2, bucket in buckets:
-                base = k1 + k2
-                if base > order:
+                    rows[leg] = f1, tables.setdefault((leg, f1), {})
+            for k2, groups in buckets:
+                room = order - k1 - k2
+                if room < 0:
                     break
-                for key2, c2, h_legs, fields in bucket:
+                for h_legs, terms, splits in groups:
                     clash = x_legs & h_legs
                     if not clash:
-                        key = key1 + key2
-                        out[key] = out.get(key, 0) + c1 * c2
-                        continue
-                    # The legs that reorder, from the last: each but the last
-                    # multiplies the partial terms by its products, and the
-                    # last adds its products to them in place.
-                    partial = [(key1 + key2, base, c1 * c2, 1)]
-                    while True:
+                        for key2, c2 in terms:
+                            key = key1 + key2
+                            out[key] = out.get(key, 0) + c1 * c2
+                    elif not clash & (clash - 1):
                         leg = clash.bit_length() - 1
-                        row, f1 = rows[leg]
-                        f2, sh = fields[leg], shifts[leg]
-                        legmap = row.get(f2)
-                        if legmap is None:
-                            legmap = row[f2] = mono_mul(f1, f2)
-                        clash ^= 1 << leg
-                        if not clash:
-                            break
-                        nxt = []
-                        for key, k, c, dd in partial:
-                            for d, km, cm in legmap:
-                                if k + km > order:
+                        split = splits.get(leg)
+                        if split is None:
+                            by_h, sh = {}, shifts[leg]
+                            for term in terms:
+                                by_h.setdefault((term[0] >> sh) & h_mask, []).append(term)
+                            split = splits[leg] = tuple(by_h.items())
+                        f1, table = rows[leg]
+                        for f2, sub in split:
+                            reach, shifted = table.get(f2) or (-1, None)
+                            if reach < room:
+                                reach, shifted = table[f2] = build(leg, f1, f2, room)
+                            for d, km, cn, _, p in shifted:
+                                if km > room:
                                     break
-                                cn, cd = cm or (1, 1)
-                                nxt.append((key + (d << sh) + powers[km], k + km, c * cn, dd * cd))
-                        partial = nxt
-                    for key, k, c, dd in partial:
-                        for d, km, cm in legmap:
-                            if k + km > order:
-                                break
-                            if cm is None:
-                                den, v = dd, c
-                            else:
-                                den, v = dd * cm[1], c * cm[0]
-                            part = out if den == 1 else parts.get(den)
-                            if part is None:
-                                part = parts[den] = acc.setdefault(den * base_den, {})
-                            nk = key + (d << sh) + powers[km]
-                            part[nk] = part.get(nk, 0) + v
+                                d += key1
+                                cn *= c1
+                                for key2, c2 in sub:
+                                    key = d + key2
+                                    p[key] = p.get(key, 0) + cn * c2
+                    else:
+                        for key2, c2 in terms:
+                            partial, legs = [(key1 + key2, room, c1 * c2, 1)], clash
+                            while legs:
+                                leg = legs.bit_length() - 1
+                                legs ^= 1 << leg
+                                f1, table = rows[leg]
+                                f2 = (key2 >> shifts[leg]) & h_mask
+                                reach, shifted = table.get(f2) or (-1, None)
+                                if reach < room:
+                                    reach, shifted = table[f2] = build(leg, f1, f2, room)
+                                partial = [
+                                    (key + d, r - km, c * cn, dd * cd)
+                                    for key, r, c, dd in partial
+                                    for d, km, cn, cd, _ in shifted
+                                    if km <= r
+                                ]
+                            for key, _, c, dd in partial:
+                                p = acc.setdefault(dd * base_den, {})
+                                p[key] = p.get(key, 0) + c
 
     def mul_tensors(self, a, b):
         acc = {}

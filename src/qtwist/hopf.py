@@ -19,6 +19,7 @@ from .algebra import (
     Algebra,
     Monomial,
     SeriesMatrix,
+    _W,
     _from_parts,
     _table_entry,
     exp_coefficients,
@@ -141,20 +142,12 @@ class HopfContext:
     # -- coproduct and counit ------------------------------------------------
 
     @cached_property
-    def _delta_h_gens(self):
-        alg = self.algebra
-        out = []
-        for i in range(self.spec.m):
-            g = alg.h(i)
-            out.append(alg.outer(g, alg.one()) + alg.outer(alg.one(), g))
-        return tuple(out)
-
-    @cached_property
-    def _delta_x_gens(self):
-        alg = self.algebra
-        out = []
+    def _delta_gens(self):
+        """Coproducts of H_0..H_{m-1} and then X_0..X_{n-1}, the order of a leg field."""
+        alg, one = self.algebra, self.algebra.one()
+        out = [alg.outer(alg.h(i), one) + alg.outer(one, alg.h(i)) for i in range(self.spec.m)]
         for mu in range(self.spec.n):
-            t = alg.outer(alg.x(mu), alg.one())
+            t = alg.outer(alg.x(mu), one)
             for nu in range(self.spec.n):
                 entry = self.exp_2alpha_h.entry(nu, mu)
                 if not entry.is_zero():
@@ -163,18 +156,22 @@ class HopfContext:
         return tuple(out)
 
     def _delta_monomial(self, field):
-        """Coproduct of the monomial with leg field `field`, cached per field."""
+        """Coproduct of the monomial with leg field `field`, cached per field.
+
+        It is the coproduct of the monomial without its last generator, in
+        the chain order H by index and then X by index, times that of the
+        generator: one product per entry, associated as the chain from the left.
+        """
         cached = self._delta_cache.get(field)
         if cached is not None:
             return cached
-        mono = self.algebra._mono(field)
-        t = self.algebra.tensor_unit(2)
-        for i, e in enumerate(mono.h):
-            for _ in range(e):
-                t = t * self._delta_h_gens[i]
-        for mu, e in enumerate(mono.x):
-            for _ in range(e):
-                t = t * self._delta_x_gens[mu]
+        alg = self.algebra
+        if not field:
+            t = alg.tensor_unit(2)
+        else:
+            # The last generator in chain order holds the bottom non-zero field.
+            gen = alg.m + alg.n - 1 - ((field & -field).bit_length() - 1) // _W
+            t = self._delta_monomial(field - alg._units[gen]) * self._delta_gens[gen]
         self._delta_cache[field] = t
         return t
 
@@ -227,21 +224,14 @@ class HopfContext:
     @cached_property
     def twist_exponent(self):
         """The 2-tensor h * r^{i,mu} H_i (x) X_mu."""
-        alg = self.algebra
-        terms = {}
-        for i in range(self.spec.m):
-            for mu in range(self.spec.n):
-                c = self.spec.r[i][mu]
-                if c:
-                    key = (
-                        1,
-                        (
-                            Monomial.h_gen(self.spec.m, self.spec.n, i),
-                            Monomial.x_gen(self.spec.m, self.spec.n, mu),
-                        ),
-                    )
-                    terms[key] = c
-        return alg.tensor_element(2, terms)
+        m, n, r = self.spec.m, self.spec.n, self.spec.r
+        terms = {
+            (1, (Monomial.h_gen(m, n, i), Monomial.x_gen(m, n, mu))): r[i][mu]
+            for i in range(m)
+            for mu in range(n)
+            if r[i][mu]
+        }
+        return self.algebra.tensor_element(2, terms)
 
     @cached_property
     def phi(self):

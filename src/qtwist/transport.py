@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import _from_parts, _tinc
+from .algebra import _FIELD, _W, _from_parts
+from .errors import ShapeError
 
 
 class BasisChange:
@@ -36,21 +37,22 @@ class BasisChange:
         cached = self._images.get(field)
         if cached is not None:
             return cached
-        mono = self.source._mono(field)
-        acc = {(0,) * self.target.m: Fraction(1)}
-        for i, e in enumerate(mono.h):
+        units, x = self.target._units, field & self.source._x_mask
+        # The image of H^a has total degree |a|; while that fits, no sum carries.
+        h = self.source._mono(field).h
+        if sum(h) > _FIELD:
+            raise ShapeError(f"an H degree of {sum(h)} does not fit a {_W}-bit field")
+        acc = {0: Fraction(1)}
+        for i, e in enumerate(h):
             for _ in range(e):
                 nxt = {}
-                for h, c in acc.items():
-                    for lam, f in self._forms[i]:
-                        key = _tinc(h, lam)
-                        nxt[key] = nxt.get(key, 0) + c * f
-                acc = {h: c for h, c in nxt.items() if c}
+                for f, c in acc.items():
+                    for lam, coeff in self._forms[i]:
+                        key = f + units[lam]
+                        nxt[key] = nxt.get(key, 0) + c * coeff
+                acc = {f: c for f, c in nxt.items() if c}
         den = lcm(*(c.denominator for c in acc.values()))
-        pack = self.target._field
-        image = tuple(
-            (pack(h, mono.x), c.numerator * (den // c.denominator)) for h, c in acc.items()
-        )
+        image = tuple((f | x, c.numerator * (den // c.denominator)) for f, c in acc.items())
         self._images[field] = image, den
         return image, den
 

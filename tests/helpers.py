@@ -29,7 +29,7 @@ def one_minus_exp_neg_coefficients(order):
 def cached_leg_products(alg):
     """Every leg product in the algebra's row cache, as its triples of
     ``(delta, power, coeff)``."""
-    return [prods for row in alg._rows.values() for prods in row.values()]
+    return list(alg._rows.values())
 
 
 def preset_file_text(name):

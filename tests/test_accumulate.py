@@ -7,13 +7,14 @@ element operators, and the naive rewriting oracle must agree on the products.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from helpers import naive_mul_tensors
+from helpers import naive_mul_tensors, random_table
 from qtwist import build_context, parse_spec_file, preset
 from qtwist.algebra import Algebra, Monomial, _from_parts
 
@@ -133,3 +134,61 @@ def test_products_shaped_like_the_checks_match_the_oracle(name):
         assert [alg.mul_tensors(a, b) for a, b in pairs] == want
         for (a, b), product in zip(pairs, want):
             assert _summed(alg, 3, [(Q(-5, 7), a, b)]) == product.scale(Q(-5, 7))
+
+
+def _grouped_tensor(rng, alg, legs, powers):
+    """Ten terms whose leg H parts come from a short list, so that terms of
+    one power and one set of H legs often share a leg's H part."""
+    h_parts = [(0,) * alg.m, (1,) + (0,) * (alg.m - 1), (0,) * (alg.m - 1) + (1,)]
+    terms = {}
+    for _ in range(10):
+        monos = tuple(
+            Monomial(rng.choice(h_parts), tuple(rng.randint(0, 1) for _ in range(alg.n)))
+            for _ in range(legs)
+        )
+        terms[(rng.choice(powers), monos)] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+    return alg.tensor_element(legs, terms)
+
+
+def _one_leg_splits(alg, a, b):
+    """The subgroups the product loop forms for pairs within the order that
+    reorder on one leg: the terms of b of one power and one set of H legs,
+    split by the H part of that leg.  Yields ``(size, at the boundary)``."""
+    groups = {}
+    for k2, monos2 in b.terms:
+        h_legs = frozenset(leg for leg, mo in enumerate(monos2) if any(mo.h))
+        groups.setdefault((k2, h_legs), []).append(monos2)
+    for k1, monos1 in a.terms:
+        x_legs = {leg for leg, mo in enumerate(monos1) if any(mo.x)}
+        for (k2, h_legs), members in groups.items():
+            clash = x_legs & h_legs
+            if k1 + k2 <= alg.order and len(clash) == 1:
+                (leg,) = clash
+                for size in Counter(monos2[leg].h for monos2 in members).values():
+                    yield size, k1 + k2 == alg.order
+
+
+@pytest.mark.parametrize("legs", (2, 3))
+def test_grouped_right_operand_matches_the_oracle(legs):
+    """The product loop groups the right operand by power and H legs and
+    splits a one-leg group by that leg's H part.  Over rational tables, with
+    subgroups of two or more terms, mixed denominators and pairs exactly at
+    the truncation order, a Fraction-scaled product added to a non-empty
+    accumulator equals the oracle's.  The left terms come in falling power,
+    so a leg's table built for a high-power term is extended for a lower one."""
+    rng = random.Random(f"grouped/{legs}")
+    for _ in range(3):
+        alg = Algebra(2, 2, 3, random_table(rng, 2, 2, 3, max_terms=3, rational=True))
+        a = _grouped_tensor(rng, alg, legs, (0, 1, 2, 3))
+        a = alg.tensor_element(legs, dict(sorted(a.terms.items(), reverse=True)))
+        b = _grouped_tensor(rng, alg, legs, (0, 1, 3))
+        splits = list(_one_leg_splits(alg, a, b))
+        assert max(size for size, _ in splits) >= 2
+        assert any(edge for _, edge in splits)
+        assert len({c.denominator for c in b.terms.values()}) > 1
+        start = naive_mul_tensors(alg, b, a)
+        acc = {}
+        start.add_into(acc)
+        alg.mul_into(acc, a, b, Q(-7, 4))
+        want = start + naive_mul_tensors(alg, a, b).scale(Q(-7, 4))
+        assert _from_parts(alg, legs, acc) == want

@@ -249,3 +249,30 @@ def test_caches_agree_with_recomputation(poincare4):
     eye = SeriesMatrix.identity(ctx.algebra, 3)
     assert ctx.one_minus_exp_neg2 == eye - ctx.exp_neg2alpha_h
     assert ctx.exp_2alpha_h @ ctx.exp_neg2alpha_h == eye
+
+
+@pytest.mark.parametrize("name", ("poincare-null-plane", "jordanian-borel", "shift-ring(3)"))
+def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
+    """The coproduct of a monomial is that of the monomial without its last
+    generator, from the cache, times the generator's: one product per new
+    cache entry, with the same terms in the same order as the chain of the
+    generators' coproducts multiplied from the left."""
+    ctx = build_context(preset(name).with_order(3))
+    alg, gens = ctx.algebra, ctx._delta_gens
+    ctx._delta_monomial(0)
+    products, real = [], alg.mul_tensors
+    monkeypatch.setattr(alg, "mul_tensors", lambda a, b: products.append(1) or real(a, b))
+    rng = random.Random(f"delta/{name}")
+    for _ in range(12):
+        h = tuple(rng.randint(0, 2) for _ in range(alg.m))
+        x = tuple(rng.randint(0, 2) for _ in range(alg.n))
+        before = len(ctx._delta_cache)
+        products.clear()
+        got = ctx._delta_monomial(alg._field(h, x))
+        assert len(products) == len(ctx._delta_cache) - before
+        chain = alg.tensor_unit(2)
+        for gen, e in enumerate(h + x):
+            for _ in range(e):
+                chain = real(chain, gens[gen])
+        assert got.den == chain.den and list(got.nums.items()) == list(chain.nums.items())
+    assert len(ctx._delta_cache) > alg.m + alg.n

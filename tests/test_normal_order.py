@@ -173,8 +173,9 @@ def test_integer_normal_ordering_matches_oracle_rational_tables():
                 mixed_pairs += free == {True, False}
         for terms, den in list(alg._single_cache.values()) + list(alg._block_cache.values()):
             assert _in_lowest_terms(terms, den)
+        # Cached normal forms are keyed by packed 1-leg keys, the power on top.
         for terms, _ in alg._block_cache.values():
-            powers = [k for k, _, _ in terms]
+            powers = [key >> alg._leg_bits for key in terms]
             assert powers == sorted(powers)
         for legmap in cached_leg_products(alg):
             for _, _, cm in legmap:
