@@ -344,8 +344,9 @@ class Algebra:
         ``H^h1 X^x`` times ``H^h X^x2`` is ``H^h1 (X^x H^h) X^x2``, so each of
         its terms has the field of a block term plus ``h1`` and ``x2``: the
         two fields' sum plus `delta`, the block term's field minus ``a + b``.
-        Returns ``(delta, power, coeff)`` triples in increasing power; a
-        coeff of exactly 1 is None, any other ``(num, den)`` in lowest terms.
+        Returns ``(delta, power, coeff)`` triples, the leading ``(0, 0, None)``
+        of ``H^h X^x`` first, then the rest in increasing power; a coeff of
+        exactly 1 is None, any other ``(num, den)`` in lowest terms.
         A block H exponent that could overflow its field once added raises.
         """
         block, den = self._x_block_past_h(a, b)
@@ -353,11 +354,12 @@ class Algebra:
         for key, v in block.items():
             g = gcd(v, den)
             out.append(((key & mask) - a - b, key >> bits, None if v == den else (v // g, den // g)))
-        return tuple(out)
+        out.remove((0, 0, None))
+        return ((0, 0, None), *out)
 
     # -- products ----------------------------------------------------------------
 
-    def mul_into(self, acc, a, b, scale=1):
+    def mul_into(self, acc, a, b, scale=1, part=None):
         """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
 
         `acc` maps each absolute denominator to a numerator map keyed like
@@ -374,11 +376,25 @@ class Algebra:
         and then to each key of the split.  A pair that reorders on more legs
         combines their rows.  An operand with an exponent of ``2**(_W - 1)``
         or more is refused, so no sum leaves its field.
+
+        A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
+        in the commutative associated graded ring.  `part` "lead" adds only
+        those, as if no pair reordered, so ``lead(a, b) == lead(b, a)``;
+        "corr" adds the rest, leaving out the groups that reorder on no leg,
+        each table's first row and the combination of all legs' first rows
+        (one leg's first row with another's correction stays).  So `verify`
+        sums ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))`` for
+        qybe, and ``lead(R, D - Dop) + corr(R, D) - corr(Dop, R)``, with ``D``
+        the coproduct of a generator, for intertwining.
         """
         order = self.order
         ps, shifts, x_masks, h_masks, guard = self._layout(a.legs)
         if (reduce(or_, a.nums, 0) | reduce(or_, b.nums, 0)) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
+        if part == "lead":
+            # No left term then has an X leg, so every pair adds key1 + key2.
+            x_masks = ()
+        skip = 1 if part == "corr" else 0
         x_mask, h_mask, all_rows = self._x_mask, self._h_mask, self._rows
         # The power fields, so that a product term adds its power in place.
         powers = [k << ps for k in range(order + 1)]
@@ -410,15 +426,15 @@ class Algebra:
             rows = []
             for d, km, cm in prods:
                 if km > room:
-                    return room, rows
+                    return room, tuple(rows)
                 cn, cd = cm or (1, 1)
-                part = acc.setdefault(cd * base_den, {})
-                rows.append(((d << shifts[leg]) + powers[km], km, cn, cd, part))
-            return order, rows
+                rows.append(((d << shifts[leg]) + powers[km], km, cn, cd, acc.setdefault(cd * base_den, {})))
+            return order, tuple(rows)
 
         # The per-call tables, by leg and left X part and then by right H
         # part: ``(reach, rows)``, the rows of the leg products up to power
-        # `reach`, built as far as a use needs them.
+        # `reach`, built as far as a use needs them, as tuples, which
+        # ``rows[skip:]`` does not copy when `skip` is 0.
         tables = {}
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
@@ -440,7 +456,7 @@ class Algebra:
                 for h_legs, terms, splits in groups:
                     clash = x_legs & h_legs
                     if not clash:
-                        for key2, c2 in terms:
+                        for key2, c2 in () if skip else terms:
                             key = key1 + key2
                             out[key] = out.get(key, 0) + c1 * c2
                     elif not clash & (clash - 1):
@@ -456,7 +472,7 @@ class Algebra:
                             reach, shifted = table.get(f2) or (-1, None)
                             if reach < room:
                                 reach, shifted = table[f2] = build(leg, f1, f2, room)
-                            for d, km, cn, _, p in shifted:
+                            for d, km, cn, _, p in shifted[skip:]:
                                 if km > room:
                                     break
                                 d += key1
@@ -481,7 +497,8 @@ class Algebra:
                                     for d, km, cn, cd, _ in shifted
                                     if km <= r
                                 ]
-                            for key, _, c, dd in partial:
+                            # The first row of each leg makes the first combination.
+                            for key, _, c, dd in partial[skip:]:
                                 p = acc.setdefault(dd * base_den, {})
                                 p[key] = p.get(key, 0) + c
 

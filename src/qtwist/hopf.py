@@ -158,9 +158,9 @@ class HopfContext:
     def _delta_monomial(self, field):
         """Coproduct of the monomial with leg field `field`, cached per field.
 
-        It is the coproduct of the monomial without its last generator, in
-        the chain order H by index and then X by index, times that of the
-        generator: one product per entry, associated as the chain from the left.
+        It is the coproduct of the monomial's first generator, in the chain
+        order H by index and then X by index, times that of the rest: one
+        product per entry, which moves one X, not a block, past a series.
         """
         cached = self._delta_cache.get(field)
         if cached is not None:
@@ -169,9 +169,9 @@ class HopfContext:
         if not field:
             t = alg.tensor_unit(2)
         else:
-            # The last generator in chain order holds the bottom non-zero field.
-            gen = alg.m + alg.n - 1 - ((field & -field).bit_length() - 1) // _W
-            t = self._delta_monomial(field - alg._units[gen]) * self._delta_gens[gen]
+            # The first generator in chain order holds the top non-zero field.
+            gen = alg.m + alg.n - 1 - (field.bit_length() - 1) // _W
+            t = self._delta_gens[gen] * self._delta_monomial(field - alg._units[gen])
         self._delta_cache[field] = t
         return t
 

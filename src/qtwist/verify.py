@@ -50,7 +50,8 @@ def _check(name):
     The declaration takes the check's arguments and returns its parts, a
     list or a generator of ``(label, terms)``.  `terms` is a fresh list of
     ``(scale, a)`` and ``(scale, a, b)`` items, which stand for ``scale * a``
-    and ``scale * a * b``; the part's residual is their sum.
+    and ``scale * a * b``, and ``(scale, a, b, part)`` items for a part of
+    that product (see `Algebra.mul_into`); the part's residual is their sum.
     """
 
     def wrap(declare):
@@ -111,13 +112,13 @@ def _residual(ctx, terms):
     return residual if ctx.to_user is None else ctx.to_user(residual)
 
 
-def _accumulate(alg, shape, acc, scale, a, b=None):
-    """Add ``scale * a`` or ``scale * a * b`` to `acc`; operands must fit `shape`."""
+def _accumulate(alg, shape, acc, scale, a, b=None, part=None):
+    """Add ``scale * a``, ``scale * a * b`` or its `part` to `acc`; operands must fit `shape`."""
     shape._check_compat(a)
     if b is None:
         return a._on(alg).add_into(acc, scale)
     shape._check_compat(b)
-    alg.mul_into(acc, a._on(alg), b._on(alg), scale)
+    alg.mul_into(acc, a._on(alg), b._on(alg), scale, part)
 
 
 def _tally(label, residual):
@@ -173,19 +174,28 @@ def check_qybe(ctx, rmat=None):
         for key, v in nums.items():
             slices.setdefault((key >> shift) & x_mask, {}).setdefault(den, {})[key] = v
         del nums
+    # Popped smallest first, so that the largest slices come last, when the
+    # rest of T is gone.
+    slices = sorted(((sum(map(len, s.values())), x, s) for x, s in slices.items()), reverse=True)
     while slices:
-        parts = slices.popitem()[1]
-        # Each part walks all of R23 twice, so it takes slices until it holds
-        # as many terms of T as R23 has, and pairs outweigh that walk.
-        while slices and sum(map(len, parts.values())) < len(r23.nums):
-            for den, nums in slices.popitem()[1].items():
+        size, _, parts = slices.pop()
+        # Each part walks all of R23 three times, so it gathers slices while
+        # it holds no more terms of T than R23 has.
+        while slices and size + slices[-1][0] <= len(r23.nums):
+            more, _, dens = slices.pop()
+            size += more
+            for den, nums in dens.items():
                 parts.setdefault(den, {}).update(nums)
         tc = _from_parts(alg, 3, parts)
-        del parts
         # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
         # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
-        # legs exchanged.
-        yield "yang-baxter", [(1, tc, r23), (-1, r23, tc.permute((0, 2, 1)))]
+        # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
+        # leading parts of T R23 and R23 P23(T) sum to lead(R23, T - P23(T)).
+        tp = tc.permute((0, 2, 1))
+        terms = [(1, r23, tc - tp, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+        # Each operand is released after its last product.
+        del parts, tc, tp
+        yield "yang-baxter", terms
 
 
 @_check("triangularity")
@@ -200,8 +210,11 @@ def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
     r = ctx.universal_r if rmat is None else rmat
     for name, g in _generators(ctx):
+        # As in qybe, the leading parts cancel but for lead(R, delta - op),
+        # which is empty for an H, whose coproduct is symmetric.
         delta = ctx.coproduct(g)
-        yield name, [(1, r, delta), (-1, delta.swap(), r)]
+        op = delta.swap()
+        yield name, [(1, r, delta - op, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
 
 
 @_check("hopf-axioms")

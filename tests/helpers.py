@@ -17,6 +17,7 @@ from qtwist import AlgebraSpec, build_context, preset
 from qtwist.algebra import Algebra, Monomial, SeriesMatrix, _from_parts, format_term
 from qtwist.errors import ShapeError, SingularMatrixError
 from qtwist.linalg import inverse
+from qtwist.verify import _generators
 
 Q = Fraction
 
@@ -348,6 +349,42 @@ def unsliced_qybe(ctx, rmat=None):
     key, coeff = min(residual.terms.items())
     term = format_term(key, coeff, ctx.spec.h_names, ctx.spec.x_names)
     return residual, f"yang-baxter: {term}", keys
+
+
+def unsplit_intertwining(ctx, rmat=None):
+    """The intertwining residuals ``R Δ(g) - Δ^op(g) R``, each of two full products.
+
+    The reference for `check_intertwine`, which adds the leading part of the
+    two products once and their reorder corrections.  On a lifted twin the
+    generators are the images of the user's and each residual is mapped back
+    to the user's basis.  Returns ``(terms, witness)`` as the check reports
+    them: the witness is the smallest surviving term, then the generator's
+    name, or None.
+    """
+    r = ctx.universal_r if rmat is None else rmat
+    count, best = 0, None
+    for name, g in _generators(ctx):
+        delta = ctx.coproduct(g)
+        residual = r * delta - delta.swap() * r
+        if ctx.to_user is not None:
+            residual = ctx.to_user(residual)
+        count += len(residual.nums)
+        if not residual.is_zero():
+            key, coeff = min(residual.terms.items())
+            if best is None or (key, name) < best[:2]:
+                best = key, name, coeff
+    if best is None:
+        return count, None
+    key, name, coeff = best
+    return count, f"{name}: {format_term(key, coeff, ctx.spec.h_names, ctx.spec.x_names)}"
+
+
+def r_mutants(ctx, seed, count=4):
+    """`count` copies of R, each with one seeded term below the top power
+    raised by 1 (a term at the top power drops out of every product)."""
+    rng = random.Random(seed)
+    keys = [key for key in sorted(ctx.universal_r.terms) if key[0] < ctx.algebra.order]
+    return [mutate_tensor(ctx.algebra, ctx.universal_r, rng.choice(keys)) for _ in range(count)]
 
 
 def mutate_tensor(alg, tensor, key, delta=Q(1)):

@@ -253,10 +253,10 @@ def test_caches_agree_with_recomputation(poincare4):
 
 @pytest.mark.parametrize("name", ("poincare-null-plane", "jordanian-borel", "shift-ring(3)"))
 def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
-    """The coproduct of a monomial is that of the monomial without its last
-    generator, from the cache, times the generator's: one product per new
-    cache entry, with the same terms in the same order as the chain of the
-    generators' coproducts multiplied from the left."""
+    """The coproduct of a monomial is that of its first generator times that
+    of the rest, from the cache: one product per new cache entry, equal to
+    the chain of the generators' coproducts multiplied from the left, with
+    the terms in the order of the chain multiplied from the right."""
     ctx = build_context(preset(name).with_order(3))
     alg, gens = ctx.algebra, ctx._delta_gens
     ctx._delta_monomial(0)
@@ -270,9 +270,12 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
         products.clear()
         got = ctx._delta_monomial(alg._field(h, x))
         assert len(products) == len(ctx._delta_cache) - before
-        chain = alg.tensor_unit(2)
-        for gen, e in enumerate(h + x):
-            for _ in range(e):
-                chain = real(chain, gens[gen])
-        assert got.den == chain.den and list(got.nums.items()) == list(chain.nums.items())
+        chain = [gen for gen, e in enumerate(h + x) for _ in range(e)]
+        left = right = alg.tensor_unit(2)
+        for gen in chain:
+            left = real(left, gens[gen])
+        for gen in reversed(chain):
+            right = real(gens[gen], right)
+        assert got == left
+        assert got.den == right.den and list(got.nums.items()) == list(right.nums.items())
     assert len(ctx._delta_cache) > alg.m + alg.n

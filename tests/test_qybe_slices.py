@@ -1,32 +1,24 @@
 """check_qybe sums the Yang-Baxter residual in parts made of slices of R12 R13.
 
 A slice holds the terms of ``T = R12 R13`` whose leg-0 monomials share their
-X exponents; a part holds whole slices.  The reference is the unsliced residual, ``R12 R13 R23 -
-R23 R13 R12`` summed whole in one accumulator (`helpers.unsliced_qybe`): the
+X exponents; a part holds whole slices, and adds the leading part of its two
+products once, ``lead(R23, T - P23(T))``, and their reorder corrections.
+The reference is the unsliced residual, ``R12 R13 R23 - R23 R13 R12``, of
+two full products summed whole in one accumulator (`helpers.unsliced_qybe`): the
 count and the witness of the check must match it for seeded mutants of R on
 three presets, and on a rotated spec through `run_suite`, where the residual
 is mapped back to the user's basis.  The direct path of
 `tests/test_transport.py` runs the same slicing, so it is no oracle for it.
 """
 
-import random
-
 import pytest
 
-from helpers import cached_context, mutate_tensor, rotated_null_plane_specs, unsliced_qybe
+from helpers import cached_context, r_mutants, rotated_null_plane_specs, unsliced_qybe
 from qtwist import algebra, build_context, verify
 from qtwist.algebra import Algebra
 from qtwist.verify import check_qybe, run_suite
 
 CASES = (("poincare-null-plane", 3), ("jordanian-borel", 4), ("shift-ring(3)", 3))
-
-
-def _mutants(ctx, seed, count=4):
-    """`count` copies of R, each with one seeded term below the top power
-    raised by 1 (a term at the top power drops out of every product)."""
-    rng = random.Random(seed)
-    keys = [key for key in sorted(ctx.universal_r.terms) if key[0] < ctx.algebra.order]
-    return [mutate_tensor(ctx.algebra, ctx.universal_r, rng.choice(keys)) for _ in range(count)]
 
 
 def _parts_hit(monkeypatch):
@@ -49,7 +41,7 @@ def test_sliced_qybe_matches_the_unsliced_residual_on_rmat_mutants(name, order, 
     assert check_qybe(ctx).passed
     assert unsliced_qybe(ctx)[1] is None
     spread = 0
-    for rmat in _mutants(ctx, f"qybe/{name}/{order}"):
+    for rmat in r_mutants(ctx, f"qybe/{name}/{order}"):
         hit = _parts_hit(monkeypatch)
         result = check_qybe(ctx, rmat=rmat)
         residual, witness, _ = unsliced_qybe(ctx, rmat)
@@ -66,13 +58,28 @@ def test_sliced_qybe_matches_the_unsliced_residual_in_the_users_basis(monkeypatc
     twin = ctx.lifted
     assert twin is not ctx
     spread = 0
-    for rmat in _mutants(ctx, "qybe/rotated-null-plane/3"):
+    for rmat in r_mutants(ctx, "qybe/rotated-null-plane/3"):
         hit = _parts_hit(monkeypatch)
         (result,) = run_suite(ctx, "ybe", rmat=rmat).results
         residual, witness, _ = unsliced_qybe(twin, twin.from_user(rmat))
         assert (result.residual_terms, result.witness) == (len(residual.nums), witness)
         spread = max(spread, sum(hit))
     assert spread > 1
+
+
+def _split_keys(ctx):
+    """The accumulator keys of the residual as `check_qybe` splits it, but
+    summed whole: ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))``
+    for all of ``T = R12 R13``."""
+    r = ctx.universal_r
+    alg, r23 = r.algebra, r.embed(3, (1, 2))
+    t = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+    tp = t.permute((0, 2, 1))
+    acc = {}
+    alg.mul_into(acc, r23, t - tp, 1, "lead")
+    alg.mul_into(acc, t, r23, 1, "corr")
+    alg.mul_into(acc, r23, tp, -1, "corr")
+    return sum(map(len, acc.values()))
 
 
 def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
@@ -86,8 +93,8 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
         sizes.append(0)
         return residual(ctx, terms)
 
-    def counted_mul_into(self, acc, a, b, scale=1):
-        mul_into(self, acc, a, b, scale)
+    def counted_mul_into(self, acc, a, b, scale=1, part=None):
+        mul_into(self, acc, a, b, scale, part)
         # R12 R13 is formed before the first part; it is no residual.
         if sizes:
             sizes[-1] = max(sizes[-1], sum(map(len, acc.values())))
@@ -96,7 +103,7 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     monkeypatch.setattr(Algebra, "mul_into", counted_mul_into)
     assert check_qybe(ctx).passed
     monkeypatch.undo()
-    keys = unsliced_qybe(ctx)[2]
+    keys = _split_keys(ctx)
     # The parts split the accumulator's keys between them, none shared.
     assert sum(sizes) == keys
     assert len(sizes) > 1

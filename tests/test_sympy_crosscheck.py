@@ -189,3 +189,23 @@ def test_tensor_products_match_sympy_on_every_number_of_reordering_legs(name, or
             corrected += count == 1 and len(got.nums) > 1
     # Some reordering leg picked up a bracket correction.
     assert corrected
+
+
+@pytest.mark.parametrize("name", ("jordanian-borel", "poincare-null-plane", "shift-ring(3)"))
+def test_coproducts_of_words_match_sympy_products_of_generator_coproducts(name):
+    """Δ is an algebra map, so the coproduct of a normal-ordered word is the
+    product of its letters' coproducts in word order, each leg's product
+    normal-ordered by the oracle.  The engine builds a monomial's coproduct
+    in an association of its own, which the oracle knows nothing of."""
+    ctx = build_context(preset(name).with_order(2))
+    alg = ctx.algebra
+    gens = [ctx.coproduct(alg.h(i)) for i in range(alg.m)]
+    gens += [ctx.coproduct(alg.x(mu)) for mu in range(alg.n)]
+    rng = random.Random(f"sympy/coproduct/{name}")
+    for _ in range(4):
+        word = [(rng.randrange(alg.m + alg.n), rng.randint(0, 1)) for _ in range(3)]
+        want = alg.tensor_unit(2)
+        for gid, power in word:
+            letter = {(k + power, monos): c for (k, monos), c in gens[gid].terms.items()}
+            want = alg.tensor_element(2, _sympy_product(alg, want, alg.tensor_element(2, letter)))
+        assert ctx.coproduct(alg.from_word(word)) == want, word
