@@ -60,6 +60,16 @@ class Monomial(NamedTuple):
     def is_pure_h(self):
         return not any(self.x)
 
+    def peel(self):
+        """``(i, rest)`` with ``self == g_i * rest``, `g_i` the first generator present
+        in the chain ``H_0..H_{m-1}, X_0..X_{n-1}``; None for the unit."""
+        exps = self.h + self.x
+        i = next((i for i, e in enumerate(exps) if e), None)
+        if i is None:
+            return None
+        rest, m = exps[:i] + (exps[i] - 1,) + exps[i + 1 :], len(self.h)
+        return i, Monomial(rest[:m], rest[m:])
+
 
 class Algebra:
     """Carrier for truncated deformed arithmetic.
@@ -75,6 +85,8 @@ class Algebra:
     order is thus that of ``(power, [Monomial, ...])``, and the layout
     depends only on ``(m, n)`` and the number of legs (`_layout`).  Packing
     is linear: a product's key is the sum of its factors' plus a correction.
+    No other module reads keys: they map legs through `substitute_leg` and
+    `split_by_x`, and read terms through `decode` and `first_term`.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
     `_int_table` holds each bracket as such keys mapped to integer
@@ -507,6 +519,62 @@ class Algebra:
         self.mul_into(acc, a, b)
         return _from_parts(self, a.legs, acc)
 
+    def split_by_x(self, acc, legs, leg):
+        """Empty `acc`, a `mul_into` accumulator of `legs`-leg terms, into one per X part of `leg`.
+
+        Returns ``{x: acc_x}``, `x` an int ordered as the X part.  One
+        denominator at a time is taken apart, so no term is held twice.
+        """
+        shift, slices = self._layout(legs)[1][leg], {}
+        while acc:
+            den, nums = acc.popitem()
+            for key, v in nums.items():
+                slices.setdefault((key >> shift) & self._x_mask, {}).setdefault(den, {})[key] = v
+        return slices
+
+    # -- leg maps --------------------------------------------------------------
+
+    def substitute_leg(self, tensor, leg, image, width):
+        """Replace the monomial on `leg` with ``image(monomial)``, a `width`-leg tensor.
+
+        The image's legs take the place of `leg`, powers add, and terms above
+        the order are dropped.  The coproduct (width 2) and a change of H
+        basis (width 1) are this loop; `image` is called once per monomial.
+        """
+        if not 0 <= leg < tensor.legs:
+            raise ShapeError("leg out of range")
+        tensor = tensor._on(self)
+        order, bits = self.order, self._leg_bits
+        ps, shifts = self._layout(tensor.legs)[:2]
+        wide_ps, img_ps = self._layout(tensor.legs + width - 1)[0], self._layout(width)[0]
+        s = shifts[leg]
+        low, img_mask = (1 << s) - 1, (1 << img_ps) - 1
+        # Numerator sums keyed by their denominator, the tensor's times that
+        # of the images they came from; merged over the lcm at the end.  An
+        # image's terms are kept as (power, shifted part, numerator): the
+        # part holds the power and puts the image's legs into place.
+        parts, images = {}, {}
+        for key, c in tensor.nums.items():
+            f = (key >> s) & self._leg_mask
+            cached = images.get(f)
+            if cached is None:
+                img = image(self._mono(f))
+                cached = images[f] = img.den * tensor.den, [
+                    (dk >> img_ps, (dk >> img_ps << wide_ps) + ((dk & img_mask) << s), dc)
+                    for dk, dc in img.nums.items()
+                ]
+            den, terms = cached
+            out = parts.setdefault(den, {})
+            k = key >> ps
+            # The power and the legs before `leg` move up by `width - 1` legs;
+            # the legs after it stay.
+            base = (key >> (s + bits)) << (s + width * bits) | (key & low)
+            for dk, part, dc in terms:
+                if k + dk <= order:
+                    nk = base + part
+                    out[nk] = out.get(nk, 0) + c * dc
+        return _from_parts(self, tensor.legs + width - 1, parts)
+
 
 class TensorElement:
     """Sparse element of a tensor power of the algebra, one monomial per leg.
@@ -611,6 +679,13 @@ class TensorElement:
     def valuation(self):
         """Smallest deformation power present, or None for zero: that of the smallest key."""
         return min(self.nums) >> self.algebra._layout(self.legs)[0] if self.nums else None
+
+    def first_term(self):
+        """The smallest term, ``((power, (Monomial, ...)), Fraction)``, or None for zero."""
+        if not self.nums:
+            return None
+        key = min(self.nums)
+        return self.algebra.decode(key, self.legs), Q(self.nums[key], self.den)
 
     def unit_series(self):
         """Coefficients of the unit monomial, keyed by deformation power."""
@@ -735,8 +810,7 @@ def _from_parts(algebra, legs, parts):
 
 def _table_entry(el):
     """A 1-leg element as a bracket-table entry, ``{(power, Monomial): Fraction}``."""
-    terms = ((el.algebra.decode(key, 1), v) for key, v in el.nums.items())
-    return {(k, mono): Q(v, el.den) for (k, (mono,)), v in terms}
+    return {(k, mono): c for (k, (mono,)), c in el.terms.items()}
 
 
 Element = TensorElement

@@ -187,11 +187,9 @@ def cmd_expand(args, parser, out):
         obj = {f"K{mu + 1}": k for mu, k in enumerate(ks)}
     elif expr.startswith("coproduct:"):
         gen = expr.split(":", 1)[1]
-        gens = ctx.generator_elements()
+        gens = dict(ctx.generator_elements())
         if gen not in gens:
-            parser.error(
-                f"unknown generator {gen!r}; choose from {', '.join(gens)}"
-            )
+            parser.error(f"unknown generator {gen!r}; choose from {', '.join(gens)}")
         obj = ctx.coproduct(gens[gen])
     else:
         parser.error(f"unknown expression {expr!r}")

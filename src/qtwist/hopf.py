@@ -5,6 +5,8 @@ generators through the group-like matrix ``e^{2 alpha.H}``.  Conjugating it
 by the twist ``Phi = exp(h r^{i,mu} H_i (x) X_mu)`` recovers a primitive
 coproduct on the classical basis, and ``R = swap(Phi) * Phi^{-1}`` is the
 universal R-matrix.  All outputs live at the context's truncation order.
+The coproduct of a tensor leg is `Algebra.substitute_leg` with the cached
+coproduct of each monomial, so no key layout is read here.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .algebra import (
     Algebra,
     Monomial,
     SeriesMatrix,
-    _W,
-    _from_parts,
     _table_entry,
     exp_coefficients,
     exp_truncated,
@@ -155,25 +155,23 @@ class HopfContext:
             out.append(t)
         return tuple(out)
 
-    def _delta_monomial(self, field):
-        """Coproduct of the monomial with leg field `field`, cached per field.
+    def _delta_monomial(self, mono):
+        """Coproduct of the monomial `mono`, cached per monomial.
 
         It is the coproduct of the monomial's first generator, in the chain
         order H by index and then X by index, times that of the rest: one
         product per entry, which moves one X, not a block, past a series.
         """
-        cached = self._delta_cache.get(field)
-        if cached is not None:
-            return cached
-        alg = self.algebra
-        if not field:
-            t = alg.tensor_unit(2)
-        else:
-            # The first generator in chain order holds the top non-zero field.
-            gen = alg.m + alg.n - 1 - (field.bit_length() - 1) // _W
-            t = self._delta_gens[gen] * self._delta_monomial(field - alg._units[gen])
-        self._delta_cache[field] = t
-        return t
+        cached = self._delta_cache.get(mono)
+        if cached is None:
+            peeled = mono.peel()
+            if peeled is None:
+                cached = self.algebra.tensor_unit(2)
+            else:
+                gen, rest = peeled
+                cached = self._delta_gens[gen] * self._delta_monomial(rest)
+            self._delta_cache[mono] = cached
+        return cached
 
     def coproduct(self, a):
         """Deformed coproduct, extended from the generators as an algebra map."""
@@ -181,40 +179,7 @@ class HopfContext:
 
     def coproduct_on_leg(self, tensor, leg):
         """Apply the coproduct to one leg, widening the tensor by a leg."""
-        if not 0 <= leg < tensor.legs:
-            raise ShapeError("leg out of range")
-        alg = self.algebra
-        tensor = tensor._on(alg)
-        order, bits = alg.order, alg._leg_bits
-        ps, shifts = alg._layout(tensor.legs)[:2]
-        wide_ps, pair_ps = alg._layout(tensor.legs + 1)[0], alg._layout(2)[0]
-        s = shifts[leg]
-        low, pair_mask = (1 << s) - 1, (1 << pair_ps) - 1
-        # Numerator sums keyed by their denominator, the tensor's times that
-        # of the coproduct images they came from; merged over the lcm at the
-        # end.  An image's terms are kept as (power, shifted part, numerator):
-        # the part holds the power and puts the pair of legs into place.
-        parts, images = {}, {}
-        for key, c in tensor.nums.items():
-            f = (key >> s) & alg._leg_mask
-            image = images.get(f)
-            if image is None:
-                delta = self._delta_monomial(f)
-                image = images[f] = delta.den * tensor.den, [
-                    (dk >> pair_ps, (dk >> pair_ps << wide_ps) + ((dk & pair_mask) << s), dc)
-                    for dk, dc in delta.nums.items()
-                ]
-            den, terms = image
-            out = parts.setdefault(den, {})
-            k = key >> ps
-            # The power and the legs before `leg` move up by one leg; the
-            # legs after it stay.
-            base = (key >> (s + bits)) << (s + 2 * bits) | (key & low)
-            for dk, part, dc in terms:
-                if k + dk <= order:
-                    nk = base + part
-                    out[nk] = out.get(nk, 0) + c * dc
-        return _from_parts(alg, tensor.legs + 1, parts)
+        return self.algebra.substitute_leg(tensor, leg, self._delta_monomial, 2)
 
     def counit_on_leg(self, tensor, leg):
         return tensor.strip_unit_leg(leg)
@@ -258,13 +223,8 @@ class HopfContext:
 
     def lifted_h(self, mu):
         """H with a raised index: h * sum_i r[i][mu] H_i."""
-        alg = self.algebra
-        terms = {}
-        for i in range(self.spec.m):
-            c = self.spec.r[i][mu]
-            if c:
-                terms[(1, Monomial.h_gen(self.spec.m, self.spec.n, i))] = c
-        return alg.element(terms)
+        m, n, r = self.spec.m, self.spec.n, self.spec.r
+        return self.algebra.element({(1, Monomial.h_gen(m, n, i)): r[i][mu] for i in range(m)})
 
     def classical_K(self, xi):
         """Classical basis: K^mu = xi^nu (I - e^{-2 alpha.H})^mu_nu."""
@@ -303,11 +263,11 @@ class HopfContext:
         return tuple(out)
 
     def generator_elements(self):
-        """All generators as elements, keyed by display name."""
-        alg = self.algebra
-        out = {}
-        for i, name in enumerate(self.spec.h_names):
-            out[name] = alg.h(i)
-        for mu, name in enumerate(self.spec.x_names):
-            out[name] = alg.x(mu)
-        return out
+        """The spec's generators as ``(name, element)`` pairs, H then X.
+
+        On a lifted twin the H generators are the images of the user's.
+        """
+        alg, user = self.algebra, self.from_user
+        hs = [alg.h(i) if user is None else user(user.source.h(i)) for i in range(self.spec.m)]
+        xs = [alg.x(mu) for mu in range(self.spec.n)]
+        return list(zip(self.spec.h_names, hs)) + list(zip(self.spec.x_names, xs))

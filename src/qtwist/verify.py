@@ -123,26 +123,11 @@ def _accumulate(alg, shape, acc, scale, a, b=None, part=None):
 
 def _tally(label, residual):
     """The number of terms of a part's residual and its witness candidate."""
-    if residual is None or residual.is_zero():
+    first = None if residual is None else residual.first_term()
+    if first is None:
         return 0, None
-    # Packed keys order as (power, monomials) do, so the smallest is the witness.
-    key = min(residual.nums)
-    k, monos = residual.algebra.decode(key, residual.legs)
-    coeff = Q(residual.nums[key], residual.den)
+    (k, monos), coeff = first
     return len(residual.nums), (((k, len(monos), monos), label), (k, monos), coeff)
-
-
-def _generators(ctx):
-    """The spec's generators by name; on a lifted twin, the images of the user's."""
-    alg = ctx.algebra
-    if ctx.from_user is None:
-        hs = [alg.h(i) for i in range(ctx.spec.m)]
-    else:
-        user = ctx.from_user.source
-        hs = [ctx.from_user(user.h(i)) for i in range(ctx.spec.m)]
-    gens = list(zip(ctx.spec.h_names, hs))
-    gens += [(name, alg.x(mu)) for mu, name in enumerate(ctx.spec.x_names)]
-    return gens
 
 
 @_check("twist-equation")
@@ -167,13 +152,7 @@ def check_qybe(ctx, rmat=None):
     # change of H basis fixes every X, so they stay disjoint in the user's
     # basis.  T's accumulator is split as it stands, one denominator at a
     # time, so T is never merged or held whole.
-    shift, x_mask = alg._layout(3)[1][0], alg._layout(1)[2][0]
-    slices = {}
-    while acc:
-        den, nums = acc.popitem()
-        for key, v in nums.items():
-            slices.setdefault((key >> shift) & x_mask, {}).setdefault(den, {})[key] = v
-        del nums
+    slices = alg.split_by_x(acc, 3, 0)
     # Popped smallest first, so that the largest slices come last, when the
     # rest of T is gone.
     slices = sorted(((sum(map(len, s.values())), x, s) for x, s in slices.items()), reverse=True)
@@ -209,7 +188,7 @@ def check_triangularity(ctx, rmat=None):
 def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
     r = ctx.universal_r if rmat is None else rmat
-    for name, g in _generators(ctx):
+    for name, g in ctx.generator_elements():
         # As in qybe, the leading parts cancel but for lead(R, delta - op),
         # which is empty for an H, whose coproduct is symmetric.
         delta = ctx.coproduct(g)
@@ -222,7 +201,7 @@ def check_hopf_axioms(ctx, phi=None):
     """Coassociativity, counit axioms, and counitality/invertibility of the twist."""
     alg = ctx.algebra
     p = ctx.phi if phi is None else phi
-    for name, g in _generators(ctx):
+    for name, g in ctx.generator_elements():
         delta = ctx.coproduct(g)
         coassoc = [(1, ctx.coproduct_on_leg(delta, 0)), (-1, ctx.coproduct_on_leg(delta, 1))]
         yield f"coassociativity {name}", coassoc

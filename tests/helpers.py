@@ -17,7 +17,6 @@ from qtwist import AlgebraSpec, build_context, preset
 from qtwist.algebra import Algebra, Monomial, SeriesMatrix, _from_parts, format_term
 from qtwist.errors import ShapeError, SingularMatrixError
 from qtwist.linalg import inverse
-from qtwist.verify import _generators
 
 Q = Fraction
 
@@ -363,7 +362,7 @@ def unsplit_intertwining(ctx, rmat=None):
     """
     r = ctx.universal_r if rmat is None else rmat
     count, best = 0, None
-    for name, g in _generators(ctx):
+    for name, g in ctx.generator_elements():
         delta = ctx.coproduct(g)
         residual = r * delta - delta.swap() * r
         if ctx.to_user is not None:

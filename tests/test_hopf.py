@@ -259,7 +259,7 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
     the terms in the order of the chain multiplied from the right."""
     ctx = build_context(preset(name).with_order(3))
     alg, gens = ctx.algebra, ctx._delta_gens
-    ctx._delta_monomial(0)
+    ctx._delta_monomial(Monomial.unit(alg.m, alg.n))
     products, real = [], alg.mul_tensors
     monkeypatch.setattr(alg, "mul_tensors", lambda a, b: products.append(1) or real(a, b))
     rng = random.Random(f"delta/{name}")
@@ -268,7 +268,7 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
         x = tuple(rng.randint(0, 2) for _ in range(alg.n))
         before = len(ctx._delta_cache)
         products.clear()
-        got = ctx._delta_monomial(alg._field(h, x))
+        got = ctx._delta_monomial(Monomial(h, x))
         assert len(products) == len(ctx._delta_cache) - before
         chain = [gen for gen, e in enumerate(h + x) for _ in range(e)]
         left = right = alg.tensor_unit(2)

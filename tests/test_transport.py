@@ -19,6 +19,7 @@ from helpers import cached_context, mutate_tensor, rotated_specs, stale_context
 from qtwist import build_context
 from qtwist.algebra import Monomial
 from qtwist.cli import render_report_machine
+from qtwist.errors import ShapeError
 from qtwist.verify import (
     CheckReport,
     check_alpha_exchange,
@@ -134,3 +135,16 @@ def test_twin_has_r_identity_and_the_images_of_phi_and_r():
             assert lhs == fa * fb - fb * fa
     el = ctx.algebra.element({(1, Monomial((2, 0, 1), (0, 1, 0))): 3})
     assert twin.to_user(twin.from_user(el)) == el
+
+
+@pytest.mark.parametrize("h", ((64, 65, 0), (100, 100, 55), (200, 100, 0)))
+def test_a_basis_change_refuses_an_h_degree_its_image_cannot_hold(h):
+    """Under this dense rotation the image of each of these H monomials, of
+    degree d, holds ``H'_1^d``.  Images are built one H factor at a time by
+    products, which refuse an operand with an exponent of 128 or more, so a
+    degree of 129 or more raises ShapeError before any key can wrap, even
+    where every exponent of the monomial itself fits its field."""
+    ctx = _contexts("poincare-null-plane", 2)[0]
+    el = ctx.algebra.element({(0, Monomial(h, (1, 0, 0))): 1})
+    with pytest.raises(ShapeError, match="exponent of 128 or more"):
+        ctx.lifted.from_user(el)
