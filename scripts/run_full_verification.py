@@ -5,7 +5,9 @@ Also runs a null-plane spec rotated into a dense H basis (r != I), read from
 ``tests/data/rotated-null-plane.json``.  After each run it prints the run's
 wall time, its process CPU time (user plus system, which drifts less than
 wall time on a shared machine) and the peak RSS of the process so far; the
-runs go up in order, so the log shows memory by order.  Exit status is nonzero if any check fails
+runs go up in order, so the log shows memory by order.  It also prints the
+generator relabelling whose orbits qybe and intertwining evaluated once, or
+``none`` when they summed every part.  Exit status is nonzero if any check fails
 anywhere, or if the peak RSS after null-plane N=7 is over
 `N7_PEAK_LIMIT_MB`.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from qtwist import build_context, parse_spec_file, preset, validate_spec
 from qtwist.cli import render_report_text, render_validation_text
-from qtwist.verify import run_suite
+from qtwist.verify import orbit_symmetry, run_suite
 
 ROTATED = Path(__file__).resolve().parents[1] / "tests" / "data" / "rotated-null-plane.json"
 
@@ -33,9 +35,9 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
-# Peak RSS bound in MB after null-plane N=7, which peaks near 270 MB with the
-# Yang-Baxter residual summed slice by slice, and near 480 MB when it is
-# summed whole.
+# Peak RSS bound in MB after null-plane N=7, which peaked at 96-98 MB with the
+# Yang-Baxter residual summed slice by slice, and at 93 MB once qybe sums one
+# slice per orbit of a symmetry of the spec.
 N7_PEAK_LIMIT_MB = 400
 
 
@@ -53,7 +55,8 @@ def main():
         validation = validate_spec(spec)
         sys.stdout.write(render_validation_text(validation))
         ok &= validation.passed
-        report = run_suite(build_context(spec), suite)
+        ctx = build_context(spec)
+        report = run_suite(ctx, suite)
         sys.stdout.write(render_report_text(report))
         # ru_maxrss is in KiB on Linux.
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -62,6 +65,8 @@ def main():
             f"run {spec.name} N={order} {suite}: {wall:.2f} s wall, {cpu:.2f} s CPU, "
             f"peak RSS so far {peak:.0f} MB"
         )
+        # The product checks run on the lifted twin, where the symmetry is sought.
+        print(f"symmetry used by qybe and intertwining: {orbit_symmetry(ctx.lifted.universal_r) or 'none'}")
         if (source, order) == ("poincare-null-plane", 7) and peak > N7_PEAK_LIMIT_MB:
             print(f"peak RSS {peak:.0f} MB is over the {N7_PEAK_LIMIT_MB} MB bound for this run")
             ok = False

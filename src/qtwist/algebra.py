@@ -20,7 +20,8 @@ associative by confluence.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import islice, permutations
 from math import factorial, gcd, lcm
 from operator import or_
 from typing import NamedTuple
@@ -85,8 +86,9 @@ class Algebra:
     order is thus that of ``(power, [Monomial, ...])``, and the layout
     depends only on ``(m, n)`` and the number of legs (`_layout`).  Packing
     is linear: a product's key is the sum of its factors' plus a correction.
-    No other module reads keys: they map legs through `substitute_leg` and
-    `split_by_x`, and read terms through `decode` and `first_term`.
+    No other module reads keys: they map legs through `substitute_leg`,
+    `split_by_x` and `relabel`, and read terms through `decode` and
+    `first_term`.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
     `_int_table` holds each bracket as such keys mapped to integer
@@ -136,7 +138,7 @@ class Algebra:
                     for (k, mono), c in entry.items()
                 }, den
         self._layouts, self._monos, self._rows = {}, {}, {}
-        self._single_cache, self._block_cache = {}, {}
+        self._single_cache, self._block_cache, self._relabels = {}, {}, {}
 
     def bracket(self, j, mu):
         """Terms of [H_j, X_mu]."""
@@ -519,20 +521,64 @@ class Algebra:
         self.mul_into(acc, a, b)
         return _from_parts(self, a.legs, acc)
 
-    def split_by_x(self, acc, legs, leg):
+    def split_by_x(self, acc, legs, leg, perm=None):
         """Empty `acc`, a `mul_into` accumulator of `legs`-leg terms, into one per X part of `leg`.
 
-        Returns ``{x: acc_x}``, `x` an int ordered as the X part.  One
-        denominator at a time is taken apart, so no term is held twice.
+        Returns ``{x: (size, acc_x)}``, `x` an int ordered as the X part.
+        With a relabelling `perm`, the terms of an X part other than the
+        smallest of its orbit under `perm` are dropped, and `size` is the
+        orbit's size; without, `size` is 1.  One denominator at a time is
+        taken apart, so no term is held twice.
         """
-        shift, slices = self._layout(legs)[1][leg], {}
+        shift, slices, sizes = self._layout(legs)[1][leg], {}, {}
         while acc:
             den, nums = acc.popitem()
             for key, v in nums.items():
-                slices.setdefault((key >> shift) & self._x_mask, {}).setdefault(den, {})[key] = v
+                x = (key >> shift) & self._x_mask
+                size = sizes.get(x)
+                if size is None:
+                    orbit, y = [x], x
+                    while perm and (y := self._relabel_field(y, perm)) != x:
+                        orbit.append(y)
+                    size = sizes[x] = len(orbit) if x == min(orbit) else 0
+                if size:
+                    slices.setdefault(x, (size, {}))[1].setdefault(den, {})[key] = v
         return slices
 
     # -- leg maps --------------------------------------------------------------
+
+    @cached_property
+    def symmetries(self):
+        """The permutations but the identity under which `relabel` maps the bracket
+        table onto itself, so each an automorphism; searched when ``m == n <= 6``."""
+        if self.m != self.n or self.m > 6:
+            return ()
+        table = {jm: _wrap(self, 1, *entry) for jm, entry in self._int_table.items()}
+        return tuple(
+            p
+            for p in islice(permutations(range(self.m)), 1, None)
+            if all(self.relabel(entry, p) == table[p[j], p[mu]] for (j, mu), entry in table.items())
+        )
+
+    def relabel(self, tensor, perm):
+        """The image of `tensor` under ``H_i -> H_perm[i]``, ``X_i -> X_perm[i]`` on every leg."""
+        tensor, low = tensor._on(self), self._leg_mask
+        ps, shifts = self._layout(tensor.legs)[:2]
+        nums, field = {}, self._relabel_field
+        for key, v in tensor.nums.items():
+            new = key >> ps << ps
+            for s in shifts:
+                new |= field(key >> s & low, perm) << s
+            nums[new] = v
+        return _wrap(self, tensor.legs, nums, tensor.den)
+
+    def _relabel_field(self, field, perm):
+        """The leg field of the relabelled monomial, cached per `perm` and field."""
+        cache = self._relabels.setdefault(perm, {})
+        if field not in cache:
+            inv = [perm.index(i) for i in range(self.m)]
+            cache[field] = self._field(*(tuple(e[i] for i in inv) for e in self._mono(field)))
+        return cache[field]
 
     def substitute_leg(self, tensor, leg, image, width):
         """Replace the monomial on `leg` with ``image(monomial)``, a `width`-leg tensor.

@@ -48,7 +48,8 @@ def _check(name):
     """Make a check named `name` from a declaration of its residual.
 
     The declaration takes the check's arguments and returns its parts, a
-    list or a generator of ``(label, terms)``.  `terms` is a fresh list of
+    list or a generator of ``(label, terms)``, or of ``(label, terms, perm,
+    labels)`` for an orbit (see `_finish`).  `terms` is a fresh list of
     ``(scale, a)`` and ``(scale, a, b)`` items, which stand for ``scale * a``
     and ``scale * a * b``, and ``(scale, a, b, part)`` items for a part of
     that product (see `Algebra.mul_into`); the part's residual is their sum.
@@ -72,13 +73,23 @@ def _finish(name, ctx, parts, t0):
     back to the user's context on a lifted twin, counted and searched for the
     witness, and dropped before the next part is built.  The witness is the
     smallest surviving term by power, leg count and monomials, then label.
+    A part ``(label, terms, perm, labels)`` also stands for the parts whose
+    residuals are its own relabelled by `perm` once, twice, and so on (see
+    `Algebra.relabel`), one for each of `labels`, which names them.
     """
     count, best = 0, None
-    for label, terms in parts:
-        terms_left, cand = _tally(label, _residual(ctx, terms))
-        count += terms_left
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = cand
+    for label, terms, *images in parts:
+        perm, labels = images or (None, ())
+        residual = _residual(terms)
+        for i, label in enumerate((label, *labels)):
+            if i and residual is not None:
+                residual = residual.algebra.relabel(residual, perm)
+            user = residual if residual is None or ctx.to_user is None else ctx.to_user(residual)
+            terms_left, cand = _tally(label, user)
+            count += terms_left
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best = cand
+        del residual, user  # not held while the next part is built
     witness = None
     if best is not None:
         (_, label), key, coeff = best
@@ -95,8 +106,8 @@ def _finish(name, ctx, parts, t0):
     )
 
 
-def _residual(ctx, terms):
-    """The sum of a part's terms in the user's basis; None for no terms.
+def _residual(terms):
+    """The sum of a part's terms; None for no terms.
 
     The sum runs in the algebra of the first operand.  The list is emptied
     as it goes, so an operand nothing else holds is released after its last
@@ -108,8 +119,7 @@ def _residual(ctx, terms):
     shape, acc = alg.tensor_zero(legs), {}
     while terms:
         _accumulate(alg, shape, acc, *terms.pop(0))
-    residual = _from_parts(alg, legs, acc)
-    return residual if ctx.to_user is None else ctx.to_user(residual)
+    return _from_parts(alg, legs, acc)
 
 
 def _accumulate(alg, shape, acc, scale, a, b=None, part=None):
@@ -139,11 +149,17 @@ def check_twist_equation(ctx, phi=None):
     return [("cocycle", [lhs, rhs])]
 
 
+def orbit_symmetry(r):
+    """The first of the symmetries of `r`'s algebra that fixes `r`, or None: the
+    relabelling whose orbits `check_qybe` and `check_intertwine` evaluate once."""
+    return next((p for p in r.algebra.symmetries if r.algebra.relabel(r, p) == r), None)
+
+
 @_check("qybe")
 def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
     r = ctx.universal_r if rmat is None else rmat
-    alg, r23 = r.algebra, r.embed(3, (1, 2))
+    alg, r23, perm = r.algebra, r.embed(3, (1, 2)), orbit_symmetry(r)
     acc = {}
     alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
     # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
@@ -151,17 +167,19 @@ def check_qybe(ctx, rmat=None):
     # T by leg-0 X exponents split the residual into disjoint parts.  A
     # change of H basis fixes every X, so they stay disjoint in the user's
     # basis.  T's accumulator is split as it stands, one denominator at a
-    # time, so T is never merged or held whole.
-    slices = alg.split_by_x(acc, 3, 0)
+    # time, so T is never merged or held whole.  A relabelling that fixes R
+    # fixes T and R23, and so maps the part of a slice to that of its image:
+    # only one slice of each orbit is kept, and its residual relabelled.
+    slices = alg.split_by_x(acc, 3, 0, perm)
     # Popped smallest first, so that the largest slices come last, when the
     # rest of T is gone.
-    slices = sorted(((sum(map(len, s.values())), x, s) for x, s in slices.items()), reverse=True)
+    slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in slices.items()), reverse=True)
     while slices:
-        size, _, parts = slices.pop()
-        # Each part walks all of R23 three times, so it gathers slices while
-        # it holds no more terms of T than R23 has.
-        while slices and size + slices[-1][0] <= len(r23.nums):
-            more, _, dens = slices.pop()
+        size, _, orbit, parts = slices.pop()
+        # Each part walks all of R23 three times, so it gathers slices of the
+        # same orbit size while it holds no more terms of T than R23 has.
+        while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
+            more, _, _, dens = slices.pop()
             size += more
             for den, nums in dens.items():
                 parts.setdefault(den, {}).update(nums)
@@ -174,7 +192,7 @@ def check_qybe(ctx, rmat=None):
         terms = [(1, r23, tc - tp, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         # Each operand is released after its last product.
         del parts, tc, tp
-        yield "yang-baxter", terms
+        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1)
 
 
 @_check("triangularity")
@@ -188,12 +206,25 @@ def check_triangularity(ctx, rmat=None):
 def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
     r = ctx.universal_r if rmat is None else rmat
-    for name, g in ctx.generator_elements():
-        # As in qybe, the leading parts cancel but for lead(R, delta - op),
-        # which is empty for an H, whose coproduct is symmetric.
-        delta = ctx.coproduct(g)
-        op = delta.swap()
-        yield name, [(1, r, delta - op, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
+    alg, perm = r.algebra, orbit_symmetry(r)
+    gens = [(name, g, ctx.coproduct(g)) for name, g in ctx.generator_elements()]
+    # The residual of a generator that the relabelling maps to another, with
+    # the coproduct of one to that of the other, maps to the other's residual.
+    moved = [(alg.relabel(g, perm), alg.relabel(d, perm)) for _, g, d in gens] if perm else []
+    image = {i: j for i, gd in enumerate(moved) for j, (_, g, d) in enumerate(gens) if j != i and (g, d) == gd}
+    done = set()
+    for i, (_, _, delta) in enumerate(gens):
+        labels, j = [], i
+        while j is not None and j not in done:
+            done.add(j)
+            labels.append(gens[j][0])
+            j = image.get(j)
+        if labels:
+            # As in qybe, the leading parts cancel but for lead(R, delta - op),
+            # which is empty for an H, whose coproduct is symmetric.
+            op = delta.swap()
+            terms = [(1, r, delta - op, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
+            yield labels[0], terms, perm, labels[1:]
 
 
 @_check("hopf-axioms")

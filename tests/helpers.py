@@ -386,6 +386,50 @@ def r_mutants(ctx, seed, count=4):
     return [mutate_tensor(ctx.algebra, ctx.universal_r, rng.choice(keys)) for _ in range(count)]
 
 
+def orbit_r_mutants(ctx, seed):
+    """Two copies of R changed at one seeded key below the top power, whose
+    image under the algebra's first symmetry is another key: the symmetric
+    copy raises both keys by 1, the asymmetric copy the seeded key only."""
+    alg, r = ctx.algebra, ctx.universal_r
+    perm = alg.symmetries[0]
+    bumps = [alg.tensor_element(2, {key: 1}) for key in sorted(r.terms) if key[0] < alg.order]
+    bump = random.Random(seed).choice([b for b in bumps if alg.relabel(b, perm) != b])
+    return r + bump + alg.relabel(bump, perm), r + bump
+
+
+def count_parts(monkeypatch):
+    """Record the parts that `verify` sums and tallies, until `monkeypatch` is undone.
+
+    Returns a dict: "summed" counts the parts whose terms are summed, and
+    "tallied" lists ``(label, residual, image)`` for each part counted, where
+    `image` says that the part's residual was relabelled from an earlier
+    one's rather than summed: a part of an orbit path.
+    """
+    from qtwist import verify
+
+    parts = {"summed": 0, "tallied": [], "fresh": False}
+    residual, tally = verify._residual, verify._tally
+
+    def counted_residual(terms):
+        parts["summed"] += 1
+        parts["fresh"] = True
+        return residual(terms)
+
+    def counted_tally(label, res):
+        parts["tallied"].append((label, res, not parts["fresh"]))
+        parts["fresh"] = False
+        return tally(label, res)
+
+    monkeypatch.setattr(verify, "_residual", counted_residual)
+    monkeypatch.setattr(verify, "_tally", counted_tally)
+    return parts
+
+
+def image_parts(parts):
+    """The residuals of the image parts that `count_parts` recorded."""
+    return [res for _, res, image in parts["tallied"] if image]
+
+
 def mutate_tensor(alg, tensor, key, delta=Q(1)):
     terms = dict(tensor.terms)
     terms[key] = terms.get(key, Q(0)) + delta

@@ -13,26 +13,24 @@ is mapped back to the user's basis.  The direct path of
 
 import pytest
 
-from helpers import cached_context, r_mutants, rotated_null_plane_specs, unsliced_qybe
+from helpers import (
+    cached_context,
+    count_parts,
+    image_parts,
+    r_mutants,
+    rotated_null_plane_specs,
+    unsliced_qybe,
+)
 from qtwist import algebra, build_context, verify
 from qtwist.algebra import Algebra
-from qtwist.verify import check_qybe, run_suite
+from qtwist.verify import check_qybe, orbit_symmetry, run_suite
 
 CASES = (("poincare-null-plane", 3), ("jordanian-borel", 4), ("shift-ring(3)", 3))
 
 
-def _parts_hit(monkeypatch):
-    """A list that gets, for each part the evaluator counts, whether the
-    part's residual has terms."""
-    hit, tally = [], verify._tally
-
-    def counted_tally(label, residual):
-        out = tally(label, residual)
-        hit.append(out[0] > 0)
-        return out
-
-    monkeypatch.setattr(verify, "_tally", counted_tally)
-    return hit
+def _parts_hit(parts):
+    """The number of parts `count_parts` recorded whose residual has terms."""
+    return sum(res is not None and not res.is_zero() for _, res, _ in parts["tallied"])
 
 
 @pytest.mark.parametrize("name,order", CASES)
@@ -42,11 +40,12 @@ def test_sliced_qybe_matches_the_unsliced_residual_on_rmat_mutants(name, order, 
     assert unsliced_qybe(ctx)[1] is None
     spread = 0
     for rmat in r_mutants(ctx, f"qybe/{name}/{order}"):
-        hit = _parts_hit(monkeypatch)
+        parts = count_parts(monkeypatch)
         result = check_qybe(ctx, rmat=rmat)
         residual, witness, _ = unsliced_qybe(ctx, rmat)
         assert (result.residual_terms, result.witness) == (len(residual.nums), witness)
-        spread = max(spread, sum(hit))
+        spread = max(spread, _parts_hit(parts))
+        monkeypatch.undo()
     # The witness is chosen across parts, not within one.
     assert spread > 1
 
@@ -59,21 +58,33 @@ def test_sliced_qybe_matches_the_unsliced_residual_in_the_users_basis(monkeypatc
     assert twin is not ctx
     spread = 0
     for rmat in r_mutants(ctx, "qybe/rotated-null-plane/3"):
-        hit = _parts_hit(monkeypatch)
+        parts = count_parts(monkeypatch)
         (result,) = run_suite(ctx, "ybe", rmat=rmat).results
         residual, witness, _ = unsliced_qybe(twin, twin.from_user(rmat))
         assert (result.residual_terms, result.witness) == (len(residual.nums), witness)
-        spread = max(spread, sum(hit))
+        spread = max(spread, _parts_hit(parts))
+        monkeypatch.undo()
     assert spread > 1
 
 
-def _split_keys(ctx):
+def _split_keys(ctx, perm):
     """The accumulator keys of the residual as `check_qybe` splits it, but
     summed whole: ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))``
-    for all of ``T = R12 R13``."""
+    for the slices of ``T = R12 R13`` whose leg-0 X exponents are the
+    smallest of their orbit under the relabelling `perm`, or for all of T
+    when `perm` is None."""
     r = ctx.universal_r
     alg, r23 = r.algebra, r.embed(3, (1, 2))
-    t = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+
+    def orbit(x):
+        images = [x]
+        while perm and (x := tuple(x[perm.index(i)] for i in range(len(x)))) != images[0]:
+            images.append(x)
+        return images
+
+    whole = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
+    kept = {key: c for key, c in whole.terms.items() if key[1][0].x == min(orbit(key[1][0].x))}
+    t = alg.tensor_element(3, kept)
     tp = t.permute((0, 2, 1))
     acc = {}
     alg.mul_into(acc, r23, t - tp, 1, "lead")
@@ -84,30 +95,45 @@ def _split_keys(ctx):
 
 def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     """Peak memory of qybe follows the largest accumulator it holds; count
-    its keys before cancellation, part by part, instead of reading RSS."""
+    its keys before cancellation, part by part, instead of reading RSS.  The
+    parts of the orbit path's image slices are relabelled, not summed: they
+    hold no accumulator and run no product, so the summed parts split the
+    keys of the slices that are summed."""
     ctx = cached_context("poincare-null-plane", 4)
-    sizes = []
-    residual, mul_into = verify._residual, Algebra.mul_into
+    perm = orbit_symmetry(ctx.universal_r)
+    assert perm is not None
+    sizes, stray, busy = [], [], []
+    mul_into = Algebra.mul_into
+    parts = count_parts(monkeypatch)
+    summed = verify._residual
 
-    def counted_residual(ctx, terms):
+    def sized_residual(terms):
         sizes.append(0)
-        return residual(ctx, terms)
+        busy.append(True)
+        out = summed(terms)
+        busy.pop()
+        return out
 
     def counted_mul_into(self, acc, a, b, scale=1, part=None):
         mul_into(self, acc, a, b, scale, part)
-        # R12 R13 is formed before the first part; it is no residual.
-        if sizes:
+        if busy:
             sizes[-1] = max(sizes[-1], sum(map(len, acc.values())))
+        elif sizes:
+            # R12 R13 is formed before the first part; any later product
+            # outside the summing of a part would belong to no part.
+            stray.append(part)
 
-    monkeypatch.setattr(verify, "_residual", counted_residual)
+    monkeypatch.setattr(verify, "_residual", sized_residual)
     monkeypatch.setattr(Algebra, "mul_into", counted_mul_into)
     assert check_qybe(ctx).passed
     monkeypatch.undo()
-    keys = _split_keys(ctx)
+    keys, unsliced = _split_keys(ctx, perm), _split_keys(ctx, None)
     # The parts split the accumulator's keys between them, none shared.
-    assert sum(sizes) == keys
+    assert sum(sizes) == keys < unsliced
     assert len(sizes) > 1
-    assert 2 * max(sizes) < keys
+    assert 2 * max(sizes) < unsliced
+    # Image parts were tallied, and no product ran for them.
+    assert image_parts(parts) and stray == []
 
 
 def test_qybe_never_forms_or_canonicalises_all_of_r12_r13(monkeypatch):
