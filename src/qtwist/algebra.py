@@ -99,8 +99,8 @@ class Algebra:
     X index or X part and H part, as packed keys mapped to numerators in
     lowest terms, no field reaching ``2**(_W - 1)``, a block in increasing
     key order; and `_rows` holds the blocks as leg products (`_mono_mul`).
-    `mul_into` groups its right operand by power and by the legs holding an
-    H, and turns leg products into per-call tables of shifted key offsets.
+    `prepare` groups a right operand of `mul_into`, and `mul_into` builds
+    tables of shifted key offsets that its caller may keep across products.
     """
 
     def __init__(self, m, n, order, table):
@@ -147,9 +147,9 @@ class Algebra:
     # -- packed keys -------------------------------------------------------------
 
     def _layout(self, legs):
-        """``(power shift, leg shifts, leg X masks, leg H masks, guard)`` for `legs` legs.
+        """``(power shift, leg shifts, leg X masks, leg H bits, guard)`` for `legs` legs.
 
-        `guard` has the top bit of every exponent field set.
+        Leg `i`'s H bits are ``(1 << i, its H mask)``; `guard` has the top bit of every field set.
         """
         layout = self._layouts.get(legs)
         if layout is None:
@@ -157,9 +157,9 @@ class Algebra:
             shifts = tuple(self._leg_bits * i for i in range(legs - 1, -1, -1))
             # Sums of 2**(_W * i) over the fields, times 2**(_W - 1).
             guard = ((1 << ps) - 1) // _FIELD << (_W - 1)
-            masks = (self._x_mask, self._h_mask)
-            x_masks, h_masks = (tuple(mask << s for s in shifts) for mask in masks)
-            layout = self._layouts[legs] = (ps, shifts, x_masks, h_masks, guard)
+            x_masks = tuple(self._x_mask << s for s in shifts)
+            h_bits = tuple((1 << leg, self._h_mask << s) for leg, s in enumerate(shifts))
+            layout = self._layouts[legs] = (ps, shifts, x_masks, h_bits, guard)
         return layout
 
     def _field(self, h, x):
@@ -373,7 +373,24 @@ class Algebra:
 
     # -- products ----------------------------------------------------------------
 
-    def mul_into(self, acc, a, b, scale=1, part=None):
+    def prepare(self, b):
+        """An element equal to `b`, grouped once for every `mul_into` that takes it on the right:
+        by power, then by the legs holding an H, then (when first needed) by a leg's H part."""
+        ps, _, _, bits, _ = self._layout(b.legs)
+        by_group = {}
+        for key2, c2 in b.nums.items():
+            # A group's index: its power, then its legs that hold an H, as bits.
+            g = key2 >> ps << b.legs
+            for bit, m in bits:
+                if key2 & m:
+                    g |= bit
+            by_group.setdefault(g, []).append((key2, c2))
+        by_power, low = {}, (1 << b.legs) - 1
+        for g in sorted(by_group):
+            by_power.setdefault(g >> b.legs, []).append((g & low, by_group[g], {}))
+        return _wrap(self, b.legs, b.nums, b.den, list(by_power.items()))
+
+    def mul_into(self, acc, a, b, scale=1, part=None, tables=None):
         """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
 
         `acc` maps each absolute denominator to a numerator map keyed like
@@ -382,14 +399,15 @@ class Algebra:
         one product loop: `mul_tensors` runs it into an empty accumulator.
 
         A pair of terms reorders on each leg where the left term has an X and
-        the right one an H.  The terms of `b` are grouped by power and then by
-        the legs holding an H, and a left term tests each group once.  A group
-        that reorders on no leg adds ``key1 + key2``; one that reorders on one
-        leg is split by that leg's H part, and each row of a per-call table of
-        leg products (shifted delta plus power field) is added to ``key1``
-        and then to each key of the split.  A pair that reorders on more legs
-        combines their rows.  An operand with an exponent of ``2**(_W - 1)``
-        or more is refused, so no sum leaves its field.
+        the right one an H.  A left term tests each group of `b` (`prepare`)
+        once.  A group that reorders on no leg adds ``key1 + key2``; one that
+        reorders on one leg is split by that leg's H part, and each row of a
+        table of leg products (shifted delta plus power field) is added to
+        ``key1`` and then to each key of the split.  A pair that reorders on
+        more legs combines their rows.  The tables live in `tables`, a dict
+        kept across products of this algebra (None: this call); a row names its
+        denominator, and a call maps it to its part of `acc`.  An operand with
+        an exponent of ``2**(_W - 1)`` or more is refused, so no sum leaves its field.
 
         A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
         in the commutative associated graded ring.  `part` "lead" adds only
@@ -397,12 +415,12 @@ class Algebra:
         "corr" adds the rest, leaving out the groups that reorder on no leg,
         each table's first row and the combination of all legs' first rows
         (one leg's first row with another's correction stays).  So `verify`
-        sums ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))`` for
-        qybe, and ``lead(R, D - Dop) + corr(R, D) - corr(Dop, R)``, with ``D``
-        the coproduct of a generator, for intertwining.
+        sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for
+        qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with ``D``
+        the coproduct of a generator, for intertwining; `R23`, `R` prepared.
         """
         order = self.order
-        ps, shifts, x_masks, h_masks, guard = self._layout(a.legs)
+        ps, shifts, x_masks, _, guard = self._layout(a.legs)
         if (reduce(or_, a.nums, 0) | reduce(or_, b.nums, 0)) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
         if part == "lead":
@@ -414,24 +432,13 @@ class Algebra:
         powers = [k << ps for k in range(order + 1)]
         base_den = a.den * b.den * scale.denominator
         s = scale.numerator
-        # The groups of b by power: each holds the legs that hold an H, as
-        # bits, its terms, and, by leg, its terms split by that leg's H part.
-        by_power = {}
-        for key2, c2 in b.nums.items():
-            h_legs = 0
-            for leg, m in enumerate(h_masks):
-                if key2 & m:
-                    h_legs |= 1 << leg
-            groups = by_power.setdefault(key2 >> ps, {})
-            if h_legs not in groups:
-                groups[h_legs] = (h_legs, [], {})
-            groups[h_legs][1].append((key2, c2))
-        buckets = [(k, tuple(groups.values())) for k, groups in sorted(by_power.items())]
+        buckets = (b if b._groups is not None else self.prepare(b))._groups
         # A term of a above `top` pairs with no term of b.
         top = order - buckets[0][0] if buckets else -1
         # A term goes to the part of `acc` over `base_den` times the
-        # denominator it picked up from cached leg coefficients.
+        # denominator `cd` it picked up from cached leg coefficients, dens[cd].
         out = acc.setdefault(base_den, {})
+        dens = {1: out}
 
         def build(leg, f1, f2, room):
             prods = all_rows.get((f1, f2))
@@ -441,15 +448,14 @@ class Algebra:
             for d, km, cm in prods:
                 if km > room:
                     return room, tuple(rows)
-                cn, cd = cm or (1, 1)
-                rows.append(((d << shifts[leg]) + powers[km], km, cn, cd, acc.setdefault(cd * base_den, {})))
+                rows.append(((d << shifts[leg]) + powers[km], km) + (cm or (1, 1)))
             return order, tuple(rows)
 
-        # The per-call tables, by leg and left X part and then by right H
-        # part: ``(reach, rows)``, the rows of the leg products up to power
-        # `reach`, built as far as a use needs them, as tuples, which
-        # ``rows[skip:]`` does not copy when `skip` is 0.
-        tables = {}
+        # The tables of this number of legs, by leg and left X part and then
+        # by right H part: ``(reach, rows)``, the rows of the leg products up
+        # to power `reach`, built and extended as far as a use needs them,
+        # as tuples, which ``rows[skip:]`` does not copy when `skip` is 0.
+        tables = {} if tables is None else tables.setdefault(a.legs, {})
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
             if k1 > top:
@@ -486,9 +492,12 @@ class Algebra:
                             reach, shifted = table.get(f2) or (-1, None)
                             if reach < room:
                                 reach, shifted = table[f2] = build(leg, f1, f2, room)
-                            for d, km, cn, _, p in shifted[skip:]:
+                            for d, km, cn, cd in shifted[skip:]:
                                 if km > room:
                                     break
+                                p = dens.get(cd)
+                                if p is None:
+                                    p = dens[cd] = acc.setdefault(cd * base_den, {})
                                 d += key1
                                 cn *= c1
                                 for key2, c2 in sub:
@@ -508,7 +517,7 @@ class Algebra:
                                 partial = [
                                     (key + d, r - km, c * cn, dd * cd)
                                     for key, r, c, dd in partial
-                                    for d, km, cn, cd, _ in shifted
+                                    for d, km, cn, cd in shifted
                                     if km <= r
                                 ]
                             # The first row of each leg makes the first combination.
@@ -635,13 +644,12 @@ class TensorElement:
     algebra itself is the 1-leg case.
     """
 
-    __slots__ = ("algebra", "legs", "nums", "den")
+    __slots__ = ("algebra", "legs", "nums", "den", "_groups")
 
     def __init__(self, algebra, legs, terms):
         if legs < 1:
             raise ShapeError("tensor elements need at least one leg")
-        self.algebra = algebra
-        self.legs = legs
+        self.algebra, self.legs, self._groups = algebra, legs, None
         self.nums, self.den = algebra._nums(legs, terms)
 
     @property
@@ -802,10 +810,10 @@ class TensorElement:
         return f"TensorElement({format_terms(self.sorted_terms())})"
 
 
-def _wrap(algebra, legs, nums, den):
-    """An element with the given canonical numerators, which it shares."""
+def _wrap(algebra, legs, nums, den, groups=None):
+    """An element with the given canonical numerators, which it shares (`groups`: see `prepare`)."""
     el = object.__new__(TensorElement)
-    el.algebra, el.legs, el.nums, el.den = algebra, legs, nums, den
+    el.algebra, el.legs, el.nums, el.den, el._groups = algebra, legs, nums, den, groups
     return el
 
 

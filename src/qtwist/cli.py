@@ -152,6 +152,8 @@ def _load_context(args, parser, out):
 
 
 def cmd_check(args, parser, out):
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, not {args.jobs}")
     ctx = _load_context(args, parser, out)
     if ctx is None:
         return 1

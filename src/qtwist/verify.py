@@ -67,7 +67,7 @@ def _check(name):
 
 
 def _finish(name, ctx, parts, t0):
-    """Evaluate a check's residual one part at a time.
+    """Evaluate a check's residual one part at a time, keeping leg tables for the check.
 
     Each part is summed into one accumulator and canonicalised once, mapped
     back to the user's context on a lifted twin, counted and searched for the
@@ -77,10 +77,10 @@ def _finish(name, ctx, parts, t0):
     residuals are its own relabelled by `perm` once, twice, and so on (see
     `Algebra.relabel`), one for each of `labels`, which names them.
     """
-    count, best = 0, None
+    count, best, tables = 0, None, {}
     for label, terms, *images in parts:
         perm, labels = images or (None, ())
-        residual = _residual(terms)
+        residual = _residual(terms, tables)
         for i, label in enumerate((label, *labels)):
             if i and residual is not None:
                 residual = residual.algebra.relabel(residual, perm)
@@ -106,29 +106,29 @@ def _finish(name, ctx, parts, t0):
     )
 
 
-def _residual(terms):
+def _residual(terms, tables):
     """The sum of a part's terms; None for no terms.
 
-    The sum runs in the algebra of the first operand.  The list is emptied
-    as it goes, so an operand nothing else holds is released after its last
-    product.
+    The sum runs in the algebra of the first operand, with the leg tables
+    that `tables` keeps for it.  The list is emptied as it goes, so an
+    operand nothing else holds is released after its last product.
     """
     if not terms:
         return None
     alg, legs = terms[0][1].algebra, terms[0][1].legs
-    shape, acc = alg.tensor_zero(legs), {}
+    shape, acc, tables = alg.tensor_zero(legs), {}, tables.setdefault(alg, {})
     while terms:
-        _accumulate(alg, shape, acc, *terms.pop(0))
+        _accumulate(alg, shape, acc, tables, *terms.pop(0))
     return _from_parts(alg, legs, acc)
 
 
-def _accumulate(alg, shape, acc, scale, a, b=None, part=None):
+def _accumulate(alg, shape, acc, tables, scale, a, b=None, part=None):
     """Add ``scale * a``, ``scale * a * b`` or its `part` to `acc`; operands must fit `shape`."""
     shape._check_compat(a)
     if b is None:
         return a._on(alg).add_into(acc, scale)
     shape._check_compat(b)
-    alg.mul_into(acc, a._on(alg), b._on(alg), scale, part)
+    alg.mul_into(acc, a._on(alg), b._on(alg), scale, part, tables)
 
 
 def _tally(label, residual):
@@ -159,7 +159,7 @@ def orbit_symmetry(r):
 def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
     r = ctx.universal_r if rmat is None else rmat
-    alg, r23, perm = r.algebra, r.embed(3, (1, 2)), orbit_symmetry(r)
+    alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(r)
     acc = {}
     alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
     # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
@@ -187,9 +187,9 @@ def check_qybe(ctx, rmat=None):
         # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
         # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
         # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
-        # leading parts of T R23 and R23 P23(T) sum to lead(R23, T - P23(T)).
+        # leading parts of T R23 and R23 P23(T) sum to lead(T - P23(T), R23).
         tp = tc.permute((0, 2, 1))
-        terms = [(1, r23, tc - tp, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+        terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         # Each operand is released after its last product.
         del parts, tc, tp
         yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1)
@@ -206,7 +206,7 @@ def check_triangularity(ctx, rmat=None):
 def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
     r = ctx.universal_r if rmat is None else rmat
-    alg, perm = r.algebra, orbit_symmetry(r)
+    alg, perm, r = r.algebra, orbit_symmetry(r), r.algebra.prepare(r)
     gens = [(name, g, ctx.coproduct(g)) for name, g in ctx.generator_elements()]
     # The residual of a generator that the relabelling maps to another, with
     # the coproduct of one to that of the other, maps to the other's residual.
@@ -220,10 +220,10 @@ def check_intertwine(ctx, rmat=None):
             labels.append(gens[j][0])
             j = image.get(j)
         if labels:
-            # As in qybe, the leading parts cancel but for lead(R, delta - op),
+            # As in qybe, the leading parts cancel but for lead(delta - op, R),
             # which is empty for an H, whose coproduct is symmetric.
             op = delta.swap()
-            terms = [(1, r, delta - op, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
+            terms = [(1, delta - op, r, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
             yield labels[0], terms, perm, labels[1:]
 
 

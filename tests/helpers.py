@@ -410,10 +410,10 @@ def count_parts(monkeypatch):
     parts = {"summed": 0, "tallied": [], "fresh": False}
     residual, tally = verify._residual, verify._tally
 
-    def counted_residual(terms):
+    def counted_residual(terms, tables):
         parts["summed"] += 1
         parts["fresh"] = True
-        return residual(terms)
+        return residual(terms, tables)
 
     def counted_tally(label, res):
         parts["tallied"].append((label, res, not parts["fresh"]))

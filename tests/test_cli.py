@@ -165,6 +165,14 @@ def test_cmd_check_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ("0", "-3"))
+def test_cmd_check_refuses_fewer_than_one_job(jobs, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("check", "--preset", "jordanian-borel", "--suite", "twist", "--jobs", jobs)
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_cmd_check_machine_reports_are_stable(jordanian3):
     args = (
         "check",

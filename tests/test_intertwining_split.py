@@ -1,7 +1,7 @@
 """check_intertwine adds the leading part of its two products once.
 
 Per generator g the residual is ``R Δ(g) - Δ^op(g) R``; the check sums it as
-``lead(R, Δ(g) - Δ^op(g))`` plus the reorder corrections of both products.
+``lead(Δ(g) - Δ^op(g), R)`` plus the reorder corrections of both products.
 The reference forms both products in full (`helpers.unsplit_intertwining`):
 the count and the witness of the check must match it for seeded mutants of
 R on three presets, and on a rotated spec through `run_suite`, where each

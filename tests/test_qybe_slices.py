@@ -2,7 +2,7 @@
 
 A slice holds the terms of ``T = R12 R13`` whose leg-0 monomials share their
 X exponents; a part holds whole slices, and adds the leading part of its two
-products once, ``lead(R23, T - P23(T))``, and their reorder corrections.
+products once, ``lead(T - P23(T), R23)``, and their reorder corrections.
 The reference is the unsliced residual, ``R12 R13 R23 - R23 R13 R12``, of
 two full products summed whole in one accumulator (`helpers.unsliced_qybe`): the
 count and the witness of the check must match it for seeded mutants of R on
@@ -107,15 +107,15 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     parts = count_parts(monkeypatch)
     summed = verify._residual
 
-    def sized_residual(terms):
+    def sized_residual(terms, tables):
         sizes.append(0)
         busy.append(True)
-        out = summed(terms)
+        out = summed(terms, tables)
         busy.pop()
         return out
 
-    def counted_mul_into(self, acc, a, b, scale=1, part=None):
-        mul_into(self, acc, a, b, scale, part)
+    def counted_mul_into(self, acc, a, b, scale=1, part=None, tables=None):
+        mul_into(self, acc, a, b, scale, part, tables)
         if busy:
             sizes[-1] = max(sizes[-1], sum(map(len, acc.values())))
         elif sizes:
