@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice, permutations
 from math import factorial, gcd, lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .errors import MalformedWordError, ShapeError, TruncationError
@@ -93,14 +93,15 @@ class Algebra:
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
     `_int_table` holds each bracket as such keys mapped to integer
     numerators over one denominator; `bracket` returns the Fraction form.
-    Four caches live as long as the algebra, and no entry is mutated once
+    Five caches live as long as the algebra, and no entry is mutated once
     stored: `_monos` maps a leg field to its Monomial; `_single_cache` and
     `_block_cache` hold the normal forms of ``X_mu H^a`` and ``X^b H^a`` by
     X index or X part and H part, as packed keys mapped to numerators in
     lowest terms, no field reaching ``2**(_W - 1)``, a block in increasing
-    key order; and `_rows` holds the blocks as leg products (`_mono_mul`).
+    key order; `_rows` holds the blocks as leg products (`_mono_mul`); and
+    `_entries` interns the entries of `mul_into`'s tables, shared by many.
     `prepare` groups a right operand of `mul_into`, and `mul_into` builds
-    tables of shifted key offsets that its caller may keep across products.
+    tables of shifted key offsets per clash that its caller may keep.
     """
 
     def __init__(self, m, n, order, table):
@@ -137,7 +138,7 @@ class Algebra:
                     k << self._leg_bits | self._field(mono.h, no_x): c.numerator * (den // c.denominator)
                     for (k, mono), c in entry.items()
                 }, den
-        self._layouts, self._monos, self._rows = {}, {}, {}
+        self._layouts, self._monos, self._rows, self._entries = {}, {}, {}, {}
         self._single_cache, self._block_cache, self._relabels = {}, {}, {}
 
     def bracket(self, j, mu):
@@ -147,9 +148,10 @@ class Algebra:
     # -- packed keys -------------------------------------------------------------
 
     def _layout(self, legs):
-        """``(power shift, leg shifts, leg X masks, leg H bits, guard)`` for `legs` legs.
+        """``(power shift, leg shifts, X bits, H bits, guard)`` for `legs` legs.
 
-        Leg `i`'s H bits are ``(1 << i, its H mask)``; `guard` has the top bit of every field set.
+        X and H bits map a set of legs, leg `i` as the bit ``1 << i``, to their fields' X or H
+        masks together; `guard` has the top bit of every field set.
         """
         layout = self._layouts.get(legs)
         if layout is None:
@@ -157,9 +159,11 @@ class Algebra:
             shifts = tuple(self._leg_bits * i for i in range(legs - 1, -1, -1))
             # Sums of 2**(_W * i) over the fields, times 2**(_W - 1).
             guard = ((1 << ps) - 1) // _FIELD << (_W - 1)
-            x_masks = tuple(self._x_mask << s for s in shifts)
-            h_bits = tuple((1 << leg, self._h_mask << s) for leg, s in enumerate(shifts))
-            layout = self._layouts[legs] = (ps, shifts, x_masks, h_bits, guard)
+            x_bits, h_bits = [0], [0]
+            for s in shifts:
+                x_bits += [m | self._x_mask << s for m in x_bits]
+                h_bits += [m | self._h_mask << s for m in h_bits]
+            layout = self._layouts[legs] = (ps, shifts, tuple(x_bits), tuple(h_bits), guard)
         return layout
 
     def _field(self, h, x):
@@ -269,12 +273,20 @@ class Algebra:
         if not factors:
             raise ShapeError("outer requires at least one factor")
         legs = sum(f.legs for f in factors)
-        acc, start = self.tensor_unit(legs), 0
+        limit = (self.order + 1) << self._layout(legs)[0]
+        nums, den, start = {0: 1}, 1, 0
         for f in factors:
-            # The factors' legs are disjoint, so no pair of terms reorders.
-            acc = self.mul_tensors(acc, f._on(self).embed(legs, range(start, start + f.legs)))
             start += f.legs
-        return acc
+            f = f._on(self).embed(legs, range(start - f.legs, start))
+            # Disjoint legs: no pair reorders, and power splits can meet on one key.
+            out = {}
+            for key1, v1 in nums.items():
+                for key2, v2 in f.nums.items():
+                    key = key1 + key2
+                    if key < limit:
+                        out[key] = out.get(key, 0) + v1 * v2
+            nums, den = out, den * f.den
+        return _canonical(self, legs, nums, den)
 
     # -- normal-ordering kernels ------------------------------------------------
 
@@ -375,20 +387,21 @@ class Algebra:
 
     def prepare(self, b):
         """An element equal to `b`, grouped once for every `mul_into` that takes it on the right:
-        by power, then by the legs holding an H, then (when first needed) by a leg's H part."""
-        ps, _, _, bits, _ = self._layout(b.legs)
-        by_group = {}
+        by power, then by the legs holding an H, then (when first needed) by a clash's H parts."""
+        ps, _, _, h_bits, _ = self._layout(b.legs)
+        by_group, seen = {}, 0
         for key2, c2 in b.nums.items():
+            seen |= key2
             # A group's index: its power, then its legs that hold an H, as bits.
             g = key2 >> ps << b.legs
-            for bit, m in bits:
-                if key2 & m:
-                    g |= bit
+            for leg in range(b.legs):
+                if key2 & h_bits[1 << leg]:
+                    g |= 1 << leg
             by_group.setdefault(g, []).append((key2, c2))
         by_power, low = {}, (1 << b.legs) - 1
         for g in sorted(by_group):
             by_power.setdefault(g >> b.legs, []).append((g & low, by_group[g], {}))
-        return _wrap(self, b.legs, b.nums, b.den, list(by_power.items()))
+        return _wrap(self, b.legs, b.nums, b.den, (seen, list(by_power.items())))
 
     def mul_into(self, acc, a, b, scale=1, part=None, tables=None):
         """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
@@ -398,41 +411,41 @@ class Algebra:
         back as an element.  `scale` is an int or a Fraction.  This is the
         one product loop: `mul_tensors` runs it into an empty accumulator.
 
-        A pair of terms reorders on each leg where the left term has an X and
-        the right one an H.  A left term tests each group of `b` (`prepare`)
-        once.  A group that reorders on no leg adds ``key1 + key2``; one that
-        reorders on one leg is split by that leg's H part, and each row of a
-        table of leg products (shifted delta plus power field) is added to
-        ``key1`` and then to each key of the split.  A pair that reorders on
-        more legs combines their rows.  The tables live in `tables`, a dict
-        kept across products of this algebra (None: this call); a row names its
-        denominator, and a call maps it to its part of `acc`.  An operand with
-        an exponent of ``2**(_W - 1)`` or more is refused, so no sum leaves its field.
+        A pair of terms reorders (clashes) on each leg where the left term has
+        an X and the right one an H.  A left term tests each group of `b`
+        (`prepare`) once.  A group that clashes on no leg adds ``key1 + key2``;
+        one that clashes on a set of legs is split by their H parts, and with
+        the left term's X parts on them each subgroup picks a table whose rows,
+        the products of those legs' `_mono_mul` rows as shifted delta plus
+        power field, are added to ``key1`` and then to each key of the split.
+        The tables live in `tables`, a dict kept across products of this
+        algebra (None: this call); a row names its denominator, and a call maps
+        it to its part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
 
         A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
         in the commutative associated graded ring.  `part` "lead" adds only
         those, as if no pair reordered, so ``lead(a, b) == lead(b, a)``;
-        "corr" adds the rest, leaving out the groups that reorder on no leg,
-        each table's first row and the combination of all legs' first rows
-        (one leg's first row with another's correction stays).  So `verify`
+        "corr" adds the rest, leaving out the groups that clash on no leg and
+        each table's first row, the product of all clash legs' leading rows
+        (one leg's leading row with another's correction stays).  So `verify`
         sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for
         qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with ``D``
         the coproduct of a generator, for intertwining; `R23`, `R` prepared.
         """
         order = self.order
-        ps, shifts, x_masks, _, guard = self._layout(a.legs)
-        if (reduce(or_, a.nums, 0) | reduce(or_, b.nums, 0)) & guard:
+        ps, shifts, x_bits, h_bits, guard = self._layout(a.legs)
+        b_seen, buckets = (b if b._groups is not None else self.prepare(b))._groups
+        a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
+        if (a_seen | b_seen) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
-        if part == "lead":
-            # No left term then has an X leg, so every pair adds key1 + key2.
-            x_masks = ()
+        # Under "lead" no left leg is tested for an X: every pair adds key1 + key2.
+        legs = () if part == "lead" else [1 << leg for leg in range(a.legs)]
         skip = 1 if part == "corr" else 0
-        x_mask, h_mask, all_rows = self._x_mask, self._h_mask, self._rows
+        x_mask, h_mask, all_rows, entries = self._x_mask, self._h_mask, self._rows, self._entries
         # The power fields, so that a product term adds its power in place.
         powers = [k << ps for k in range(order + 1)]
         base_den = a.den * b.den * scale.denominator
         s = scale.numerator
-        buckets = (b if b._groups is not None else self.prepare(b))._groups
         # A term of a above `top` pairs with no term of b.
         top = order - buckets[0][0] if buckets else -1
         # A term goes to the part of `acc` over `base_den` times the
@@ -440,35 +453,48 @@ class Algebra:
         out = acc.setdefault(base_den, {})
         dens = {1: out}
 
-        def build(leg, f1, f2, room):
-            prods = all_rows.get((f1, f2))
-            if prods is None:
-                prods = all_rows[(f1, f2)] = self._mono_mul(f1, f2)
-            rows = []
-            for d, km, cm in prods:
-                if km > room:
-                    return room, tuple(rows)
-                rows.append(((d << shifts[leg]) + powers[km], km) + (cm or (1, 1)))
-            return order, tuple(rows)
+        # ``(reach, rows)`` for the X parts `xk` and H parts `hk` on the legs
+        # `clash`: the rows up to power `reach`, the all-leading row first.
+        def build(clash, xk, hk, room):
+            rows, full = [(0, 0, 1, 1)], 0
+            while clash:
+                leg = clash.bit_length() - 1
+                clash ^= 1 << leg
+                sh = shifts[leg]
+                f1, f2 = (xk >> sh) & x_mask, (hk >> sh) & h_mask
+                prods = all_rows.get((f1, f2))
+                if prods is None:
+                    prods = all_rows[(f1, f2)] = self._mono_mul(f1, f2)
+                full += prods[-1][1]
+                wide = []
+                for d, k, n, dd in rows:
+                    # A leg's products come in power order, the leading one first.
+                    for dm, km, cm in prods:
+                        if k + km > room:
+                            break
+                        cn, cd = cm or (1, 1)
+                        wide.append((d + (dm << sh), k + km, n * cn, dd * cd))
+                rows = wide
+            # Stable, so the all-leading row stays first.
+            rows.sort(key=itemgetter(1))
+            entry = (order if full <= room else room), tuple((d + powers[k], k, n, dd) for d, k, n, dd in rows)
+            return entries.setdefault(entry, entry)
 
-        # The tables of this number of legs, by leg and left X part and then
-        # by right H part: ``(reach, rows)``, the rows of the leg products up
-        # to power `reach`, built and extended as far as a use needs them,
-        # as tuples, which ``rows[skip:]`` does not copy when `skip` is 0.
+        # The tables of this number of legs, by the left X parts on a clash's
+        # legs plus the right H parts on them (a sum with no carry, so one int
+        # names both): ``(reach, rows)``, as tuples, which ``rows[skip:]``
+        # does not copy when `skip` is 0.
         tables = {} if tables is None else tables.setdefault(a.legs, {})
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
             if k1 > top:
                 continue
             c1 *= s
-            # The legs of this term that hold an X, as bits, and for each of
-            # them its X part and its tables.
-            x_legs, rows = 0, [None] * len(shifts)
-            for leg, m in enumerate(x_masks):
-                if key1 & m:
-                    x_legs |= 1 << leg
-                    f1 = (key1 >> shifts[leg]) & x_mask
-                    rows[leg] = f1, tables.setdefault((leg, f1), {})
+            # The legs of this term that hold an X, as bits.
+            x_legs = 0
+            for bit in legs:
+                if key1 & x_bits[bit]:
+                    x_legs |= bit
             for k2, groups in buckets:
                 room = order - k1 - k2
                 if room < 0:
@@ -479,51 +505,29 @@ class Algebra:
                         for key2, c2 in () if skip else terms:
                             key = key1 + key2
                             out[key] = out.get(key, 0) + c1 * c2
-                    elif not clash & (clash - 1):
-                        leg = clash.bit_length() - 1
-                        split = splits.get(leg)
-                        if split is None:
-                            by_h, sh = {}, shifts[leg]
-                            for term in terms:
-                                by_h.setdefault((term[0] >> sh) & h_mask, []).append(term)
-                            split = splits[leg] = tuple(by_h.items())
-                        f1, table = rows[leg]
-                        for f2, sub in split:
-                            reach, shifted = table.get(f2) or (-1, None)
-                            if reach < room:
-                                reach, shifted = table[f2] = build(leg, f1, f2, room)
-                            for d, km, cn, cd in shifted[skip:]:
-                                if km > room:
-                                    break
-                                p = dens.get(cd)
-                                if p is None:
-                                    p = dens[cd] = acc.setdefault(cd * base_den, {})
-                                d += key1
-                                cn *= c1
-                                for key2, c2 in sub:
-                                    key = d + key2
-                                    p[key] = p.get(key, 0) + cn * c2
-                    else:
-                        for key2, c2 in terms:
-                            partial, legs = [(key1 + key2, room, c1 * c2, 1)], clash
-                            while legs:
-                                leg = legs.bit_length() - 1
-                                legs ^= 1 << leg
-                                f1, table = rows[leg]
-                                f2 = (key2 >> shifts[leg]) & h_mask
-                                reach, shifted = table.get(f2) or (-1, None)
-                                if reach < room:
-                                    reach, shifted = table[f2] = build(leg, f1, f2, room)
-                                partial = [
-                                    (key + d, r - km, c * cn, dd * cd)
-                                    for key, r, c, dd in partial
-                                    for d, km, cn, cd in shifted
-                                    if km <= r
-                                ]
-                            # The first row of each leg makes the first combination.
-                            for key, _, c, dd in partial[skip:]:
-                                p = acc.setdefault(dd * base_den, {})
-                                p[key] = p.get(key, 0) + c
+                        continue
+                    split = splits.get(clash)
+                    if split is None:
+                        by_h, hm = {}, h_bits[clash]
+                        for term in terms:
+                            by_h.setdefault(term[0] & hm, []).append(term)
+                        split = splits[clash] = tuple(by_h.items())
+                    xk = key1 & x_bits[clash]
+                    for hk, sub in split:
+                        reach, rows = tables.get(xk + hk) or (-1, None)
+                        if reach < room:
+                            reach, rows = tables[xk + hk] = build(clash, xk, hk, room)
+                        for d, km, cn, cd in rows[skip:]:
+                            if km > room:
+                                break
+                            p = dens.get(cd)
+                            if p is None:
+                                p = dens[cd] = acc.setdefault(cd * base_den, {})
+                            d += key1
+                            cn *= c1
+                            for key2, c2 in sub:
+                                key = d + key2
+                                p[key] = p.get(key, 0) + cn * c2
 
     def mul_tensors(self, a, b):
         acc = {}
@@ -536,20 +540,24 @@ class Algebra:
         Returns ``{x: (size, acc_x)}``, `x` an int ordered as the X part.
         With a relabelling `perm`, the terms of an X part other than the
         smallest of its orbit under `perm` are dropped, and `size` is the
-        orbit's size; without, `size` is 1.  One denominator at a time is
-        taken apart, so no term is held twice.
+        orbit's size; where that is 1, so are the terms whose whole `leg`
+        monomial is not the smallest of its orbit (see `unfold`).  Without,
+        `size` is 1.  One denominator at a time is taken apart, so no term is
+        held twice.
         """
-        shift, slices, sizes = self._layout(legs)[1][leg], {}, {}
+        shift, slices, seen = self._layout(legs)[1][leg], {}, {}
         while acc:
             den, nums = acc.popitem()
             for key, v in nums.items():
-                x = (key >> shift) & self._x_mask
-                size = sizes.get(x)
-                if size is None:
-                    orbit, y = [x], x
-                    while perm and (y := self._relabel_field(y, perm)) != x:
-                        orbit.append(y)
-                    size = sizes[x] = len(orbit) if x == min(orbit) else 0
+                f = (key >> shift) & self._leg_mask
+                kept = seen.get(f)
+                if kept is None:
+                    x = f & self._x_mask
+                    size = len(orbit := self._orbit(x, perm))
+                    if x != min(orbit) or size == 1 and f != min(self._orbit(f, perm)):
+                        size = 0
+                    kept = seen[f] = x, size
+                x, size = kept
                 if size:
                     slices.setdefault(x, (size, {}))[1].setdefault(den, {})[key] = v
         return slices
@@ -571,15 +579,34 @@ class Algebra:
 
     def relabel(self, tensor, perm):
         """The image of `tensor` under ``H_i -> H_perm[i]``, ``X_i -> X_perm[i]`` on every leg."""
-        tensor, low = tensor._on(self), self._leg_mask
-        ps, shifts = self._layout(tensor.legs)[:2]
-        nums, field = {}, self._relabel_field
-        for key, v in tensor.nums.items():
-            new = key >> ps << ps
-            for s in shifts:
-                new |= field(key >> s & low, perm) << s
-            nums[new] = v
+        tensor = tensor._on(self)
+        nums = {self._relabel_key(key, perm, tensor.legs): v for key, v in tensor.nums.items()}
         return _wrap(self, tensor.legs, nums, tensor.den)
+
+    def unfold(self, tensor, leg, perm):
+        """`tensor` plus the images under ``perm**i`` of each term, for ``0 < i`` below the
+        length of the orbit of its `leg` monomial: the terms a `split_by_x` slice dropped."""
+        s, nums = self._layout(tensor.legs)[1][leg], dict(tensor.nums)
+        for key, v in tensor.nums.items():
+            for _ in self._orbit((key >> s) & self._leg_mask, perm)[1:]:
+                key = self._relabel_key(key, perm, tensor.legs)
+                nums[key] = v
+        # New keys with the tensor's values, so the form stays canonical.
+        return _wrap(self, tensor.legs, nums, tensor.den)
+
+    def _relabel_key(self, key, perm, legs):
+        ps, shifts = self._layout(legs)[:2]
+        new = key >> ps << ps
+        for s in shifts:
+            new |= self._relabel_field(key >> s & self._leg_mask, perm) << s
+        return new
+
+    def _orbit(self, field, perm):
+        """The orbit of a leg field under `perm` (None: the field alone), starting at the field."""
+        orbit, y = [field], field
+        while perm and (y := self._relabel_field(y, perm)) != field:
+            orbit.append(y)
+        return orbit
 
     def _relabel_field(self, field, perm):
         """The leg field of the relabelled monomial, cached per `perm` and field."""
@@ -697,7 +724,7 @@ class TensorElement:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return _canonical(self.algebra, self.legs, {k: -v for k, v in self.nums.items()}, self.den)
+        return _wrap(self.algebra, self.legs, {k: -v for k, v in self.nums.items()}, self.den)
 
     def scale(self, c):
         c = Q(c)
@@ -727,7 +754,7 @@ class TensorElement:
         return not self.nums
 
     def is_pure_h(self):
-        x_all = sum(self.algebra._layout(self.legs)[2])
+        x_all = self.algebra._layout(self.legs)[2][-1]
         return not any(key & x_all for key in self.nums)
 
     def valuation(self):
@@ -782,14 +809,15 @@ class TensorElement:
         ps, shifts = alg._layout(self.legs)[:2]
         wide_ps, wide = alg._layout(legs)[:2]
         moves = [(s, wide[p]) for s, p in zip(shifts, positions)]
-        # A unit leg's field is 0, and distinct keys stay distinct.
+        # A unit leg's field is 0, and distinct keys stay distinct; the
+        # values are kept, so the form stays canonical.
         out = {}
         for key, v in self.nums.items():
             new = key >> ps << wide_ps
             for src, dst in moves:
                 new |= ((key >> src) & alg._leg_mask) << dst
             out[new] = v
-        return _canonical(alg, legs, out, self.den)
+        return _wrap(alg, legs, out, self.den)
 
     def strip_unit_leg(self, leg):
         """Keep terms whose given leg is the unit monomial, dropping that leg: the counit on it."""
@@ -798,7 +826,8 @@ class TensorElement:
         alg = self.algebra
         s = alg._layout(self.legs)[1][leg]
         mask, low = alg._leg_mask << s, (1 << s) - 1
-        # With the dropped leg fixed to the unit, distinct keys stay distinct.
+        # With the dropped leg fixed to the unit, distinct keys stay distinct;
+        # the kept terms' numerators may share a factor with `den`.
         nums = {
             (key >> (s + alg._leg_bits) << s) | (key & low): v
             for key, v in self.nums.items()

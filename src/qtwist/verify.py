@@ -49,7 +49,7 @@ def _check(name):
 
     The declaration takes the check's arguments and returns its parts, a
     list or a generator of ``(label, terms)``, or of ``(label, terms, perm,
-    labels)`` for an orbit (see `_finish`).  `terms` is a fresh list of
+    labels, leg)`` for an orbit (see `_finish`).  `terms` is a fresh list of
     ``(scale, a)`` and ``(scale, a, b)`` items, which stand for ``scale * a``
     and ``scale * a * b``, and ``(scale, a, b, part)`` items for a part of
     that product (see `Algebra.mul_into`); the part's residual is their sum.
@@ -73,14 +73,19 @@ def _finish(name, ctx, parts, t0):
     back to the user's context on a lifted twin, counted and searched for the
     witness, and dropped before the next part is built.  The witness is the
     smallest surviving term by power, leg count and monomials, then label.
-    A part ``(label, terms, perm, labels)`` also stands for the parts whose
-    residuals are its own relabelled by `perm` once, twice, and so on (see
-    `Algebra.relabel`), one for each of `labels`, which names them.
+    A part ``(label, terms, perm, labels, leg)`` also stands for the parts
+    whose residuals are its own relabelled by `perm` once, twice, and so on
+    (see `Algebra.relabel`), one for each of `labels`, which names them.
+    With a `leg`, its terms hold only the smallest `leg` monomial of each
+    orbit, which residual terms keep, and its residual is unfolded first
+    (`Algebra.unfold`).
     """
     count, best, tables = 0, None, {}
     for label, terms, *images in parts:
-        perm, labels = images or (None, ())
+        perm, labels, leg = images or (None, (), None)
         residual = _residual(terms, tables)
+        if leg is not None and residual is not None:
+            residual = residual.algebra.unfold(residual, leg, perm)
         for i, label in enumerate((label, *labels)):
             if i and residual is not None:
                 residual = residual.algebra.relabel(residual, perm)
@@ -169,7 +174,10 @@ def check_qybe(ctx, rmat=None):
     # basis.  T's accumulator is split as it stands, one denominator at a
     # time, so T is never merged or held whole.  A relabelling that fixes R
     # fixes T and R23, and so maps the part of a slice to that of its image:
-    # only one slice of each orbit is kept, and its residual relabelled.
+    # only one slice of each orbit is kept, and its residual relabelled.  In
+    # a slice it maps to itself, it maps the residual of the terms of one
+    # leg-0 monomial to that of the image monomial: only one monomial of each
+    # orbit is kept, and the residual unfolded before it is mapped back.
     slices = alg.split_by_x(acc, 3, 0, perm)
     # Popped smallest first, so that the largest slices come last, when the
     # rest of T is gone.
@@ -192,7 +200,7 @@ def check_qybe(ctx, rmat=None):
         terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         # Each operand is released after its last product.
         del parts, tc, tp
-        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1)
+        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 
 
 @_check("triangularity")
@@ -224,7 +232,7 @@ def check_intertwine(ctx, rmat=None):
             # which is empty for an H, whose coproduct is symmetric.
             op = delta.swap()
             terms = [(1, delta - op, r, "lead"), (1, r, delta, "corr"), (-1, op, r, "corr")]
-            yield labels[0], terms, perm, labels[1:]
+            yield labels[0], terms, perm, labels[1:], None
 
 
 @_check("hopf-axioms")

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 from functools import lru_cache
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -136,24 +137,35 @@ def test_products_shaped_like_the_checks_match_the_oracle(name):
             assert _summed(alg, 3, [(Q(-5, 7), a, b)]) == product.scale(Q(-5, 7))
 
 
-def _grouped_tensor(rng, alg, legs, powers):
-    """Ten terms whose leg H parts come from a short list, so that terms of
-    one power and one set of H legs often share a leg's H part."""
+def _grouped_tensor(rng, alg, legs, powers, terms=10):
+    """`terms` draws of a term whose leg H parts come from a short list, so
+    that terms of one power and one set of H legs often share H parts."""
     h_parts = [(0,) * alg.m, (1,) + (0,) * (alg.m - 1), (0,) * (alg.m - 1) + (1,)]
-    terms = {}
-    for _ in range(10):
+    out = {}
+    for _ in range(terms):
         monos = tuple(
             Monomial(rng.choice(h_parts), tuple(rng.randint(0, 1) for _ in range(alg.n)))
             for _ in range(legs)
         )
-        terms[(rng.choice(powers), monos)] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
-    return alg.tensor_element(legs, terms)
+        out[(rng.choice(powers), monos)] = Q(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+    return alg.tensor_element(legs, out)
 
 
-def _one_leg_splits(alg, a, b):
+def _twinned(alg, b):
+    """`b` with a twin of each term, of the same power and H parts, so that
+    the split of every clash, on any number of legs, has subgroups."""
+    twins = {
+        (k, tuple(Monomial(mo.h, tuple(1 - e for e in mo.x)) for mo in monos)): c * Q(-2, 5)
+        for (k, monos), c in b.terms.items()
+    }
+    return b + alg.tensor_element(b.legs, twins)
+
+
+def _clash_splits(alg, a, b):
     """The subgroups the product loop forms for pairs within the order that
-    reorder on one leg: the terms of b of one power and one set of H legs,
-    split by the H part of that leg.  Yields ``(size, at the boundary)``."""
+    reorder: the terms of b of one power and one set of H legs, split by
+    their H parts on the legs where the left term's X meets them.  Yields
+    ``(number of clash legs, size, at the boundary)``."""
     groups = {}
     for k2, monos2 in b.terms:
         h_legs = frozenset(leg for leg, mo in enumerate(monos2) if any(mo.h))
@@ -161,34 +173,67 @@ def _one_leg_splits(alg, a, b):
     for k1, monos1 in a.terms:
         x_legs = {leg for leg, mo in enumerate(monos1) if any(mo.x)}
         for (k2, h_legs), members in groups.items():
-            clash = x_legs & h_legs
-            if k1 + k2 <= alg.order and len(clash) == 1:
-                (leg,) = clash
-                for size in Counter(monos2[leg].h for monos2 in members).values():
-                    yield size, k1 + k2 == alg.order
+            clash = sorted(x_legs & h_legs)
+            if k1 + k2 <= alg.order and clash:
+                for size in Counter(tuple(monos2[leg].h for leg in clash) for monos2 in members).values():
+                    yield len(clash), size, k1 + k2 == alg.order
+
+
+def _reaches(tables):
+    """The reach of each table that `mul_into` keeps in `tables`, by its legs and key."""
+    return {(legs, key): reach for legs, by_key in tables.items() for key, (reach, _) in by_key.items()}
+
+
+def _leading(alg, a, b):
+    """The leading terms of ``a * b``: each pair's ``c1 * c2`` at the sum of
+    its exponents, the product of the commutative associated graded ring."""
+    out = {}
+    for (k1, monos1), c1 in a.terms.items():
+        for (k2, monos2), c2 in b.terms.items():
+            monos = tuple(
+                Monomial(tuple(map(add, m1.h, m2.h)), tuple(map(add, m1.x, m2.x)))
+                for m1, m2 in zip(monos1, monos2)
+            )
+            if k1 + k2 <= alg.order:
+                out[(k1 + k2, monos)] = out.get((k1 + k2, monos), 0) + c1 * c2
+    return alg.tensor_element(a.legs, out)
 
 
 @pytest.mark.parametrize("legs", (2, 3))
 def test_grouped_right_operand_matches_the_oracle(legs):
     """The product loop groups the right operand by power and H legs and
-    splits a one-leg group by that leg's H part.  Over rational tables, with
-    subgroups of two or more terms, mixed denominators and pairs exactly at
-    the truncation order, a Fraction-scaled product added to a non-empty
-    accumulator equals the oracle's.  The left terms come in falling power,
-    so a leg's table built for a high-power term is extended for a lower one."""
+    splits a group by its H parts on the legs a left term clashes with, one
+    or several.  Over rational tables, with subgroups of two or more terms on
+    every number of clash legs, mixed denominators and pairs exactly at the
+    truncation order, a Fraction-scaled product, its leading part and its
+    corrections, each added to a non-empty accumulator, equal the oracle's.
+    The products keep one set of tables: the first, whose left terms are at
+    high power only, builds tables that the later ones extend in reach, as
+    does a later left term, since they come in falling power."""
     rng = random.Random(f"grouped/{legs}")
+    splits, extended = [], set()
     for _ in range(3):
         alg = Algebra(2, 2, 3, random_table(rng, 2, 2, 3, max_terms=3, rational=True))
-        a = _grouped_tensor(rng, alg, legs, (0, 1, 2, 3))
+        a = _grouped_tensor(rng, alg, legs, (0, 1, 2, 3), terms=16)
         a = alg.tensor_element(legs, dict(sorted(a.terms.items(), reverse=True)))
-        b = _grouped_tensor(rng, alg, legs, (0, 1, 3))
-        splits = list(_one_leg_splits(alg, a, b))
-        assert max(size for size, _ in splits) >= 2
-        assert any(edge for _, edge in splits)
+        b = _twinned(alg, _grouped_tensor(rng, alg, legs, (0, 1, 3)))
+        splits += _clash_splits(alg, a, b)
         assert len({c.denominator for c in b.terms.values()}) > 1
-        start = naive_mul_tensors(alg, b, a)
-        acc = {}
-        start.add_into(acc)
-        alg.mul_into(acc, a, b, Q(-7, 4))
-        want = start + naive_mul_tensors(alg, a, b).scale(Q(-7, 4))
-        assert _from_parts(alg, legs, acc) == want
+        high = alg.tensor_element(legs, {key: c for key, c in a.terms.items() if key[0] >= 2})
+        start, tables, reaches = naive_mul_tensors(alg, b, a), {}, None
+        for left, part in ((high, "corr"), (a, None), (a, "lead"), (a, "corr")):
+            product, lead = naive_mul_tensors(alg, left, b), _leading(alg, left, b)
+            want = {None: product, "lead": lead, "corr": product - lead}[part]
+            acc = {}
+            start.add_into(acc)
+            alg.mul_into(acc, left, b, Q(-7, 4), part, tables)
+            assert _from_parts(alg, legs, acc) == start + want.scale(Q(-7, 4))
+            if reaches is None:
+                reaches = _reaches(tables)
+        for path, reach in _reaches(tables).items():
+            if reach > reaches.get(path, reach):
+                extended.add(sum(any(mo.x) for mo in alg.decode(path[1], legs)[1]))
+    for n in range(1, legs + 1):
+        assert max(size for clash, size, _ in splits if clash == n) >= 2
+    assert any(edge for clash, _, edge in splits if clash > 1)
+    assert set(range(1, legs + 1)) <= extended

@@ -268,6 +268,30 @@ def test_embed_and_strip():
     assert t.strip_unit_leg(0).is_zero()
     u = alg.outer(alg.one(), alg.x(0))
     assert u.strip_unit_leg(0) == alg.x(0)
+    # Maps that keep the values keep the canonical form; dropping terms may
+    # leave numerators that share a factor with the denominator.
+    v = alg.outer(alg.h(0), alg.one()).scale(Q(1, 2)) + alg.outer(alg.h(0), alg.x(0)).scale(Q(1, 3))
+    assert v.den == 6
+    kept = v.strip_unit_leg(1)
+    assert kept == alg.h(0).scale(Q(1, 2))
+    for w in (v.embed(3, (2, 0)), v.permute((1, 0)), v.swap(), -v, kept, v.strip_unit_leg(0)):
+        assert gcd(w.den, *w.nums.values()) == 1
+    assert -(-v) == v and v.swap().swap() == v
+
+
+def test_outer_sums_the_power_splits_that_meet_on_one_key():
+    """``(H + h H)`` times ``(h X + X)`` puts ``H (x) X`` at power 1 twice;
+    at order 1 the power-2 term drops."""
+    for order in (1, 3):
+        alg = Algebra(1, 1, order, {(0, 0): {(0, Monomial((1,), (0,))): Q(1)}})
+        a = alg.h(0) + alg.h(0, 1).scale(Q(1, 2))
+        b = alg.x(0, 1).scale(Q(2, 3)) + alg.x(0).scale(3)
+        hx = (Monomial((1,), (0,)), Monomial((0,), (1,)))
+        want = {(0, hx): Q(3), (1, hx): Q(2, 3) + Q(3, 2), (2, hx): Q(1, 3)}
+        got = alg.outer(a, b)
+        assert got.terms == {key: c for key, c in want.items() if key[0] <= order}
+        assert got == alg.mul_tensors(a.embed(2, (0,)), b.embed(2, (1,)))
+        assert gcd(got.den, *got.nums.values()) == 1
 
 
 _HYP_ALG = Algebra(2, 1, 3, {(0, 0): {(0, Monomial((1, 0), (0,))): Q(2)}})

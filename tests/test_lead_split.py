@@ -16,6 +16,7 @@ import pytest
 from helpers import cached_context, naive_mul_tensors, random_table, rotated_null_plane_specs
 from qtwist import build_context
 from qtwist.algebra import Algebra, Monomial, _from_parts
+from test_accumulate import _clash_splits, _grouped_tensor, _twinned
 
 ORDER = 3
 POWERS = (0, 1, ORDER - 1, ORDER)
@@ -63,24 +64,38 @@ def _corr(alg, a, b):
 
 @pytest.mark.parametrize("legs", (1, 2, 3))
 def test_lead_and_corrections_make_up_the_product(legs):
-    rng = random.Random(f"split/{legs}")
-    at_order = 0
-    for alg in _algebras():
-        for _ in range(3):
-            a, b = _tensor(rng, alg, legs), _tensor(rng, alg, legs)
-            assert len({c.denominator for c in a.terms.values()}) > 1
+    """Random operands, and grouped ones whose right operand shares H parts
+    on every set of clash legs (`test_accumulate._twinned`); the latter also
+    against the oracle, but on the dense rotated table, where its rewriting
+    takes seconds.  The sums keep one set of tables per algebra."""
+    rng, grouped = random.Random(f"split/{legs}"), random.Random(f"split/grouped/{legs}")
+    at_order, splits = 0, []
+    for n, alg in enumerate(_algebras()):
+        tables = {}
+        for i in range(4):
+            if i < 3:
+                a, b = _tensor(rng, alg, legs), _tensor(rng, alg, legs)
+                assert len({c.denominator for c in a.terms.values()}) > 1
+                start = _tensor(rng, alg, legs)
+            else:
+                a = _grouped_tensor(grouped, alg, legs, POWERS, terms=4)
+                b = _twinned(alg, _grouped_tensor(grouped, alg, legs, POWERS, terms=4))
+                splits += _clash_splits(alg, a, b)
+                start = _tensor(grouped, alg, legs)
             at_order += any(k1 + k2 == ORDER for k1, _ in a.terms for k2, _ in b.terms)
             product = a * b
+            if i == 3 and n != 3:  # the fourth algebra is the dense rotated one
+                assert product == naive_mul_tensors(alg, a, b)
             assert _lead(alg, a, b) + _corr(alg, a, b) == product
             assert _lead(alg, a, b) == _lead(alg, b, a)
             # A Fraction scale, added to a non-empty accumulator.
-            start, scale = _tensor(rng, alg, legs), Q(-7, 4)
-            acc = {}
+            scale, acc = Q(-7, 4), {}
             start.add_into(acc)
-            alg.mul_into(acc, a, b, scale, "lead")
-            alg.mul_into(acc, a, b, scale, "corr")
+            alg.mul_into(acc, a, b, scale, "lead", tables)
+            alg.mul_into(acc, a, b, scale, "corr", tables)
             assert _from_parts(alg, legs, acc) == start + product.scale(scale)
     assert at_order
+    assert {clash for clash, size, _ in splits if size > 1} == set(range(1, legs + 1))
 
 
 @pytest.mark.parametrize("legs", (1, 2, 3))

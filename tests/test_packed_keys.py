@@ -62,7 +62,8 @@ def test_an_exponent_at_the_field_limit_raises():
 
 def test_a_product_that_could_leave_a_field_raises_instead_of_wrapping():
     """Two exponents below half the limit add up inside their field; an
-    operand at half the limit or above is refused before any pair is formed."""
+    operand at half the limit or above is refused before any pair is formed,
+    also when it is prepared, on either side, and carries its keys' bits."""
     alg = Algebra(2, 1, 3, {})
     half = LIMIT // 2
     a = alg.element({(0, Monomial((half - 1, 0), (0,))): 1})
@@ -71,6 +72,11 @@ def test_a_product_that_could_leave_a_field_raises_instead_of_wrapping():
     for left, right in ((b, alg.h(0)), (alg.h(1), b), (b, b)):
         with pytest.raises(ShapeError, match="exponent"):
             left * right
+    for left, right in ((b, alg.h(0)), (alg.h(1), b), (a, b), (b, a)):
+        for pair in ((alg.prepare(left), right), (left, alg.prepare(right))):
+            with pytest.raises(ShapeError, match="exponent"):
+                alg.mul_into({}, *pair)
+    assert alg.mul_tensors(alg.prepare(a), alg.prepare(a)) == a * a
 
 
 def test_a_bracket_that_raises_an_exponent_past_the_field_raises():

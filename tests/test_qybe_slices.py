@@ -22,7 +22,7 @@ from helpers import (
     unsliced_qybe,
 )
 from qtwist import algebra, build_context, verify
-from qtwist.algebra import Algebra
+from qtwist.algebra import Algebra, Monomial
 from qtwist.verify import check_qybe, orbit_symmetry, run_suite
 
 CASES = (("poincare-null-plane", 3), ("jordanian-borel", 4), ("shift-ring(3)", 3))
@@ -67,24 +67,31 @@ def test_sliced_qybe_matches_the_unsliced_residual_in_the_users_basis(monkeypatc
     assert spread > 1
 
 
-def _split_keys(ctx, perm):
+def _split_keys(ctx, perm, monomials=True):
     """The accumulator keys of the residual as `check_qybe` splits it, but
     summed whole: ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))``
-    for the slices of ``T = R12 R13`` whose leg-0 X exponents are the
-    smallest of their orbit under the relabelling `perm`, or for all of T
-    when `perm` is None."""
+    for the terms of ``T = R12 R13`` whose leg-0 X exponents are the smallest
+    of their orbit under the relabelling `perm` and, where `perm` fixes
+    those and `monomials` is set, whose whole leg-0 monomial is the smallest
+    of its orbit; or for all of T when `perm` is None."""
     r = ctx.universal_r
     alg, r23 = r.algebra, r.embed(3, (1, 2))
 
-    def orbit(x):
-        images = [x]
-        while perm and (x := tuple(x[perm.index(i)] for i in range(len(x)))) != images[0]:
-            images.append(x)
+    def orbit(mono):
+        images = [mono]
+        while perm:
+            mono = Monomial(*(tuple(e[perm.index(i)] for i in range(len(e))) for e in mono))
+            if mono == images[0]:
+                break
+            images.append(mono)
         return images
 
+    def kept(mono):
+        xs = [image.x for image in orbit(mono)]
+        return mono.x == min(xs) and (len(set(xs)) > 1 or not monomials or mono == min(orbit(mono)))
+
     whole = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
-    kept = {key: c for key, c in whole.terms.items() if key[1][0].x == min(orbit(key[1][0].x))}
-    t = alg.tensor_element(3, kept)
+    t = alg.tensor_element(3, {key: c for key, c in whole.terms.items() if kept(key[1][0])})
     tp = t.permute((0, 2, 1))
     acc = {}
     alg.mul_into(acc, r23, t - tp, 1, "lead")
@@ -128,8 +135,9 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     assert check_qybe(ctx).passed
     monkeypatch.undo()
     keys, unsliced = _split_keys(ctx, perm), _split_keys(ctx, None)
-    # The parts split the accumulator's keys between them, none shared.
-    assert sum(sizes) == keys < unsliced
+    # The parts split the accumulator's keys between them, none shared, and
+    # orbits of whole leg-0 monomials sum fewer than orbits of X parts.
+    assert sum(sizes) == keys < _split_keys(ctx, perm, monomials=False) < unsliced
     assert len(sizes) > 1
     assert 2 * max(sizes) < unsliced
     # Image parts were tallied, and no product ran for them.

@@ -18,7 +18,7 @@ import pytest
 from helpers import cached_context, random_table
 from qtwist.algebra import Algebra, TensorElement, _from_parts
 from qtwist.verify import check_intertwine, check_qybe
-from test_accumulate import _algebra, _grouped_tensor
+from test_accumulate import _algebra, _grouped_tensor, _reaches
 from test_lead_split import ORDER, _tensor
 
 ALGEBRAS = (
@@ -44,15 +44,6 @@ def _fresh(alg, a, b, scale, part):
     acc = {}
     alg.mul_into(acc, a, b, scale, part)
     return _from_parts(alg, a.legs, acc)
-
-
-def _reaches(tables):
-    return {
-        (legs, key, f2): reach
-        for legs, by_leg in tables.items()
-        for key, table in by_leg.items()
-        for f2, (reach, _) in table.items()
-    }
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -94,8 +85,8 @@ def test_shared_tables_and_a_prepared_operand_match_fresh_products(name):
 
 class _Logged(dict):
     """Stands for the tables a check keeps: each table that `mul_into` builds or
-    extends is logged as ``(path, reach)``, `path` naming its legs, its leg
-    and left X part, and its right H part."""
+    extends is logged as ``(path, reach)``, `path` naming its legs and the
+    left X parts plus right H parts on its clash legs."""
 
     def __init__(self, log, path=()):
         super().__init__()
