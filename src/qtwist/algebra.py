@@ -93,15 +93,15 @@ class Algebra:
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
     `_int_table` holds each bracket as such keys mapped to integer
     numerators over one denominator; `bracket` returns the Fraction form.
-    Five caches live as long as the algebra, and no entry is mutated once
+    Six caches live as long as the algebra, and no entry is mutated once
     stored: `_monos` maps a leg field to its Monomial; `_single_cache` and
     `_block_cache` hold the normal forms of ``X_mu H^a`` and ``X^b H^a`` by
     X index or X part and H part, as packed keys mapped to numerators in
     lowest terms, no field reaching ``2**(_W - 1)``, a block in increasing
-    key order; `_rows` holds the blocks as leg products (`_mono_mul`); and
-    `_entries` interns the entries of `mul_into`'s tables, shared by many.
-    `prepare` groups a right operand of `mul_into`, and `mul_into` builds
-    tables of shifted key offsets per clash that its caller may keep.
+    key order; `_rows` holds the blocks as leg products (`_mono_mul`);
+    `_tables` maps a leg count and a clash's key to a `mul_into` table
+    (`_leg_table`), replaced when extended; `_entries` interns the tables,
+    shared by many keys.  `prepare` groups a right operand of `mul_into`.
     """
 
     def __init__(self, m, n, order, table):
@@ -138,7 +138,7 @@ class Algebra:
                     k << self._leg_bits | self._field(mono.h, no_x): c.numerator * (den // c.denominator)
                     for (k, mono), c in entry.items()
                 }, den
-        self._layouts, self._monos, self._rows, self._entries = {}, {}, {}, {}
+        self._layouts, self._monos, self._rows, self._entries, self._tables = {}, {}, {}, {}, {}
         self._single_cache, self._block_cache, self._relabels = {}, {}, {}
 
     def bracket(self, j, mu):
@@ -403,7 +403,36 @@ class Algebra:
             by_power.setdefault(g >> b.legs, []).append((g & low, by_group[g], {}))
         return _wrap(self, b.legs, b.nums, b.den, (seen, list(by_power.items())))
 
-    def mul_into(self, acc, a, b, scale=1, part=None, tables=None):
+    def _leg_table(self, legs, clash, key, room):
+        """The table of `key`, the left X parts plus the right H parts on the legs
+        `clash` of a `legs`-leg product (a sum with no carry), built to power `room`:
+        ``(reach, rows)``, the rows to power `reach`, the all-leading row first."""
+        ps, shifts = self._layout(legs)[:2]
+        rows, full = [(0, 0, 1, 1)], 0
+        while clash:
+            leg = clash.bit_length() - 1
+            clash ^= 1 << leg
+            sh = shifts[leg]
+            f1, f2 = (key >> sh) & self._x_mask, (key >> sh) & self._h_mask
+            prods = self._rows.get((f1, f2))
+            if prods is None:
+                prods = self._rows[(f1, f2)] = self._mono_mul(f1, f2)
+            full += prods[-1][1]
+            wide = []
+            for d, k, n, dd in rows:
+                # A leg's products come in power order, the leading one first.
+                for dm, km, cm in prods:
+                    if k + km > room:
+                        break
+                    cn, cd = cm or (1, 1)
+                    wide.append((d + (dm << sh), k + km, n * cn, dd * cd))
+            rows = wide
+        # Stable, so the all-leading row stays first.
+        rows.sort(key=itemgetter(1))
+        entry = (self.order if full <= room else room), tuple((d + (k << ps), k, n, dd) for d, k, n, dd in rows)
+        return self._entries.setdefault(entry, entry)
+
+    def mul_into(self, acc, a, b, scale=1, part=None):
         """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
 
         `acc` maps each absolute denominator to a numerator map keyed like
@@ -418,9 +447,9 @@ class Algebra:
         the left term's X parts on them each subgroup picks a table whose rows,
         the products of those legs' `_mono_mul` rows as shifted delta plus
         power field, are added to ``key1`` and then to each key of the split.
-        The tables live in `tables`, a dict kept across products of this
-        algebra (None: this call); a row names its denominator, and a call maps
-        it to its part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
+        The tables depend on the algebra alone and live in its `_tables`
+        (`_leg_table`); a row names its denominator, and a call maps it to its
+        part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
 
         A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
         in the commutative associated graded ring.  `part` "lead" adds only
@@ -433,7 +462,7 @@ class Algebra:
         the coproduct of a generator, for intertwining; `R23`, `R` prepared.
         """
         order = self.order
-        ps, shifts, x_bits, h_bits, guard = self._layout(a.legs)
+        ps, _, x_bits, h_bits, guard = self._layout(a.legs)
         b_seen, buckets = (b if b._groups is not None else self.prepare(b))._groups
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
         if (a_seen | b_seen) & guard:
@@ -441,11 +470,7 @@ class Algebra:
         # Under "lead" no left leg is tested for an X: every pair adds key1 + key2.
         legs = () if part == "lead" else [1 << leg for leg in range(a.legs)]
         skip = 1 if part == "corr" else 0
-        x_mask, h_mask, all_rows, entries = self._x_mask, self._h_mask, self._rows, self._entries
-        # The power fields, so that a product term adds its power in place.
-        powers = [k << ps for k in range(order + 1)]
-        base_den = a.den * b.den * scale.denominator
-        s = scale.numerator
+        base_den, s = a.den * b.den * scale.denominator, scale.numerator
         # A term of a above `top` pairs with no term of b.
         top = order - buckets[0][0] if buckets else -1
         # A term goes to the part of `acc` over `base_den` times the
@@ -453,38 +478,9 @@ class Algebra:
         out = acc.setdefault(base_den, {})
         dens = {1: out}
 
-        # ``(reach, rows)`` for the X parts `xk` and H parts `hk` on the legs
-        # `clash`: the rows up to power `reach`, the all-leading row first.
-        def build(clash, xk, hk, room):
-            rows, full = [(0, 0, 1, 1)], 0
-            while clash:
-                leg = clash.bit_length() - 1
-                clash ^= 1 << leg
-                sh = shifts[leg]
-                f1, f2 = (xk >> sh) & x_mask, (hk >> sh) & h_mask
-                prods = all_rows.get((f1, f2))
-                if prods is None:
-                    prods = all_rows[(f1, f2)] = self._mono_mul(f1, f2)
-                full += prods[-1][1]
-                wide = []
-                for d, k, n, dd in rows:
-                    # A leg's products come in power order, the leading one first.
-                    for dm, km, cm in prods:
-                        if k + km > room:
-                            break
-                        cn, cd = cm or (1, 1)
-                        wide.append((d + (dm << sh), k + km, n * cn, dd * cd))
-                rows = wide
-            # Stable, so the all-leading row stays first.
-            rows.sort(key=itemgetter(1))
-            entry = (order if full <= room else room), tuple((d + powers[k], k, n, dd) for d, k, n, dd in rows)
-            return entries.setdefault(entry, entry)
-
-        # The tables of this number of legs, by the left X parts on a clash's
-        # legs plus the right H parts on them (a sum with no carry, so one int
-        # names both): ``(reach, rows)``, as tuples, which ``rows[skip:]``
-        # does not copy when `skip` is 0.
-        tables = {} if tables is None else tables.setdefault(a.legs, {})
+        # The tables of this number of legs, by key (`_leg_table`), hold tuples,
+        # which ``rows[skip:]`` does not copy when `skip` is 0.
+        tables = self._tables.setdefault(a.legs, {})
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
             if k1 > top:
@@ -516,7 +512,7 @@ class Algebra:
                     for hk, sub in split:
                         reach, rows = tables.get(xk + hk) or (-1, None)
                         if reach < room:
-                            reach, rows = tables[xk + hk] = build(clash, xk, hk, room)
+                            reach, rows = tables[xk + hk] = self._leg_table(a.legs, clash, xk + hk, room)
                         for d, km, cn, cd in rows[skip:]:
                             if km > room:
                                 break

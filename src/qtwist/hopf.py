@@ -27,7 +27,7 @@ from .algebra import (
     series_apply,
 )
 from .errors import ShapeError, UnsupportedPresetError
-from .model import DerivedStructure, derive_alpha
+from .model import DerivedStructure, classical_algebra, derive_alpha
 from .transport import BasisChange
 
 Q = Fraction
@@ -138,6 +138,11 @@ class HopfContext:
     @cached_property
     def one_minus_exp_neg2(self):
         return SeriesMatrix.identity(self.algebra, self.spec.n) - self.exp_neg2alpha_h
+
+    @cached_property
+    def classical_algebra(self):
+        """The stored spec's undeformed algebra, kept so that `cybe` reuses its leg tables."""
+        return classical_algebra(self.spec)
 
     # -- coproduct and counit ------------------------------------------------
 

@@ -309,14 +309,14 @@ def derive_alpha(spec):
     )
 
 
-def cybe_residual(spec):
+def cybe_residual(spec, alg=None):
     """Residual of the classical Yang-Baxter equation for r.
 
     Computes [[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] in the third
-    tensor power of the undeformed algebra, every term at deformation
-    power zero.
+    tensor power of `alg`, the undeformed algebra (built when None), every
+    term at deformation power zero.
     """
-    alg = classical_algebra(spec)
+    alg = classical_algebra(spec) if alg is None else alg
     acc = {}
     for i in range(spec.m):
         for mu in range(spec.n):

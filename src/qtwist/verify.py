@@ -67,7 +67,7 @@ def _check(name):
 
 
 def _finish(name, ctx, parts, t0):
-    """Evaluate a check's residual one part at a time, keeping leg tables for the check.
+    """Evaluate a check's residual one part at a time.
 
     Each part is summed into one accumulator and canonicalised once, mapped
     back to the user's context on a lifted twin, counted and searched for the
@@ -80,10 +80,10 @@ def _finish(name, ctx, parts, t0):
     orbit, which residual terms keep, and its residual is unfolded first
     (`Algebra.unfold`).
     """
-    count, best, tables = 0, None, {}
+    count, best = 0, None
     for label, terms, *images in parts:
         perm, labels, leg = images or (None, (), None)
-        residual = _residual(terms, tables)
+        residual = _residual(terms)
         if leg is not None and residual is not None:
             residual = residual.algebra.unfold(residual, leg, perm)
         for i, label in enumerate((label, *labels)):
@@ -111,29 +111,28 @@ def _finish(name, ctx, parts, t0):
     )
 
 
-def _residual(terms, tables):
+def _residual(terms):
     """The sum of a part's terms; None for no terms.
 
-    The sum runs in the algebra of the first operand, with the leg tables
-    that `tables` keeps for it.  The list is emptied as it goes, so an
-    operand nothing else holds is released after its last product.
+    The sum runs in the algebra of the first operand and empties the list,
+    so an operand nothing else holds is released after its last product.
     """
     if not terms:
         return None
     alg, legs = terms[0][1].algebra, terms[0][1].legs
-    shape, acc, tables = alg.tensor_zero(legs), {}, tables.setdefault(alg, {})
+    shape, acc = alg.tensor_zero(legs), {}
     while terms:
-        _accumulate(alg, shape, acc, tables, *terms.pop(0))
+        _accumulate(alg, shape, acc, *terms.pop(0))
     return _from_parts(alg, legs, acc)
 
 
-def _accumulate(alg, shape, acc, tables, scale, a, b=None, part=None):
+def _accumulate(alg, shape, acc, scale, a, b=None, part=None):
     """Add ``scale * a``, ``scale * a * b`` or its `part` to `acc`; operands must fit `shape`."""
     shape._check_compat(a)
     if b is None:
         return a._on(alg).add_into(acc, scale)
     shape._check_compat(b)
-    alg.mul_into(acc, a._on(alg), b._on(alg), scale, part, tables)
+    alg.mul_into(acc, a._on(alg), b._on(alg), scale, part)
 
 
 def _tally(label, residual):
@@ -275,7 +274,7 @@ def check_classical_limit(ctx):
 @_check("cybe")
 def check_cybe(ctx):
     """Classical Yang-Baxter residual of the r-matrix."""
-    return [("[[r,r]]", [(1, cybe_residual(ctx.spec))])]
+    return [("[[r,r]]", [(1, cybe_residual(ctx.spec, ctx.classical_algebra))])]
 
 
 @_check("alpha-exchange")

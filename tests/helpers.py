@@ -32,6 +32,12 @@ def cached_leg_products(alg):
     return list(alg._rows.values())
 
 
+def fresh_algebra(alg):
+    """A new algebra with `alg`'s shape and bracket table, and every cache empty."""
+    table = {(j, mu): alg.bracket(j, mu) for j in range(alg.m) for mu in range(alg.n)}
+    return Algebra(alg.m, alg.n, alg.order, table)
+
+
 def preset_file_text(name):
     """The shipped spec file for a preset, as text."""
     fname = name.replace("(", "-").replace(")", "") + ".json"
@@ -410,10 +416,10 @@ def count_parts(monkeypatch):
     parts = {"summed": 0, "tallied": [], "fresh": False}
     residual, tally = verify._residual, verify._tally
 
-    def counted_residual(terms, tables):
+    def counted_residual(terms):
         parts["summed"] += 1
         parts["fresh"] = True
-        return residual(terms, tables)
+        return residual(terms)
 
     def counted_tally(label, res):
         parts["tallied"].append((label, res, not parts["fresh"]))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import naive_mul_tensors, random_table
+from helpers import fresh_algebra, naive_mul_tensors, random_table
 from qtwist import build_context, parse_spec_file, preset
 from qtwist.algebra import Algebra, Monomial, _from_parts
 
@@ -99,13 +99,6 @@ def test_a_cancelling_pair_leaves_the_canonical_zero(name, legs):
     assert zero == alg.tensor_zero(legs)
 
 
-def _fresh(name):
-    """An algebra with the bracket table of `name` and empty caches."""
-    alg = _algebra(name)
-    table = {(j, mu): alg.bracket(j, mu) for j in range(alg.m) for mu in range(alg.n)}
-    return Algebra(alg.m, alg.n, alg.order, table)
-
-
 def _reordering_legs(alg, a, b):
     """The sets of legs that reorder X past H, over the pairs a product visits."""
     return {
@@ -121,7 +114,7 @@ def test_products_shaped_like_the_checks_match_the_oracle(name):
     """3-leg operands embedded with unit legs, as in ``R12·R13``,
     ``(R12R13)·R23`` and ``(Δ⊗id)(φ)·φ12``, whose pairs reorder on one leg
     at each position, or on two.  The second round runs on a warm algebra."""
-    alg = _fresh(name)
+    alg = fresh_algebra(_algebra(name))
     rng = random.Random(f"shapes/{name}")
     r, s, phi = _tensor(rng, alg, 2), _tensor(rng, alg, 2), _tensor(rng, alg, 2)
     r12, r13, r23 = r.embed(3, (0, 1)), r.embed(3, (0, 2)), s.embed(3, (1, 2))
@@ -179,9 +172,9 @@ def _clash_splits(alg, a, b):
                     yield len(clash), size, k1 + k2 == alg.order
 
 
-def _reaches(tables):
-    """The reach of each table that `mul_into` keeps in `tables`, by its legs and key."""
-    return {(legs, key): reach for legs, by_key in tables.items() for key, (reach, _) in by_key.items()}
+def _reaches(alg):
+    """The reach of each leg table that `alg` keeps, by its legs and key."""
+    return {(legs, key): reach for legs, by_key in alg._tables.items() for key, (reach, _) in by_key.items()}
 
 
 def _leading(alg, a, b):
@@ -207,8 +200,8 @@ def test_grouped_right_operand_matches_the_oracle(legs):
     every number of clash legs, mixed denominators and pairs exactly at the
     truncation order, a Fraction-scaled product, its leading part and its
     corrections, each added to a non-empty accumulator, equal the oracle's.
-    The products keep one set of tables: the first, whose left terms are at
-    high power only, builds tables that the later ones extend in reach, as
+    The products share the algebra's tables: the first, whose left terms are
+    at high power only, builds tables that the later ones extend in reach, as
     does a later left term, since they come in falling power."""
     rng = random.Random(f"grouped/{legs}")
     splits, extended = [], set()
@@ -220,17 +213,18 @@ def test_grouped_right_operand_matches_the_oracle(legs):
         splits += _clash_splits(alg, a, b)
         assert len({c.denominator for c in b.terms.values()}) > 1
         high = alg.tensor_element(legs, {key: c for key, c in a.terms.items() if key[0] >= 2})
-        start, tables, reaches = naive_mul_tensors(alg, b, a), {}, None
+        start, reaches = naive_mul_tensors(alg, b, a), None
+        assert not alg._tables
         for left, part in ((high, "corr"), (a, None), (a, "lead"), (a, "corr")):
             product, lead = naive_mul_tensors(alg, left, b), _leading(alg, left, b)
             want = {None: product, "lead": lead, "corr": product - lead}[part]
             acc = {}
             start.add_into(acc)
-            alg.mul_into(acc, left, b, Q(-7, 4), part, tables)
+            alg.mul_into(acc, left, b, Q(-7, 4), part)
             assert _from_parts(alg, legs, acc) == start + want.scale(Q(-7, 4))
             if reaches is None:
-                reaches = _reaches(tables)
-        for path, reach in _reaches(tables).items():
+                reaches = _reaches(alg)
+        for path, reach in _reaches(alg).items():
             if reach > reaches.get(path, reach):
                 extended.add(sum(any(mo.x) for mo in alg.decode(path[1], legs)[1]))
     for n in range(1, legs + 1):

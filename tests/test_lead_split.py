@@ -67,11 +67,10 @@ def test_lead_and_corrections_make_up_the_product(legs):
     """Random operands, and grouped ones whose right operand shares H parts
     on every set of clash legs (`test_accumulate._twinned`); the latter also
     against the oracle, but on the dense rotated table, where its rewriting
-    takes seconds.  The sums keep one set of tables per algebra."""
+    takes seconds.  The sums share the tables of their algebra."""
     rng, grouped = random.Random(f"split/{legs}"), random.Random(f"split/grouped/{legs}")
     at_order, splits = 0, []
     for n, alg in enumerate(_algebras()):
-        tables = {}
         for i in range(4):
             if i < 3:
                 a, b = _tensor(rng, alg, legs), _tensor(rng, alg, legs)
@@ -91,8 +90,8 @@ def test_lead_and_corrections_make_up_the_product(legs):
             # A Fraction scale, added to a non-empty accumulator.
             scale, acc = Q(-7, 4), {}
             start.add_into(acc)
-            alg.mul_into(acc, a, b, scale, "lead", tables)
-            alg.mul_into(acc, a, b, scale, "corr", tables)
+            alg.mul_into(acc, a, b, scale, "lead")
+            alg.mul_into(acc, a, b, scale, "corr")
             assert _from_parts(alg, legs, acc) == start + product.scale(scale)
     assert at_order
     assert {clash for clash, size, _ in splits if size > 1} == set(range(1, legs + 1))

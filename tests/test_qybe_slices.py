@@ -114,15 +114,15 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     parts = count_parts(monkeypatch)
     summed = verify._residual
 
-    def sized_residual(terms, tables):
+    def sized_residual(terms):
         sizes.append(0)
         busy.append(True)
-        out = summed(terms, tables)
+        out = summed(terms)
         busy.pop()
         return out
 
-    def counted_mul_into(self, acc, a, b, scale=1, part=None, tables=None):
-        mul_into(self, acc, a, b, scale, part, tables)
+    def counted_mul_into(self, acc, a, b, scale=1, part=None):
+        mul_into(self, acc, a, b, scale, part)
         if busy:
             sizes[-1] = max(sizes[-1], sum(map(len, acc.values())))
         elif sizes:
