@@ -38,14 +38,30 @@ def build_context(spec):
     return HopfContext(derive_alpha(spec))
 
 
+def _frozen(value):
+    """Nested lists and tuples as nested tuples, which can key a dict."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+class _shared(cached_property):
+    """A cached property kept in the context's `_shared` dict (see HopfContext)."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is not None and self.attrname not in ctx._shared:
+            ctx._shared[self.attrname] = self.func(ctx)
+        return self if ctx is None else ctx._shared[self.attrname]
+
+
 class HopfContext:
     """Bundles a derived structure with the cached Hopf-side data.
 
     The heavyweight pieces (coproduct images, matrix exponentials, the twist
     and the R-matrix) are built lazily and cached, so every check run on a
-    context reuses them.  On a lifted twin (see `lifted`), `from_user` and
-    `to_user` are the basis changes from and to the user's context; on any
-    other context they are None.
+    context reuses them.  Those built from ``derived`` without its spec (the
+    twin's algebra and maps too) live in ``derived.shared``, which its stale
+    copies share; phi, R and the twin's spec stay per context.  On a lifted
+    twin (see `lifted`), `from_user` and `to_user` are the basis changes from
+    and to the user's context; on any other context they are None.
     """
 
     def __init__(self, derived: DerivedStructure):
@@ -53,7 +69,9 @@ class HopfContext:
         self.spec = derived.spec
         self.algebra = derived.algebra
         self.from_user = self.to_user = None
-        self._delta_cache = {}
+        key = (derived.algebra,) + _frozen((derived.alpha_up, derived.r_low, derived.alpha_low))
+        self._shared = derived.shared.setdefault(key, {})
+        self._delta_cache = self._shared.setdefault("_delta_cache", {})
 
     @property
     def lifted(self):
@@ -67,25 +85,18 @@ class HopfContext:
         itself, so every product formed on the twin is the image of the one
         formed here; on a stale context it is the image of the stale product.
         """
-        return self if self._twin is None else self._twin
+        return self if self._lift is None else self._twin
 
-    @cached_property
-    def _twin(self):
-        """The lifted twin, built on first use; None when r_low is the identity.
-
-        A context never caches itself, which would make it a reference cycle
-        that outlives its last use until the cyclic collector runs.
-        """
-        spec, derived, alg = self.spec, self.derived, self.algebra
-        dims = range(spec.m)
-        r_low = derived.r_low
-        eye = tuple(tuple(Q(int(i == j)) for j in dims) for i in dims)
-        if r_low == eye:
+    @_shared
+    def _lift(self):
+        """The r of ``r_low`` and the maps to and from the twin's algebra; None when r_low = I."""
+        alg, dims, r_low = self.algebra, range(self.algebra.m), self.derived.r_low
+        if r_low == _frozen(linalg.identity(alg.m)):
             return None
         r = linalg.inverse([list(col) for col in zip(*r_low)])
         # [H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu], carried forward.  The
         # entries are pure-H, so a table-free algebra holds them meanwhile.
-        carry = BasisChange(alg, Algebra(spec.m, spec.n, alg.order, {}), r_low)
+        carry = BasisChange(alg, Algebra(alg.m, alg.n, alg.order, {}), r_low)
         table = {}
         for a, mu in itertools.product(dims, dims):
             acc = carry.target.zero()
@@ -93,6 +104,18 @@ class HopfContext:
                 if r[j][a]:
                     acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])
             table[(a, mu)] = _table_entry(acc)
+        twin_alg = Algebra(alg.m, alg.n, alg.order, table)
+        return r, BasisChange(alg, twin_alg, r_low), BasisChange(twin_alg, alg, list(zip(*r)))
+
+    @cached_property
+    def _twin(self):
+        """The lifted twin, built on first use; only for an r_low other than the identity.
+
+        A context never caches itself, which would make it a reference cycle
+        that outlives its last use until the cyclic collector runs.
+        """
+        spec, derived, (r, from_user, to_user) = self.spec, self.derived, self._lift
+        dims, r_low = range(spec.m), derived.r_low
         # The stored spec carried over by the same map; its twist matrix is
         # r_low^T r, the identity unless the stored r is stale.
         B = [
@@ -107,46 +130,46 @@ class HopfContext:
         # Carried forward, the coupling of H'_lam is sum_i r_low[i][lam]
         # alpha_up[i], which is alpha_low[lam]; alpha_low itself is unchanged.
         twin = HopfContext(
-            DerivedStructure(
+            dataclasses.replace(
+                derived,
                 spec=dataclasses.replace(spec, B=B, r=twin_r),
                 alpha_up=derived.alpha_low,
-                r_low=eye,
-                alpha_low=derived.alpha_low,
-                algebra=Algebra(spec.m, spec.n, alg.order, table),
+                r_low=_frozen(linalg.identity(spec.m)),
+                algebra=from_user.target,
             )
         )
-        twin.from_user = BasisChange(alg, twin.algebra, r_low)
-        twin.to_user = BasisChange(twin.algebra, alg, list(zip(*r)))
+        twin.from_user, twin.to_user = from_user, to_user
         return twin
 
     # -- series matrices ---------------------------------------------------
 
-    @cached_property
+    @_shared
     def alpha_h(self):
         return self.derived.alpha_h_matrix()
 
-    @cached_property
+    @_shared
     def exp_2alpha_h(self):
         coeffs = exp_coefficients(self.algebra.order)
         return series_apply(coeffs, self.alpha_h.scale(2))
 
-    @cached_property
+    @_shared
     def exp_neg2alpha_h(self):
         coeffs = exp_coefficients(self.algebra.order)
         return series_apply(coeffs, self.alpha_h.scale(-2))
 
-    @cached_property
+    @_shared
     def one_minus_exp_neg2(self):
         return SeriesMatrix.identity(self.algebra, self.spec.n) - self.exp_neg2alpha_h
 
     @cached_property
     def classical_algebra(self):
-        """The stored spec's undeformed algebra, kept so that `cybe` reuses its leg tables."""
-        return classical_algebra(self.spec)
+        """The stored spec's undeformed algebra, shared by B so that `cybe` reuses its leg tables."""
+        key = ("classical", self.spec.B)
+        return self._shared.get(key) or self._shared.setdefault(key, classical_algebra(self.spec))
 
     # -- coproduct and counit ------------------------------------------------
 
-    @cached_property
+    @_shared
     def _delta_gens(self):
         """Coproducts of H_0..H_{m-1} and then X_0..X_{n-1}, the order of a leg field."""
         alg, one = self.algebra, self.algebra.one()
@@ -255,6 +278,10 @@ class HopfContext:
             raise UnsupportedPresetError(
                 "the physical basis is only defined for the null-plane preset"
             )
+        return self._physical_basis
+
+    @_shared
+    def _physical_basis(self):
         coeffs = exp_coefficients(self.algebra.order)
         exp_neg = series_apply(coeffs, self.alpha_h.scale(-1))
         out = []

@@ -123,6 +123,7 @@ class DerivedStructure:
     X generators; alpha_low re-expresses the family through the inverse of
     r, and carries one matrix per X index.  The bracket table lists
     [H_j, X_mu] as truncated pure-H series; its power-zero slice is B.
+    `shared` holds the data HopfContext builds from all fields but spec; see there.
     """
 
     spec: AlgebraSpec
@@ -130,6 +131,7 @@ class DerivedStructure:
     r_low: tuple
     alpha_low: tuple
     algebra: Algebra
+    shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bracket(self, j, mu):
         return self.algebra.bracket(j, mu)
