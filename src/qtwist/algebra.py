@@ -10,11 +10,12 @@ terms above a fixed truncation order ``N``.
 
 Normal ordering rewrites any word of generators into the basis of monomials
 with every H factor to the left of every X factor.  Each swap of an adjacent
-``X H`` pair costs a pure-H correction read from the bracket table; since the
-corrections carry no X factors, the rewriting terminates, and because the
-``X H`` pattern cannot overlap itself, the normal form is unique for any
-table.  Multiplication is normal ordering of the concatenation, so it is
-associative by confluence.
+``X H`` pair costs a pure-H correction read from the bracket table: ``X_mu g
+= g X_mu + D_mu(g)`` for pure-H ``g``, ``D_mu`` a derivation of the H-series.
+The last X of a block moves past the H first.  Multiplication normal-orders
+the concatenation.  It is associative when the ``D_mu`` commute, as the Jacobi
+identity of a valid spec makes them; otherwise ``X_1 (X_0 H)`` and
+``(X_1 X_0) H`` can differ.
 """
 
 from __future__ import annotations
@@ -94,11 +95,12 @@ class Algebra:
     `_int_table` holds each bracket as such keys mapped to integer
     numerators over one denominator; `bracket` returns the Fraction form.
     Six caches live as long as the algebra, and no entry is mutated once
-    stored: `_monos` maps a leg field to its Monomial; `_single_cache` and
-    `_block_cache` hold the normal forms of ``X_mu H^a`` and ``X^b H^a`` by
-    X index or X part and H part, as packed keys mapped to numerators in
-    lowest terms, no field reaching ``2**(_W - 1)``, a block in increasing
-    key order; `_rows` holds the blocks as leg products (`_mono_mul`);
+    stored: `_monos` maps a leg field to its Monomial; `_single_cache` holds
+    the derivatives ``D_mu(H^a) = [X_mu, H^a]`` by X index and H part, and
+    `_block_cache` the chains ``D^c(H^a)`` by an X part ``c`` of two or more
+    X and an H part, as packed keys in increasing order mapped to numerators
+    in lowest terms, no field reaching ``2**(_W - 1)``; `_rows` holds the
+    blocks ``X^b H^a`` they give as leg products (`_mono_mul`);
     `_tables` maps a leg count and a clash's key to a `mul_into` table
     (`_leg_table`), replaced when extended; `_entries` interns the tables,
     shared by many keys.  `prepare` groups a right operand of `mul_into`.
@@ -112,8 +114,6 @@ class Algebra:
         self._leg_mask = (1 << self._leg_bits) - 1
         self._x_mask = (1 << (n * _W)) - 1
         self._h_mask = self._leg_mask ^ self._x_mask
-        # The field of each generator: H_0..H_{m-1}, then X_0..X_{n-1}.
-        self._units = tuple(1 << (_W * i) for i in range(m + n - 1, -1, -1))
         self._table, self._int_table = {}, {}
         no_x = (0,) * n
         for (j, mu), entry in table.items():
@@ -290,98 +290,85 @@ class Algebra:
 
     # -- normal-ordering kernels ------------------------------------------------
 
-    def _checked(self, terms, den):
-        """``(terms, den)`` of packed 1-leg keys, unless a field reaches ``2**(_W - 1)``."""
-        if reduce(or_, terms, 0) & self._layout(1)[4]:
-            raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
-        return terms, den
+    def _derivative(self, mu, h):
+        """``D_mu(H^h) = [X_mu, H^h] = sum_j h_j H^(h - e_j) (-[H_j, X_mu])``, `h` an H part, laid out
+        as `_ordered`'s; raises if a field of a bracket used or of the result reaches ``2**(_W - 1)``."""
+        cached = self._single_cache.get((mu, h))
+        if cached is None:
+            parts, rest, seen = {}, h, 0
+            while rest:
+                # H_j, the first H left in `rest`, has its top field.
+                sh = (rest.bit_length() - 1) // _W * _W
+                e = rest >> sh & _FIELD
+                rest -= e << sh
+                bracket, den = self._int_table[(self.m + self.n - 1 - sh // _W, mu)]
+                acc, base = parts.setdefault(den, {}), h - (1 << sh)
+                for key, v in bracket.items():
+                    seen |= key
+                    key += base
+                    acc[key] = acc.get(key, 0) - e * v
+            cached = _ordered(parts)
+            if reduce(or_, cached[0], seen) & self._layout(1)[4]:
+                raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
+            self._single_cache[(mu, h)] = cached
+        return cached
 
-    def _single_x_past_h(self, mu, h):
-        """Normal form of ``X_mu H^h``, `h` the H part of a field, as ``(terms, den)``.
-
-        `terms` maps packed 1-leg keys to numerators over `den`, in lowest terms.
-        """
-        cache_key = (mu, h)
-        cached = self._single_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        if not h:
-            out = {self._units[self.m + mu]: 1}, 1
-        else:
-            # H_j is the first H with a non-zero exponent, the top field of h.
-            j = self.m + self.n - 1 - (h.bit_length() - 1) // _W
-            unit = self._units[j]
-            rest = h - unit
-            sub, sub_den = self._single_x_past_h(mu, rest)
-            bracket, bracket_den = self._checked(*self._int_table[(j, mu)])
-            den = lcm(sub_den, bracket_den)
-            fs, fb = den // sub_den, den // bracket_den
-            # X H_j = H_j X - [H_j, X].  The bracket is pure-H, so only the
-            # terms carried over from X_mu H^rest can hold X_mu.
-            terms = {key + unit: v * fs for key, v in sub.items()}
-            for key, v in bracket.items():
-                key += rest
-                terms[key] = terms.get(key, 0) - v * fb
-            out = self._checked(*_reduced(terms, den))
-        self._single_cache[cache_key] = out
-        return out
-
-    def _x_block_past_h(self, x, h):
-        """Normal form of the word ``X^x H^h``, for the X part `x` and H part `h` of leg fields.
-
-        The layout is that of `_single_x_past_h`, with the keys in increasing
-        order, so in increasing power.
-        """
-        if not x or not h:
-            return {x | h: 1}, 1
-        cache_key = (x, h)
-        cached = self._block_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        # X_mu is the last X with a non-zero exponent, the bottom field of x.
-        mu = self.n - 1 - ((x & -x).bit_length() - 1) // _W
-        head = x - self._units[self.m + mu]
-        # X^x H^h = X^head (X_mu H^h).  With no head this is the single map;
-        # otherwise each of its terms H^h1 X^x1 leaves the block X^head H^h1,
-        # over that block's own denominator.
-        terms, den = self._single_x_past_h(mu, h)
-        if head:
-            parts, h_mask = {}, self._h_mask
-            limit = (self.order + 1) << self._leg_bits
-            for key1, v1 in terms.items():
-                h1 = key1 & h_mask
-                sub, sub_den = self._x_block_past_h(head, h1)
-                acc = parts.setdefault(sub_den * den, {})
-                # The power and X part of key1 added to each block term.
-                rest = key1 - h1
-                for key2, v2 in sub.items():
-                    key = key2 + rest
-                    if key >= limit:
-                        break
-                    acc[key] = acc.get(key, 0) + v1 * v2
-            terms, den = self._checked(*_reduced(*_merged(parts)))
-        out = dict(sorted(terms.items())), den
-        self._block_cache[cache_key] = out
-        return out
+    def _leibniz(self, mu, terms, den):
+        """``D_mu`` of the pure-H series ``terms / den`` termwise by `_derivative`, laid out as `_ordered`'s."""
+        parts, single, limit = {}, self._single_cache, (self.order + 1) << self._leg_bits
+        for key1, v1 in terms.items():
+            h1 = key1 & self._leg_mask
+            sub, sub_den = single.get((mu, h1)) or self._derivative(mu, h1)
+            acc, k1 = parts.setdefault(sub_den * den, {}), key1 - h1
+            for key2, v2 in sub.items():
+                key = key2 + k1
+                if key >= limit:
+                    break
+                acc[key] = acc.get(key, 0) + v1 * v2
+        return _ordered(parts)
 
     def _mono_mul(self, a, b):
-        """The block ``X^x H^h`` as leg products, for the X part `a` and H part `b` of two fields.
+        """The block ``X^a H^b`` as leg products, for the X part `a` and H part `b` of two fields.
 
-        ``H^h1 X^x`` times ``H^h X^x2`` is ``H^h1 (X^x H^h) X^x2``, so each of
+        ``X^a H^b = sum_{c <= a} binom(a, c) D^c(H^b) X^(a - c)``, no two ``c``
+        sharing a term.  The last X of a word moves past the H first, so
+        ``D^c = D_mu D^(c - e_mu)``, ``X_mu`` the first X of ``c``; a walk from
+        ``c = 0`` meets each ``c <= a`` once, after that predecessor.
+        ``H^h1 X^a`` times ``H^b X^x2`` is ``H^h1 (X^a H^b) X^x2``, so each of
         its terms has the field of a block term plus ``h1`` and ``x2``: the
         two fields' sum plus `delta`, the block term's field minus ``a + b``.
         Returns ``(delta, power, coeff)`` triples, the leading ``(0, 0, None)``
-        of ``H^h X^x`` first, then the rest in increasing power; a coeff of
-        exactly 1 is None, any other ``(num, den)`` in lowest terms.
-        A block H exponent that could overflow its field once added raises.
+        of ``H^b X^a`` first, then the rest in increasing key order; a coeff
+        of exactly 1 is None, any other ``(num, den)`` in lowest terms.
         """
-        block, den = self._x_block_past_h(a, b)
-        bits, mask, out = self._leg_bits, self._leg_mask, []
-        for key, v in block.items():
-            g = gcd(v, den)
-            out.append(((key & mask) - a - b, key >> bits, None if v == den else (v // g, den // g)))
-        out.remove((0, 0, None))
-        return ((0, 0, None), *out)
+        cache, out = self._block_cache, []
+        # The X of `a` by index, with the shift of its field.
+        xs = [(mu, sh) for mu, sh in enumerate(range(_W * (self.n - 1), -1, -_W)) if a >> sh & _FIELD]
+        # (c, binom(a, c), D^c(H^b), how many of `xs` may extend c).
+        stack = [(0, 1, None, len(xs))]
+        while stack:
+            c, w, series, top = stack.pop()
+            for i in range(top):
+                mu, sh = xs[i]
+                left = (a - c) >> sh & _FIELD
+                if not left:
+                    continue
+                c1 = c + (1 << sh)
+                entry = cache.get((c1, b)) if c else self._derivative(mu, b)
+                if entry is None:
+                    entry = cache[(c1, b)] = self._leibniz(mu, *series)
+                terms, den = entry
+                if terms:
+                    w1 = w * left // (c1 >> sh & _FIELD)
+                    stack.append((c1, w1, entry, i + 1))
+                    x = a - c1
+                    for key, v in terms.items():
+                        v *= w1
+                        g = gcd(v, den)
+                        out.append((key + x, None if v == den else (v // g, den // g)))
+        out.sort()
+        bits, mask = self._leg_bits, self._leg_mask
+        return ((0, 0, None), *(((key & mask) - a - b, key >> bits, cm) for key, cm in out))
 
     # -- products ----------------------------------------------------------------
 
@@ -861,6 +848,13 @@ def _reduced(nums, den):
         nums = {key: v // g for key, v in nums.items()}
         den //= g
     return nums, den
+
+
+def _ordered(parts):
+    """``sum_d parts[d] / d`` (see `_merged`) in lowest terms, as `_reduced` gives it, keys increasing."""
+    nums, den = _merged(parts)
+    g = gcd(den, *nums.values())
+    return {key: v // g for key, v in sorted(nums.items()) if v}, den // g
 
 
 def _merged(parts):

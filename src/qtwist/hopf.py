@@ -163,9 +163,13 @@ class HopfContext:
 
     @cached_property
     def classical_algebra(self):
-        """The stored spec's undeformed algebra, shared by B so that `cybe` reuses its leg tables."""
-        key = ("classical", self.spec.B)
-        return self._shared.get(key) or self._shared.setdefault(key, classical_algebra(self.spec))
+        """The stored spec's undeformed algebra.  That of the B the derived algebra was built
+        from, its table's power-zero slice, is shared, so that `cybe` reuses its leg tables."""
+        own, alg = classical_algebra(self.spec), self.algebra
+        dims = itertools.product(range(alg.m), range(alg.n))
+        if any(own.bracket(*at) != {t: c for t, c in alg.bracket(*at).items() if not t[0]} for at in dims):
+            return own
+        return self._shared.setdefault("classical", own)
 
     # -- coproduct and counit ------------------------------------------------
 

@@ -167,7 +167,12 @@ def naive_exp_tensor(alg, a, order):
 
 
 def random_table(rng, m, n, order, max_terms=2, max_deg=2, rational=False):
-    """A random pure-H bracket table (any table gives a well-defined ring).
+    """A random pure-H bracket table.
+
+    Any table gives each word one normal form, but such a table need not
+    satisfy Jacobi, so its derivations ``D_mu = [X_mu, .]`` of the H-series
+    may not commute, and then the product is not associative:
+    ``X_1 (X_0 H) != (X_1 X_0) H``.
 
     Coefficients are integers unless `rational`, which draws a denominator
     in 1..3 as well.

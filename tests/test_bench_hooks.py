@@ -3,10 +3,13 @@
 ``bench/tracer.py`` wraps engine functions from outside and lists each hook
 it cannot find in `Tracer.absent`.  A traced suite must run unchanged, miss
 no hook beyond ``Algebra.mul_elements`` (which the engine no longer has),
-and count for every check the residual terms its report gives.
+count for every check the residual terms its report gives, and report every
+per-layer metric that ``BENCHMARK.json`` declares: the tracer leaves out a
+cache's count, not listing it in `absent`, when the attribute it reads is gone.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from helpers import cached_context, mutate_tensor, rotated_null_plane_specs
 from qtwist import build_context
 from qtwist.verify import run_suite
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer_class():
@@ -27,13 +31,14 @@ def _tracer_class():
 
 
 def _null_plane():
-    return run_suite(cached_context("poincare-null-plane", 3), "all", jobs=1)
+    ctx = cached_context("poincare-null-plane", 3)
+    return ctx, run_suite(ctx, "all", jobs=1)
 
 
 def _rotated_rmat_mutant():
     ctx = build_context(next(rotated_null_plane_specs(order=3)))
     r = ctx.universal_r
-    return run_suite(ctx, "all", jobs=1, rmat=mutate_tensor(ctx.algebra, r, max(r.terms)))
+    return ctx, run_suite(ctx, "all", jobs=1, rmat=mutate_tensor(ctx.algebra, r, max(r.terms)))
 
 
 @pytest.mark.parametrize("run", (_null_plane, _rotated_rmat_mutant))
@@ -42,11 +47,14 @@ def test_traced_suite_counts_what_the_report_says(run):
     tracer = _tracer_class()()
     tracer.install()
     try:
-        report = run()
+        ctx, report = run()
     finally:
         tracer.uninstall()
     assert vars(qtwist.verify) == before
     assert set(tracer.absent) <= {"algebra.Algebra.mul_elements"}
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    emitted = set(tracer.metrics([ctx], [], lambda start, end: end - start)) | {"trace.overhead_s"}
+    assert sorted(declared - emitted) == []
     assert len(report.results) >= 9
     for result in report.results:
         key = f"verify.{result.name}.residual_terms"

@@ -181,3 +181,41 @@ def test_integer_normal_ordering_matches_oracle_rational_tables():
             for _, _, cm in legmap:
                 assert cm is None or (cm[1] > 0 and gcd(*cm) == 1 and cm != (1, 1))
     assert mixed_pairs
+
+
+def test_a_block_applies_the_first_xs_derivative_outermost():
+    """``X_0 X_1 H^b`` rewrites its last X past the H first, so with
+    ``D_mu(g) = X_mu g - g X_mu`` on pure-H ``g`` it is ``H^b X_0 X_1 +
+    D_0(H^b) X_1 + D_1(H^b) X_0 + D_0 D_1(H^b)``.  This table breaks Jacobi,
+    the ``D_mu`` do not commute on ``H^b``, and the other order gives
+    another block."""
+    alg = Algebra(2, 2, 3, random_table(random.Random(1), 2, 2, 3, max_terms=3))
+    x0, x1, hb = alg.x(0), alg.x(1), alg.h(0) * alg.h(1)
+
+    def d(mu, g):
+        return alg.x(mu) * g - g * alg.x(mu)
+
+    assert d(0, d(1, hb)) != d(1, d(0, hb))
+    a, b = alg._field((0, 0), (1, 1)), alg._field((1, 1), (0, 0))
+    rows = alg._mono_mul(a, b)
+    block = alg.tensor_element(
+        1, {alg.decode((k << alg._leg_bits) + a + b + d, 1): Q(*cm) if cm else 1 for d, k, cm in rows}
+    )
+    assert block.terms == one_leg(naive_normal_order(alg, [(2, 0), (3, 0), (0, 0), (1, 0)]))
+    first_outermost = hb * x0 * x1 + d(0, hb) * x1 + d(1, hb) * x0 + d(0, d(1, hb))
+    assert block == first_outermost
+    assert block != first_outermost - d(0, d(1, hb)) + d(1, d(0, hb))
+
+
+def test_normal_ordering_caches_stay_small_at_order_5():
+    """After ``all`` on null-plane at order 5 the caches hold the monomial
+    derivatives and the chains ``D^c(H^b)``: at most a third of the 14,308
+    terms that the blocks ``X^x H^h`` of the earlier recursion held."""
+    from qtwist import build_context, preset
+    from qtwist.verify import run_suite
+
+    ctx = build_context(preset("poincare-null-plane").with_order(5))
+    assert run_suite(ctx, "all").passed
+    alg = ctx.algebra
+    held = sum(len(terms) for terms, _ in list(alg._single_cache.values()) + list(alg._block_cache.values()))
+    assert held <= 4769

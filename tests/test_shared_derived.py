@@ -147,3 +147,22 @@ def test_a_discarded_context_frees_its_algebra_without_the_collector(name):
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def test_a_b_mutants_classical_algebra_dies_with_it():
+    """Only the classical algebra of the B the derived algebra was built from
+    is shared: a stale B's own lives on its context, so a sweep over many B
+    mutants does not keep one classical algebra with its leg tables for each."""
+    ctx = build_context(SPECS["poincare-null-plane"]())
+    run_suite(ctx, "all")
+    stale = stale_context(ctx, "B", (1, 0, 2))
+    run_suite(stale, "all")
+    assert stale.classical_algebra is not ctx.classical_algebra
+    assert stale_context(ctx, "r", (0, 1)).classical_algebra is ctx.classical_algebra
+    ref = weakref.ref(stale.classical_algebra)
+    gc.disable()
+    try:
+        del stale
+        assert ref() is None
+    finally:
+        gc.enable()
