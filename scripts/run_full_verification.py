@@ -3,9 +3,11 @@
 
 Also runs a null-plane spec rotated into a dense H basis (r != I), read from
 ``tests/data/rotated-null-plane.json``.  After each run it prints the run's
-wall time, its process CPU time (user plus system, which drifts less than
-wall time on a shared machine) and the peak RSS of the process so far; the
-runs go up in order, so the log shows memory by order.  It also prints the
+wall time, its set-up time apart from its suite time (set-up is
+`validate_spec`, `build_context`, the lifted twin and the twin's phi and R),
+its process CPU time (user plus system, which drifts less than wall time on
+a shared machine) and the peak RSS of the process so far; the runs go up in
+order, so the log shows memory by order.  It also prints the
 generator relabelling whose orbits qybe and intertwining evaluated once, or
 ``none`` when they summed every part.  Exit status is nonzero if any check fails
 anywhere, or if the peak RSS after null-plane N=7 is over
@@ -35,9 +37,8 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
-# Peak RSS bound in MB after null-plane N=7, which peaked at 96-98 MB with the
-# Yang-Baxter residual summed slice by slice, and at 93 MB once qybe sums one
-# slice per orbit of a symmetry of the spec.
+# Peak RSS bound in MB after null-plane N=7, which peaks at about 76 MB since
+# normal ordering runs through derivations (90 MB before).
 N7_PEAK_LIMIT_MB = 400
 
 
@@ -56,13 +57,18 @@ def main():
         sys.stdout.write(render_validation_text(validation))
         ok &= validation.passed
         ctx = build_context(spec)
+        # The suite's checks run on the lifted twin: build its phi and R here.
+        twin = ctx.lifted
+        twin.phi, twin.universal_r
+        t1 = time.perf_counter()
         report = run_suite(ctx, suite)
         sys.stdout.write(render_report_text(report))
         # ru_maxrss is in KiB on Linux.
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        wall, cpu = time.perf_counter() - t0, cpu_seconds() - c0
+        end, cpu = time.perf_counter(), cpu_seconds() - c0
         print(
-            f"run {spec.name} N={order} {suite}: {wall:.2f} s wall, {cpu:.2f} s CPU, "
+            f"run {spec.name} N={order} {suite}: {end - t0:.2f} s wall "
+            f"(set-up {t1 - t0:.2f} s, suite {end - t1:.2f} s), {cpu:.2f} s CPU, "
             f"peak RSS so far {peak:.0f} MB"
         )
         # The product checks run on the lifted twin, where the symmetry is sought.

@@ -990,27 +990,42 @@ class SeriesMatrix:
     __hash__ = None
 
 
+def series_powers(matrix):
+    """``matrix^k`` for k = 0..order, ending before the first zero power.
+
+    Every nonzero entry of `matrix` must have deformation valuation >= 1.
+    """
+    algebra = matrix.algebra
+    if any(e.valuation() == 0 for row in matrix.entries for e in row):
+        raise TruncationError("series argument has a valuation-zero entry")
+    powers = [SeriesMatrix.identity(algebra, matrix.size)]
+    for _ in range(algebra.order):
+        power = powers[-1] @ matrix
+        if power.is_zero():
+            break
+        powers.append(power)
+    return powers
+
+
+def series_sum(coeffs, powers, scale=1):
+    """``sum_k coeffs[k] * scale^k * powers[k]``: the series in ``scale * A`` from the powers of A."""
+    acc = powers[0].scale(Q(coeffs[0]))
+    for k in range(1, len(powers)):
+        c = Q(coeffs[k]) * Q(scale) ** k
+        if c:
+            acc = acc + powers[k].scale(c)
+    return acc
+
+
 def series_apply(coeffs, matrix):
     """Evaluate sum_k coeffs[k] * matrix^k, truncated at the algebra's order.
 
     Every nonzero entry of `matrix` must have deformation valuation >= 1 and
     at least order+1 coefficients must be supplied.
     """
-    algebra = matrix.algebra
-    if len(coeffs) < algebra.order + 1:
+    if len(coeffs) < matrix.algebra.order + 1:
         raise TruncationError("need at least order+1 series coefficients")
-    if any(e.valuation() == 0 for row in matrix.entries for e in row):
-        raise TruncationError("series argument has a valuation-zero entry")
-    acc = SeriesMatrix.identity(algebra, matrix.size).scale(Q(coeffs[0]))
-    power = SeriesMatrix.identity(algebra, matrix.size)
-    for k in range(1, algebra.order + 1):
-        power = power @ matrix
-        if power.is_zero():
-            break
-        c = Q(coeffs[k])
-        if c:
-            acc = acc + power.scale(c)
-    return acc
+    return series_sum(coeffs, series_powers(matrix))
 
 
 def exp_coefficients(order):

@@ -21,13 +21,15 @@ from .algebra import (
     Algebra,
     Monomial,
     SeriesMatrix,
+    _from_parts,
     _table_entry,
     exp_coefficients,
     exp_truncated,
-    series_apply,
+    series_powers,
+    series_sum,
 )
 from .errors import ShapeError, UnsupportedPresetError
-from .model import DerivedStructure, classical_algebra, derive_alpha
+from .model import DerivedStructure, _contract, _frozen, classical_algebra, derive_alpha
 from .transport import BasisChange
 
 Q = Fraction
@@ -36,11 +38,6 @@ Q = Fraction
 def build_context(spec):
     """Derive the structure for a spec and wrap it in a HopfContext."""
     return HopfContext(derive_alpha(spec))
-
-
-def _frozen(value):
-    """Nested lists and tuples as nested tuples, which can key a dict."""
-    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
 class _shared(cached_property):
@@ -69,8 +66,7 @@ class HopfContext:
         self.spec = derived.spec
         self.algebra = derived.algebra
         self.from_user = self.to_user = None
-        key = (derived.algebra,) + _frozen((derived.alpha_up, derived.r_low, derived.alpha_low))
-        self._shared = derived.shared.setdefault(key, {})
+        self._shared = derived.hopf_data()
         self._delta_cache = self._shared.setdefault("_delta_cache", {})
 
     @property
@@ -94,16 +90,17 @@ class HopfContext:
         if r_low == _frozen(linalg.identity(alg.m)):
             return None
         r = linalg.inverse([list(col) for col in zip(*r_low)])
-        # [H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu], carried forward.  The
-        # entries are pure-H, so a table-free algebra holds them meanwhile.
+        # [H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu], each [H_j, X_mu] carried
+        # forward once.  The entries are pure-H, so a table-free algebra holds them.
         carry = BasisChange(alg, Algebra(alg.m, alg.n, alg.order, {}), r_low)
+        carried = {at: carry(alg.element(alg.bracket(*at))) for at in itertools.product(dims, dims)}
         table = {}
         for a, mu in itertools.product(dims, dims):
-            acc = carry.target.zero()
+            acc = {}
             for j in dims:
                 if r[j][a]:
-                    acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])
-            table[(a, mu)] = _table_entry(acc)
+                    carried[j, mu].add_into(acc, r[j][a])
+            table[(a, mu)] = _table_entry(_from_parts(carry.target, 1, acc))
         twin_alg = Algebra(alg.m, alg.n, alg.order, table)
         return r, BasisChange(alg, twin_alg, r_low), BasisChange(twin_alg, alg, list(zip(*r)))
 
@@ -115,18 +112,11 @@ class HopfContext:
         that outlives its last use until the cyclic collector runs.
         """
         spec, derived, (r, from_user, to_user) = self.spec, self.derived, self._lift
-        dims, r_low = range(spec.m), derived.r_low
+        r_low = derived.r_low
         # The stored spec carried over by the same map; its twist matrix is
         # r_low^T r, the identity unless the stored r is stale.
-        B = [
-            [
-                [sum(r_low[i][b] * r[j][a] * spec.B[i][j][mu] for i in dims for j in dims)
-                 for mu in dims]
-                for a in dims
-            ]
-            for b in dims
-        ]
-        twin_r = [[sum(r_low[i][a] * spec.r[i][mu] for i in dims) for mu in dims] for a in dims]
+        B = _contract(r_low, [_contract(r, b) for b in spec.B])
+        twin_r = _contract(r_low, spec.r)
         # Carried forward, the coupling of H'_lam is sum_i r_low[i][lam]
         # alpha_up[i], which is alpha_low[lam]; alpha_low itself is unchanged.
         twin = HopfContext(
@@ -148,14 +138,17 @@ class HopfContext:
         return self.derived.alpha_h_matrix()
 
     @_shared
+    def alpha_h_powers(self):
+        """(alpha.H)^k for k = 0..N, which every series in alpha.H sums; derive_alpha seeds it."""
+        return series_powers(self.alpha_h)
+
+    @_shared
     def exp_2alpha_h(self):
-        coeffs = exp_coefficients(self.algebra.order)
-        return series_apply(coeffs, self.alpha_h.scale(2))
+        return series_sum(exp_coefficients(self.algebra.order), self.alpha_h_powers, 2)
 
     @_shared
     def exp_neg2alpha_h(self):
-        coeffs = exp_coefficients(self.algebra.order)
-        return series_apply(coeffs, self.alpha_h.scale(-2))
+        return series_sum(exp_coefficients(self.algebra.order), self.alpha_h_powers, -2)
 
     @_shared
     def one_minus_exp_neg2(self):
@@ -164,7 +157,8 @@ class HopfContext:
     @cached_property
     def classical_algebra(self):
         """The stored spec's undeformed algebra.  That of the B the derived algebra was built
-        from, its table's power-zero slice, is shared, so that `cybe` reuses its leg tables."""
+        from, its table's power-zero slice, is shared, so that `cybe` reuses its leg tables;
+        derive_alpha seeds it with the one validation used."""
         own, alg = classical_algebra(self.spec), self.algebra
         dims = itertools.product(range(alg.m), range(alg.n))
         if any(own.bracket(*at) != {t: c for t, c in alg.bracket(*at).items() if not t[0]} for at in dims):
@@ -286,8 +280,7 @@ class HopfContext:
 
     @_shared
     def _physical_basis(self):
-        coeffs = exp_coefficients(self.algebra.order)
-        exp_neg = series_apply(coeffs, self.alpha_h.scale(-1))
+        exp_neg = series_sum(exp_coefficients(self.algebra.order), self.alpha_h_powers, -1)
         out = []
         for nu in range(self.spec.n):
             acc = self.algebra.zero()

@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -27,7 +28,8 @@ from .algebra import (
     _table_entry,
     expm1_over_t_coefficients,
     format_term,
-    series_apply,
+    series_powers,
+    series_sum,
 )
 from .errors import (
     DegenerateRMatrixError,
@@ -97,6 +99,18 @@ class AlgebraSpec:
     def with_order(self, order):
         return dataclasses.replace(self, order=order)
 
+    # Derived once per spec object and kept in its __dict__, which
+    # dataclasses.replace does not copy: every new spec object derives its own.
+    @cached_property
+    def _derivation(self):
+        """The classical data, shared by validation and construction."""
+        return _classical(self)
+
+    @cached_property
+    def _undeformed(self):
+        """The undeformed algebra, shared by validation's and the suite's cybe."""
+        return classical_algebra(self)
+
 
 @dataclass(frozen=True)
 class ValidationCheck:
@@ -136,6 +150,11 @@ class DerivedStructure:
     def bracket(self, j, mu):
         return self.algebra.bracket(j, mu)
 
+    def hopf_data(self):
+        """The dict in `shared` for this structure's fields but spec, frozen to key it."""
+        key = (self.algebra,) + _frozen((self.alpha_up, self.r_low, self.alpha_low))
+        return self.shared.setdefault(key, {})
+
     def alpha_h_matrix(self):
         """The matrix sum_i alpha_up[i] * h*H_i with entries in the algebra."""
         return _alpha_h_matrix(self.algebra, self.alpha_up)
@@ -153,25 +172,20 @@ def _alpha_h_matrix(algebra, alpha_up):
     return SeriesMatrix(rows)
 
 
-def _compute_alpha_up(spec):
-    m, n = spec.m, spec.n
-    return tuple(
-        tuple(
-            tuple(
-                sum((Q(spec.r[j][muu]) * spec.B[i][j][nu] for j in range(m)), Q(0)) / 2
-                for nu in range(n)
-            )
-            for muu in range(n)
-        )
-        for i in range(m)
-    )
+def _frozen(value):
+    """Nested lists and tuples as nested tuples, which can key a dict."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
-def _beta_matrices(spec):
-    return tuple(
-        tuple(tuple(spec.B[i][j][mu] for j in range(spec.m)) for i in range(spec.m))
-        for mu in range(spec.n)
-    )
+def _contract(mat, tensor):
+    """``out[a] = sum_i mat[i][a] * tensor[i]`` over nested sequences of rationals.
+
+    Only pairs of nonzero factors are multiplied; the result is nested tuples.
+    """
+    if isinstance(tensor[0], (list, tuple)):
+        # Contract each slice tensor[:][j], then put the new index first again.
+        return tuple(zip(*(_contract(mat, col) for col in zip(*tensor))))
+    return tuple(sum((c * t for c, t in zip(col, tensor) if c and t), Q(0)) for col in zip(*mat))
 
 
 def _r_low(spec):
@@ -181,14 +195,12 @@ def _r_low(spec):
 
 
 def _mat_commute(a, b):
-    size = len(a)
-    for i in range(size):
-        for j in range(size):
-            ab = sum((a[i][k] * b[k][j] for k in range(size)), Q(0))
-            ba = sum((b[i][k] * a[k][j] for k in range(size)), Q(0))
-            if ab != ba:
-                return (i, j)
-    return None
+    """The first entry (i, j), in row-major order, at which ``ab`` and ``ba`` differ; or None."""
+    ab, ba = _contract(tuple(zip(*a)), b), _contract(tuple(zip(*b)), a)
+    return next(
+        ((i, j) for i, j in itertools.product(range(len(a)), repeat=2) if ab[i][j] != ba[i][j]),
+        None,
+    )
 
 
 def classical_algebra(spec):
@@ -217,7 +229,7 @@ class _Classical(NamedTuple):
 
 def _classical(spec):
     """Derive the classical data once, for validation and construction alike."""
-    beta = _beta_matrices(spec)
+    beta = tuple(zip(*(tuple(zip(*b)) for b in spec.B)))  # beta[mu][i][j] = B[i][j][mu]
     beta_clash = next(
         (
             (mu, nu, hit)
@@ -235,27 +247,15 @@ def _classical(spec):
             r_low = _r_low(spec)
         except SingularMatrixError:
             r_defect = "r is singular"
-    alpha_up = _compute_alpha_up(spec)
+    alpha_up = tuple(_frozen([[v / 2 for v in row] for row in _contract(spec.r, b)]) for b in spec.B)
     if r_low is not None:
-        alpha_low = tuple(
-            tuple(
-                tuple(
-                    sum(
-                        (r_low[i][muu] * alpha_up[i][rho][nu] for i in range(spec.m)),
-                        Q(0),
-                    )
-                    for nu in range(spec.n)
-                )
-                for rho in range(spec.n)
-            )
-            for muu in range(spec.n)
-        )
+        alpha_low = _contract(r_low, alpha_up)
     return _Classical(beta_clash, r_low, r_defect, alpha_up, alpha_low)
 
 
 def _require_classical(spec):
     """The classical data of a spec that can be quantized; raises otherwise."""
-    classical = _classical(spec)
+    classical = spec._derivation
     if classical.beta_clash is not None:
         mu, nu, bad = classical.beta_clash
         raise SpecError(
@@ -286,8 +286,8 @@ def derive_alpha(spec):
     # f(t) = (e^t - 1)/t, in a scratch copy of the Abelian algebra (the
     # series is pure-H, so no bracket is ever consulted while building it).
     scratch = Algebra(spec.m, spec.n, spec.order, {})
-    alpha_h = _alpha_h_matrix(scratch, classical.alpha_up)
-    f_matrix = series_apply(expm1_over_t_coefficients(spec.order), alpha_h.scale(2))
+    powers = series_powers(_alpha_h_matrix(scratch, classical.alpha_up))
+    f_matrix = series_sum(expm1_over_t_coefficients(spec.order), powers, 2)
     table = {}
     for j in range(spec.m):
         for mu in range(spec.n):
@@ -302,13 +302,20 @@ def derive_alpha(spec):
                         acc = acc + (entry * scratch.h(i)).scale(c)
             table[(j, mu)] = _table_entry(acc)
     algebra = Algebra(spec.m, spec.n, spec.order, table)
-    return DerivedStructure(
+    derived = DerivedStructure(
         spec=spec,
         alpha_up=classical.alpha_up,
         r_low=classical.r_low,
         alpha_low=classical.alpha_low,
         algebra=algebra,
     )
+    # The powers of alpha.H are pure-H, so they carry over to the context as
+    # they are; so does validation's undeformed algebra, with cybe's leg tables.
+    derived.hopf_data().update(
+        alpha_h_powers=[SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers],
+        classical=spec._undeformed,
+    )
+    return derived
 
 
 def cybe_residual(spec, alg=None):
@@ -345,16 +352,17 @@ def _found(name, bad, witness):
 
 def validate_spec(spec):
     """Run the classical precondition checks in a fixed order."""
-    classical = _classical(spec)
+    classical = spec._derivation
     alpha_up, alpha_low = classical.alpha_up, classical.alpha_low
     hs, xs = range(spec.m), range(spec.n)
     # Each search finds the first failing entry in loop order, or None.
+    # acted[i][j * m + k][nu] = sum_mu alpha_up[i][mu][nu] B[j][k][mu].
+    acted = [_contract(tuple(zip(*(bj for b in spec.B for bj in b))), a) for a in alpha_up]
     consistency = next(
         (
             (i, j, k, nu)
             for i, j, k, nu in itertools.product(hs, hs, hs, xs)
-            if sum((alpha_up[i][mu][nu] * spec.B[j][k][mu] for mu in xs), Q(0))
-            != sum((alpha_up[j][mu][nu] * spec.B[i][k][mu] for mu in xs), Q(0))
+            if acted[i][j * spec.m + k][nu] != acted[j][i * spec.m + k][nu]
         ),
         None,
     )
@@ -390,7 +398,7 @@ def validate_spec(spec):
         )
         checks.append(_found("alpha-symmetry", symmetry, "indices (rho,mu,nu)=({}, {}, {})"))
 
-    first = cybe_residual(spec).first_term()
+    first = cybe_residual(spec, spec._undeformed).first_term()
     term = None if first is None else format_term(*first, spec.h_names, spec.x_names)
     witness = None if term is None else f"first surviving term: {term}"
     checks.append(ValidationCheck("cybe", first is None, witness))

@@ -280,6 +280,38 @@ def random_valid_spec_2d(rng, order=3):
     )
 
 
+def rotate_h_basis(base, s, name="rotated"):
+    """`base` in the H basis ``H'_a = sum_j s[j][a] H_j``, for an invertible s.
+
+    B and r transform contravariantly; xi and the metadata are dropped.
+    """
+    sinv = inverse(s)
+    dim, n = base.m, base.n
+    B = [
+        [
+            [
+                sum(sinv[b][i] * s[j][a] * base.B[i][j][mu] for i in range(dim) for j in range(dim))
+                for mu in range(n)
+            ]
+            for a in range(dim)
+        ]
+        for b in range(dim)
+    ]
+    r = [[sum(sinv[b][i] * base.r[i][mu] for i in range(dim)) for mu in range(n)] for b in range(dim)]
+    return AlgebraSpec(name=name, m=dim, n=n, B=B, r=r, order=base.order)
+
+
+def _invertible(rng, dim):
+    """A random dim-by-dim integer matrix with entries in -2..2 that is invertible."""
+    while True:
+        s = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+        try:
+            inverse(s)
+        except SingularMatrixError:
+            continue
+        return s
+
+
 def rotated_specs(name, order=2, count=5):
     """`count` copies of a preset in seeded H bases ``H'_a = sum_j s[j][a] H_j``.
 
@@ -289,40 +321,136 @@ def rotated_specs(name, order=2, count=5):
     and two in B.  A 1-by-1 draw of s = 1 leaves the preset as it is.
     """
     rng = random.Random(41)
-    base = preset(name)
-    dim, n = base.m, base.n
+    base = preset(name).with_order(order)
     for _ in range(count):
-        while True:
-            s = [[Q(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
-            try:
-                sinv = inverse(s)
-            except SingularMatrixError:
-                continue
-            break
-        B = [
+        yield rotate_h_basis(base, _invertible(rng, base.m))
+
+
+def random_valid_spec_3d(rng, order=2):
+    """A random valid 3-dimensional declaration with r != I.
+
+    The structure constants of a commutative associative algebra, ``Q[t]/(p)``
+    for a monic cubic p or ``Q[t]/(q) + Q`` for a monic quadratic q, in a
+    random invertible basis, give a valid spec with r = I, as in
+    `random_valid_spec_2d`; a random invertible change of the H basis then
+    makes r dense.  Draws again until `choose_xi` finds a classical basis.
+    """
+    from qtwist.errors import NoValidXiError
+    from qtwist.model import choose_xi
+
+    while True:
+        # mult[a][b]: e_a e_b in the basis (1, t, t^2), or ((1, 0), (t, 0), (0, 1)).
+        coeffs = [Q(rng.randint(-2, 2)) for _ in range(3)]
+        if rng.random() < 0.5:
+            top = [-c for c in coeffs]  # t^3 = -(c0 + c1 t + c2 t^2)
+            powers = [[Q(1), Q(0), Q(0)]]
+            for _ in range(4):
+                v = powers[-1]
+                powers.append([v[2] * top[0], v[0] + v[2] * top[1], v[1] + v[2] * top[2]])
+            mult = [[powers[a + b] for b in range(3)] for a in range(3)]
+        else:
+            zero, sq = [Q(0)] * 3, [-coeffs[0], -coeffs[1], Q(0)]  # t^2 = -(c0 + c1 t)
+            mult = [
+                [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], zero],
+                [[Q(0), Q(1), Q(0)], sq, zero],
+                [zero, zero, [Q(0), Q(0), Q(1)]],
+            ]
+        p = _invertible(rng, 3)
+        inv = inverse(p)
+        # moved[mu][sigma][nu]: coefficient of f_sigma in f_mu f_nu, f_mu = sum_a p[a][mu] e_a.
+        moved = [
             [
                 [
                     sum(
-                        sinv[b][i] * s[j][a] * base.B[i][j][mu]
-                        for i in range(dim)
-                        for j in range(dim)
+                        inv[sigma][rho] * mult[a][b][rho] * p[a][mu] * p[b][nu]
+                        for a in range(3)
+                        for b in range(3)
+                        for rho in range(3)
                     )
-                    for mu in range(n)
+                    for nu in range(3)
                 ]
-                for a in range(dim)
+                for sigma in range(3)
             ]
-            for b in range(dim)
+            for mu in range(3)
         ]
-        r = [
-            [sum(sinv[b][i] * base.r[i][mu] for i in range(dim)) for mu in range(n)]
-            for b in range(dim)
-        ]
-        yield AlgebraSpec(name="rotated", m=dim, n=n, B=B, r=r, order=order)
+        B = [[[2 * moved[i][j][mu] for mu in range(3)] for j in range(3)] for i in range(3)]
+        eye = [[int(i == j) for j in range(3)] for i in range(3)]
+        base = AlgebraSpec(name="random-3d", m=3, n=3, B=B, r=eye, order=order)
+        spec = rotate_h_basis(base, _invertible(rng, 3), name="random-3d")
+        if spec.r == base.r:
+            continue
+        try:
+            choose_xi(spec)
+        except NoValidXiError:
+            continue
+        return spec
 
 
 def rotated_null_plane_specs(order=2):
     """The five seeded rotations of the null-plane preset."""
     return rotated_specs("poincare-null-plane", order)
+
+
+def classical_oracle(spec):
+    """``(alpha_up, r_low, alpha_low)`` of a square, invertible-r spec by dense sums.
+
+    alpha_up[i][mu][nu] = sum_j r[j][mu] B[i][j][nu] / 2, r_low is the
+    transpose of the inverse of r, and alpha_low[mu][rho][nu] =
+    sum_i r_low[i][mu] alpha_up[i][rho][nu].
+    """
+    dims = range(spec.m)
+    alpha_up = tuple(
+        tuple(
+            tuple(sum(Q(spec.r[j][mu]) * spec.B[i][j][nu] for j in dims) / 2 for nu in dims)
+            for mu in dims
+        )
+        for i in dims
+    )
+    inv = inverse([list(row) for row in spec.r])
+    r_low = tuple(tuple(inv[mu][i] for mu in dims) for i in dims)
+    alpha_low = tuple(
+        tuple(
+            tuple(sum(r_low[i][mu] * alpha_up[i][rho][nu] for i in dims) for nu in dims)
+            for rho in dims
+        )
+        for mu in dims
+    )
+    return alpha_up, r_low, alpha_low
+
+
+def lifted_table_oracle(ctx):
+    """The lifted twin's bracket table, ``[H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu]``,
+    with each bracket carried forward once per ``(a, mu, j)``."""
+    from qtwist.algebra import _table_entry
+    from qtwist.transport import BasisChange
+
+    alg, r_low = ctx.algebra, ctx.derived.r_low
+    dims = range(alg.m)
+    r = inverse([list(col) for col in zip(*r_low)])
+    carry = BasisChange(alg, Algebra(alg.m, alg.n, alg.order, {}), r_low)
+    table = {}
+    for a in dims:
+        for mu in dims:
+            acc = carry.target.zero()
+            for j in dims:
+                if r[j][a]:
+                    acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])
+            table[(a, mu)] = _table_entry(acc)
+    return table
+
+
+def twin_b_oracle(ctx):
+    """The lifted twin's B by the triple sum ``sum_{i,j} r_low[i][b] r[j][a] B[i][j][mu]``."""
+    spec, r_low = ctx.spec, ctx.derived.r_low
+    dims = range(spec.m)
+    r = inverse([list(col) for col in zip(*r_low)])
+    return [
+        [
+            [sum(r_low[i][b] * r[j][a] * spec.B[i][j][mu] for i in dims for j in dims) for mu in dims]
+            for a in dims
+        ]
+        for b in dims
+    ]
 
 
 @lru_cache(maxsize=None)

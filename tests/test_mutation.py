@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import cached_context, run_single_mutation
+from helpers import cached_context, random_valid_spec_3d, run_single_mutation
+from qtwist import build_context
 
 
 @pytest.mark.parametrize("target", ["B", "r", "phi", "rmat"])
@@ -19,6 +20,26 @@ def test_each_target_kind_is_detected(target):
 
     forced = Forced(11)
     got_target, report = run_single_mutation(ctx, forced)
+    assert got_target == target
+    failed = [r for r in report.results if not r.passed]
+    assert failed, f"mutation of {target} went unnoticed"
+    assert all(r.witness for r in failed)
+
+
+@pytest.mark.parametrize("target", ["B", "r", "phi", "rmat"])
+def test_random_3d_spec_mutation_is_detected(target):
+    """A seeded single mutation of a random valid spec with r != I, at order 2."""
+    rng = random.Random(f"random-3d/{target}")
+    ctx = build_context(random_valid_spec_3d(rng))
+    assert ctx.lifted is not ctx
+
+    class Forced(random.Random):
+        def choice(self, seq):
+            if tuple(seq) == ("B", "r", "phi", "rmat"):
+                return target
+            return super().choice(seq)
+
+    got_target, report = run_single_mutation(ctx, Forced(rng.random()))
     assert got_target == target
     failed = [r for r in report.results if not r.passed]
     assert failed, f"mutation of {target} went unnoticed"

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import pytest
 
-from helpers import cached_context, mutate_tensor, rotated_specs, stale_context
-from qtwist import build_context
+from helpers import cached_context, mutate_tensor, random_valid_spec_3d, rotated_specs, stale_context
+from qtwist import build_context, validate_spec
 from qtwist.algebra import Monomial
 from qtwist.cli import render_report_machine
 from qtwist.errors import ShapeError
@@ -86,6 +86,20 @@ def test_transported_reports_match_direct(name, order):
             want = render_report_machine(direct_report(target, **overrides))
             got = render_report_machine(run_suite(target, "all", **overrides))
             assert got == want, (index, label)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_random_3d_specs_transported_reports_match_direct(index):
+    """Random valid specs with r != I (`random_valid_spec_3d`), at order 2."""
+    rng = random.Random(f"random-3d/{index}")
+    spec = random_valid_spec_3d(rng)
+    assert validate_spec(spec).passed
+    ctx = build_context(spec)
+    assert ctx.lifted is not ctx
+    for label, target, overrides in _cases(ctx, rng):
+        report = run_suite(target, "all", **overrides)
+        assert render_report_machine(report) == render_report_machine(direct_report(target, **overrides)), label
+        assert report.passed == (label == "genuine"), label
 
 
 def test_twin_is_the_context_itself_exactly_when_r_low_is_identity():
