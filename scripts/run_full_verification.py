@@ -37,8 +37,10 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
-# Peak RSS bound in MB after null-plane N=7, which peaks at about 76 MB since
-# normal ordering runs through derivations (90 MB before).
+# Peak RSS bound in MB after null-plane N=7, which peaks at about 64 MB since
+# normal-ordering blocks and monomial coproducts are built only to the power
+# their first use needs (76 MB before; 90 MB before normal ordering ran
+# through derivations).
 N7_PEAK_LIMIT_MB = 400
 
 

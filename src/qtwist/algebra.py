@@ -100,10 +100,14 @@ class Algebra:
     `_block_cache` the chains ``D^c(H^a)`` by an X part ``c`` of two or more
     X and an H part, as packed keys in increasing order mapped to numerators
     in lowest terms, no field reaching ``2**(_W - 1)``; `_rows` holds the
-    blocks ``X^b H^a`` they give as leg products (`_mono_mul`);
-    `_tables` maps a leg count and a clash's key to a `mul_into` table
-    (`_leg_table`), replaced when extended; `_entries` interns the tables,
-    shared by many keys.  `prepare` groups a right operand of `mul_into`.
+    blocks ``X^b H^a`` they give as leg products (`_block`); `_tables` maps a
+    leg count and a clash's key to a `mul_into` table (`_leg_table`);
+    `_entries` interns the tables, shared by many keys.  A derivative, chain,
+    block or table entry holds its reach, the power it is whole to.  A
+    derivative reaches the order; the rest are first built to the power
+    their first use needs.  A later use that needs more rebuilds a block
+    once, to the order (`_mono_mul`), and a chain or a table to its need.
+    `prepare` groups a right operand of `mul_into`.
     """
 
     def __init__(self, m, n, order, table):
@@ -291,8 +295,8 @@ class Algebra:
     # -- normal-ordering kernels ------------------------------------------------
 
     def _derivative(self, mu, h):
-        """``D_mu(H^h) = [X_mu, H^h] = sum_j h_j H^(h - e_j) (-[H_j, X_mu])``, `h` an H part, laid out
-        as `_ordered`'s; raises if a field of a bracket used or of the result reaches ``2**(_W - 1)``."""
+        """``D_mu(H^h) = [X_mu, H^h] = sum_j h_j H^(h - e_j) (-[H_j, X_mu])``, `h` an H part, as `_leibniz`
+        gives, to the order; raises if a field of a bracket used or of the result reaches ``2**(_W - 1)``."""
         cached = self._single_cache.get((mu, h))
         if cached is None:
             parts, rest, seen = {}, h, 0
@@ -307,33 +311,39 @@ class Algebra:
                     seen |= key
                     key += base
                     acc[key] = acc.get(key, 0) - e * v
-            cached = _ordered(parts)
+            cached = (*_ordered(parts), self.order)
             if reduce(or_, cached[0], seen) & self._layout(1)[4]:
                 raise ShapeError(f"a product has an exponent of {1 << (_W - 1)} or more")
             self._single_cache[(mu, h)] = cached
         return cached
 
-    def _leibniz(self, mu, terms, den):
-        """``D_mu`` of the pure-H series ``terms / den`` termwise by `_derivative`, laid out as `_ordered`'s."""
-        parts, single, limit = {}, self._single_cache, (self.order + 1) << self._leg_bits
+    def _leibniz(self, mu, series, room):
+        """``D_mu`` of the pure-H series ``(terms, den, reach)`` termwise by `_derivative`, to power
+        `room`, which `reach` must not fall short of: ``(terms, den, room)``, laid out as `_ordered`'s."""
+        (terms, den, _), parts, single, limit = series, {}, self._single_cache, (room + 1) << self._leg_bits
         for key1, v1 in terms.items():
             h1 = key1 & self._leg_mask
-            sub, sub_den = single.get((mu, h1)) or self._derivative(mu, h1)
+            sub, sub_den, _ = single.get((mu, h1)) or self._derivative(mu, h1)
             acc, k1 = parts.setdefault(sub_den * den, {}), key1 - h1
             for key2, v2 in sub.items():
                 key = key2 + k1
                 if key >= limit:
                     break
                 acc[key] = acc.get(key, 0) + v1 * v2
-        return _ordered(parts)
+        return (*_ordered(parts), room)
 
     def _mono_mul(self, a, b):
-        """The block ``X^a H^b`` as leg products, for the X part `a` and H part `b` of two fields.
+        """The block ``X^a H^b`` to the order, as `_block` gives it."""
+        return self._block(a, b, self.order)
+
+    def _block(self, a, b, room):
+        """The block ``X^a H^b`` to power `room` as leg products, for the X part `a` and H part `b`.
 
         ``X^a H^b = sum_{c <= a} binom(a, c) D^c(H^b) X^(a - c)``, no two ``c``
         sharing a term.  The last X of a word moves past the H first, so
         ``D^c = D_mu D^(c - e_mu)``, ``X_mu`` the first X of ``c``; a walk from
-        ``c = 0`` meets each ``c <= a`` once, after that predecessor.
+        ``c = 0`` meets each ``c <= a`` once, after that predecessor, and
+        builds anew to `room` any chain that falls short of it.
         ``H^h1 X^a`` times ``H^b X^x2`` is ``H^h1 (X^a H^b) X^x2``, so each of
         its terms has the field of a block term plus ``h1`` and ``x2``: the
         two fields' sum plus `delta`, the block term's field minus ``a + b``.
@@ -341,7 +351,7 @@ class Algebra:
         of ``H^b X^a`` first, then the rest in increasing key order; a coeff
         of exactly 1 is None, any other ``(num, den)`` in lowest terms.
         """
-        cache, out = self._block_cache, []
+        cache, out, limit = self._block_cache, [], (room + 1) << self._leg_bits
         # The X of `a` by index, with the shift of its field.
         xs = [(mu, sh) for mu, sh in enumerate(range(_W * (self.n - 1), -1, -_W)) if a >> sh & _FIELD]
         # (c, binom(a, c), D^c(H^b), how many of `xs` may extend c).
@@ -355,14 +365,16 @@ class Algebra:
                     continue
                 c1 = c + (1 << sh)
                 entry = cache.get((c1, b)) if c else self._derivative(mu, b)
-                if entry is None:
-                    entry = cache[(c1, b)] = self._leibniz(mu, *series)
-                terms, den = entry
+                if entry is None or entry[2] < room:
+                    entry = cache[(c1, b)] = self._leibniz(mu, series, room)
+                terms, den, _ = entry
                 if terms:
                     w1 = w * left // (c1 >> sh & _FIELD)
                     stack.append((c1, w1, entry, i + 1))
                     x = a - c1
                     for key, v in terms.items():
+                        if key >= limit:
+                            break
                         v *= w1
                         g = gcd(v, den)
                         out.append((key + x, None if v == den else (v // g, den // g)))
@@ -395,16 +407,19 @@ class Algebra:
         `clash` of a `legs`-leg product (a sum with no carry), built to power `room`:
         ``(reach, rows)``, the rows to power `reach`, the all-leading row first."""
         ps, shifts = self._layout(legs)[:2]
-        rows, full = [(0, 0, 1, 1)], 0
+        rows, full, order = [(0, 0, 1, 1)], 0, self.order
         while clash:
             leg = clash.bit_length() - 1
             clash ^= 1 << leg
             sh = shifts[leg]
             f1, f2 = (key >> sh) & self._x_mask, (key >> sh) & self._h_mask
-            prods = self._rows.get((f1, f2))
-            if prods is None:
-                prods = self._rows[(f1, f2)] = self._mono_mul(f1, f2)
-            full += prods[-1][1]
+            reach, prods = self._rows.get((f1, f2), (-1, None))
+            if reach < room:
+                # Built to `room` on first use, then once to the order; short rows keep the table short.
+                reach = room if reach < 0 else order
+                prods = self._block(f1, f2, reach) if reach < order else self._mono_mul(f1, f2)
+                self._rows[(f1, f2)] = reach, prods
+            full += prods[-1][1] if reach == order else room + 1
             wide = []
             for d, k, n, dd in rows:
                 # A leg's products come in power order, the leading one first.
@@ -416,10 +431,10 @@ class Algebra:
             rows = wide
         # Stable, so the all-leading row stays first.
         rows.sort(key=itemgetter(1))
-        entry = (self.order if full <= room else room), tuple((d + (k << ps), k, n, dd) for d, k, n, dd in rows)
+        entry = (order if full <= room else room), tuple((d + (k << ps), k, n, dd) for d, k, n, dd in rows)
         return self._entries.setdefault(entry, entry)
 
-    def mul_into(self, acc, a, b, scale=1, part=None):
+    def mul_into(self, acc, a, b, scale=1, part=None, order=None):
         """Add ``scale * a * b`` to `acc`, the accumulator the caller owns.
 
         `acc` maps each absolute denominator to a numerator map keyed like
@@ -447,8 +462,9 @@ class Algebra:
         sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for
         qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with ``D``
         the coproduct of a generator, for intertwining; `R23`, `R` prepared.
+        An `order` below the algebra's truncates the product there instead.
         """
-        order = self.order
+        order = self.order if order is None else order
         ps, _, x_bits, h_bits, guard = self._layout(a.legs)
         b_seen, buckets = (b if b._groups is not None else self.prepare(b))._groups
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
@@ -604,7 +620,8 @@ class Algebra:
 
         The image's legs take the place of `leg`, powers add, and terms above
         the order are dropped.  The coproduct (width 2) and a change of H
-        basis (width 1) are this loop; `image` is called once per monomial.
+        basis (width 1) are this loop; ``image(monomial, room)`` is called once
+        per monomial, `room` the order less the lowest power it occurs at.
         """
         if not 0 <= leg < tensor.legs:
             raise ShapeError("leg out of range")
@@ -619,11 +636,13 @@ class Algebra:
         # image's terms are kept as (power, shifted part, numerator): the
         # part holds the power and puts the image's legs into place.
         parts, images = {}, {}
+        # In falling key order a monomial's last room, at its lowest power, is its widest.
+        rooms = {(key >> s) & self._leg_mask: order - (key >> ps) for key in sorted(tensor.nums, reverse=True)}
         for key, c in tensor.nums.items():
             f = (key >> s) & self._leg_mask
             cached = images.get(f)
             if cached is None:
-                img = image(self._mono(f))
+                img = image(self._mono(f), rooms[f])
                 cached = images[f] = img.den * tensor.den, [
                     (dk >> img_ps, (dk >> img_ps << wide_ps) + ((dk & img_mask) << s), dc)
                     for dk, dc in img.nums.items()

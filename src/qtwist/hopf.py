@@ -158,12 +158,13 @@ class HopfContext:
     def classical_algebra(self):
         """The stored spec's undeformed algebra.  That of the B the derived algebra was built
         from, its table's power-zero slice, is shared, so that `cybe` reuses its leg tables;
-        derive_alpha seeds it with the one validation used."""
-        own, alg = classical_algebra(self.spec), self.algebra
-        dims = itertools.product(range(alg.m), range(alg.n))
-        if any(own.bracket(*at) != {t: c for t, c in alg.bracket(*at).items() if not t[0]} for at in dims):
-            return own
-        return self._shared.setdefault("classical", own)
+        derive_alpha seeds it with the one validation used.  Another B builds its own."""
+        spec, alg, shared = self.spec, self.algebra, self._shared
+        for j, mu in itertools.product(range(spec.m), range(spec.n)):
+            own = {(0, Monomial.h_gen(spec.m, spec.n, i)): b[j][mu] for i, b in enumerate(spec.B) if b[j][mu]}
+            if own != {t: c for t, c in alg.bracket(j, mu).items() if not t[0]}:
+                return classical_algebra(spec)
+        return shared.get("classical") or shared.setdefault("classical", classical_algebra(spec))
 
     # -- coproduct and counit ------------------------------------------------
 
@@ -181,22 +182,25 @@ class HopfContext:
             out.append(t)
         return tuple(out)
 
-    def _delta_monomial(self, mono):
-        """Coproduct of the monomial `mono`, cached per monomial.
+    def _delta_monomial(self, mono, room):
+        """Coproduct of the monomial `mono` to power `room` or beyond, cached per monomial.
 
         It is the coproduct of the monomial's first generator, in the chain
         order H by index and then X by index, times that of the rest: one
         product per entry, which moves one X, not a block, past a series.
+        Built to `room` on first use, and once more, to the order, when a later
+        use needs more; the cache holds ``(reach, coproduct)``.
         """
-        cached = self._delta_cache.get(mono)
-        if cached is None:
-            peeled = mono.peel()
+        alg, (reach, cached) = self.algebra, self._delta_cache.get(mono, (-1, None))
+        if reach < room:
+            reach, peeled, acc = room if reach < 0 else alg.order, mono.peel(), {}
             if peeled is None:
-                cached = self.algebra.tensor_unit(2)
+                cached = alg.tensor_unit(2)
             else:
                 gen, rest = peeled
-                cached = self._delta_gens[gen] * self._delta_monomial(rest)
-            self._delta_cache[mono] = cached
+                alg.mul_into(acc, self._delta_gens[gen], self._delta_monomial(rest, reach), order=reach)
+                cached = _from_parts(alg, 2, acc)
+            self._delta_cache[mono] = reach, cached
         return cached
 
     def coproduct(self, a):

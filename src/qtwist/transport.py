@@ -30,12 +30,13 @@ class BasisChange:
         )
         self._images = {}
 
-    def _image(self, mono):
+    def _image(self, mono, room=0):
         """Image of `mono`: that of its first H factor times that of the rest.
 
-        The product that builds an image refuses a factor whose exponents
-        could leave a key field, so a monomial of too high an H degree raises
-        ShapeError before any key can wrap.
+        It has power 0, so it reaches any `room`.  The product that builds an
+        image refuses a factor whose exponents could leave a key field, so a
+        monomial of too high an H degree raises ShapeError before any key can
+        wrap.
         """
         image = self._images.get(mono)
         if image is None:

@@ -28,8 +28,8 @@ def one_minus_exp_neg_coefficients(order):
 
 def cached_leg_products(alg):
     """Every leg product in the algebra's row cache, as its triples of
-    ``(delta, power, coeff)``."""
-    return list(alg._rows.values())
+    ``(delta, power, coeff)``; the cache holds each with its reach."""
+    return [rows for _, rows in alg._rows.values()]
 
 
 def fresh_algebra(alg):

@@ -259,16 +259,16 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
     the terms in the order of the chain multiplied from the right."""
     ctx = build_context(preset(name).with_order(3))
     alg, gens = ctx.algebra, ctx._delta_gens
-    ctx._delta_monomial(Monomial.unit(alg.m, alg.n))
-    products, real = [], alg.mul_tensors
-    monkeypatch.setattr(alg, "mul_tensors", lambda a, b: products.append(1) or real(a, b))
+    ctx._delta_monomial(Monomial.unit(alg.m, alg.n), alg.order)
+    products, real, into = [], alg.mul_tensors, alg.mul_into
+    monkeypatch.setattr(alg, "mul_into", lambda *args, **kwargs: products.append(1) or into(*args, **kwargs))
     rng = random.Random(f"delta/{name}")
     for _ in range(12):
         h = tuple(rng.randint(0, 2) for _ in range(alg.m))
         x = tuple(rng.randint(0, 2) for _ in range(alg.n))
         before = len(ctx._delta_cache)
         products.clear()
-        got = ctx._delta_monomial(Monomial(h, x))
+        got = ctx._delta_monomial(Monomial(h, x), alg.order)
         assert len(products) == len(ctx._delta_cache) - before
         chain = [gen for gen, e in enumerate(h + x) for _ in range(e)]
         left = right = alg.tensor_unit(2)

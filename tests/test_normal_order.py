@@ -171,10 +171,10 @@ def test_integer_normal_ordering_matches_oracle_rational_tables():
             for (_, monos1), (_, monos2) in zip(a.terms, b.terms):
                 free = {not any(m1.x) or not any(m2.h) for m1, m2 in zip(monos1, monos2)}
                 mixed_pairs += free == {True, False}
-        for terms, den in list(alg._single_cache.values()) + list(alg._block_cache.values()):
+        for terms, den, _ in list(alg._single_cache.values()) + list(alg._block_cache.values()):
             assert _in_lowest_terms(terms, den)
         # Cached normal forms are keyed by packed 1-leg keys, the power on top.
-        for terms, _ in alg._block_cache.values():
+        for terms, _, _ in alg._block_cache.values():
             powers = [key >> alg._leg_bits for key in terms]
             assert powers == sorted(powers)
         for legmap in cached_leg_products(alg):
@@ -217,5 +217,5 @@ def test_normal_ordering_caches_stay_small_at_order_5():
     ctx = build_context(preset("poincare-null-plane").with_order(5))
     assert run_suite(ctx, "all").passed
     alg = ctx.algebra
-    held = sum(len(terms) for terms, _ in list(alg._single_cache.values()) + list(alg._block_cache.values()))
+    held = sum(len(terms) for terms, _, _ in list(alg._single_cache.values()) + list(alg._block_cache.values()))
     assert held <= 4769

@@ -99,11 +99,11 @@ def _instrument(monkeypatch, cold=False):
         seen["grouped"].append(b)
         return prepare(self, b)
 
-    def logged_mul_into(self, acc, a, b, scale=1, part=None):
+    def logged_mul_into(self, acc, a, b, scale=1, part=None, order=None):
         seen["calls"].append((b, part))
         if cold:
             self._tables.clear()
-        mul_into(self, acc, a, b, scale, part)
+        mul_into(self, acc, a, b, scale, part, order)
 
     def logged_leg_table(self, legs, clash, key, room):
         entry = leg_table(self, legs, clash, key, room)
