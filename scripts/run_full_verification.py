@@ -37,10 +37,11 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
-# Peak RSS bound in MB after null-plane N=7, which peaks at about 64 MB since
-# normal-ordering blocks and monomial coproducts are built only to the power
-# their first use needs (76 MB before; 90 MB before normal ordering ran
-# through derivations).
+# Peak RSS bound in MB after null-plane N=7, which peaks at about 61 MB since
+# a clash on one leg reads its block's rows and builds no leg table (64 MB
+# before; 76 MB before normal-ordering blocks and monomial coproducts were
+# built only to the power their first use needs; 90 MB before normal
+# ordering ran through derivations).
 N7_PEAK_LIMIT_MB = 400
 
 

@@ -99,10 +99,11 @@ class Algebra:
     the derivatives ``D_mu(H^a) = [X_mu, H^a]`` by X index and H part, and
     `_block_cache` the chains ``D^c(H^a)`` by an X part ``c`` of two or more
     X and an H part, as packed keys in increasing order mapped to numerators
-    in lowest terms, no field reaching ``2**(_W - 1)``; `_rows` holds the
-    blocks ``X^b H^a`` they give as leg products (`_block`); `_tables` maps a
-    leg count and a clash's key to a `mul_into` table (`_leg_table`);
-    `_entries` interns the tables, shared by many keys.  A derivative, chain,
+    in lowest terms, no field reaching ``2**(_W - 1)``; `_rows` holds by leg
+    field the blocks ``X^b H^a`` they give as leg products, which `mul_into`
+    reads for a clash on one leg (`_leg_rows`); `_tables` maps a leg count
+    and the key of a clash on more legs to a table of their rows' products
+    (`_leg_table`); `_entries` interns the tables.  A derivative, chain,
     block or table entry holds its reach, the power it is whole to.  A
     derivative reaches the order; the rest are first built to the power
     their first use needs.  A later use that needs more rebuilds a block
@@ -345,11 +346,11 @@ class Algebra:
         ``c = 0`` meets each ``c <= a`` once, after that predecessor, and
         builds anew to `room` any chain that falls short of it.
         ``H^h1 X^a`` times ``H^b X^x2`` is ``H^h1 (X^a H^b) X^x2``, so each of
-        its terms has the field of a block term plus ``h1`` and ``x2``: the
-        two fields' sum plus `delta`, the block term's field minus ``a + b``.
-        Returns ``(delta, power, coeff)`` triples, the leading ``(0, 0, None)``
-        of ``H^b X^a`` first, then the rest in increasing key order; a coeff
-        of exactly 1 is None, any other ``(num, den)`` in lowest terms.
+        its terms has the 1-leg key of a block term plus ``h1`` and ``x2``:
+        the two fields' sum plus `delta`, the block term's key minus ``a + b``,
+        which carries its `power`.  Returns ``(delta, power, num, den)`` rows,
+        the leading ``(0, 0, 1, 1)`` of ``H^b X^a`` first, then the rest in
+        increasing key order, each coefficient ``num / den`` in lowest terms.
         """
         cache, out, limit = self._block_cache, [], (room + 1) << self._leg_bits
         # The X of `a` by index, with the shift of its field.
@@ -377,10 +378,10 @@ class Algebra:
                             break
                         v *= w1
                         g = gcd(v, den)
-                        out.append((key + x, None if v == den else (v // g, den // g)))
+                        out.append((key + x, v // g, den // g))
         out.sort()
-        bits, mask = self._leg_bits, self._leg_mask
-        return ((0, 0, None), *(((key & mask) - a - b, key >> bits, cm) for key, cm in out))
+        bits = self._leg_bits
+        return ((0, 0, 1, 1), *((key - a - b, key >> bits, n, d) for key, n, d in out))
 
     # -- products ----------------------------------------------------------------
 
@@ -402,36 +403,43 @@ class Algebra:
             by_power.setdefault(g >> b.legs, []).append((g & low, by_group[g], {}))
         return _wrap(self, b.legs, b.nums, b.den, (seen, list(by_power.items())))
 
+    def _leg_rows(self, field, room):
+        """``(reach, rows)`` of the block of a leg field's X part times its H part (`_block`),
+        whole to at least power `room`: built to `room` on first use, then once to the order."""
+        entry, order = self._rows.get(field), self.order
+        if entry is None or entry[0] < room:
+            a, b = field & self._x_mask, field & self._h_mask
+            short = entry is None and room < order
+            entry = (room, self._block(a, b, room)) if short else (order, self._mono_mul(a, b))
+            self._rows[field] = entry
+        return entry
+
     def _leg_table(self, legs, clash, key, room):
         """The table of `key`, the left X parts plus the right H parts on the legs
-        `clash` of a `legs`-leg product (a sum with no carry), built to power `room`:
-        ``(reach, rows)``, the rows to power `reach`, the all-leading row first."""
+        `clash`, two or more, of a `legs`-leg product (a sum with no carry), built to
+        power `room`: ``(reach, rows)``, the rows to power `reach`, the all-leading
+        row first, interned in `_entries`."""
         ps, shifts = self._layout(legs)[:2]
         rows, full, order = [(0, 0, 1, 1)], 0, self.order
         while clash:
             leg = clash.bit_length() - 1
             clash ^= 1 << leg
             sh = shifts[leg]
-            f1, f2 = (key >> sh) & self._x_mask, (key >> sh) & self._h_mask
-            reach, prods = self._rows.get((f1, f2), (-1, None))
-            if reach < room:
-                # Built to `room` on first use, then once to the order; short rows keep the table short.
-                reach = room if reach < 0 else order
-                prods = self._block(f1, f2, reach) if reach < order else self._mono_mul(f1, f2)
-                self._rows[(f1, f2)] = reach, prods
+            lift = (1 << ps) - (1 << (sh + self._leg_bits))
+            # Short rows keep the table short.
+            reach, prods = self._leg_rows((key >> sh) & self._leg_mask, room)
             full += prods[-1][1] if reach == order else room + 1
             wide = []
             for d, k, n, dd in rows:
                 # A leg's products come in power order, the leading one first.
-                for dm, km, cm in prods:
+                for dm, km, cn, cd in prods:
                     if k + km > room:
                         break
-                    cn, cd = cm or (1, 1)
-                    wide.append((d + (dm << sh), k + km, n * cn, dd * cd))
+                    wide.append((d + (dm << sh) + km * lift, k + km, n * cn, dd * cd))
             rows = wide
         # Stable, so the all-leading row stays first.
         rows.sort(key=itemgetter(1))
-        entry = (order if full <= room else room), tuple((d + (k << ps), k, n, dd) for d, k, n, dd in rows)
+        entry = (order if full <= room else room), tuple(rows)
         return self._entries.setdefault(entry, entry)
 
     def mul_into(self, acc, a, b, scale=1, part=None, order=None):
@@ -446,26 +454,28 @@ class Algebra:
         an X and the right one an H.  A left term tests each group of `b`
         (`prepare`) once.  A group that clashes on no leg adds ``key1 + key2``;
         one that clashes on a set of legs is split by their H parts, and with
-        the left term's X parts on them each subgroup picks a table whose rows,
-        the products of those legs' `_mono_mul` rows as shifted delta plus
-        power field, are added to ``key1`` and then to each key of the split.
-        The tables depend on the algebra alone and live in its `_tables`
-        (`_leg_table`); a row names its denominator, and a call maps it to its
-        part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
+        the left term's X parts on them each subgroup picks its rows: on one
+        leg that leg's block rows (`_leg_rows`), moved to the leg, on more a
+        table of the products of those legs' rows (`_leg_table`), both kept
+        on the algebra.  A row's delta is added to ``key1`` and then to each
+        key of the split; its denominator picks a part of `acc`.  Operand
+        exponents from ``2**(_W - 1)`` are refused.
 
         A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
         in the commutative associated graded ring.  `part` "lead" adds only
         those, as if no pair reordered, so ``lead(a, b) == lead(b, a)``;
         "corr" adds the rest, leaving out the groups that clash on no leg and
-        each table's first row, the product of all clash legs' leading rows
-        (one leg's leading row with another's correction stays).  So `verify`
-        sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for
-        qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with ``D``
-        the coproduct of a generator, for intertwining; `R23`, `R` prepared.
+        the first row of each block or table, the product of all clash legs'
+        leading rows (one leg's leading row with another's correction stays).
+        So `verify` sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))``
+        for qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with
+        ``D`` the coproduct of a generator, for intertwining; `R23`, `R`
+        prepared.
         An `order` below the algebra's truncates the product there instead.
         """
         order = self.order if order is None else order
-        ps, _, x_bits, h_bits, guard = self._layout(a.legs)
+        ps, shifts, x_bits, h_bits, guard = self._layout(a.legs)
+        tables, block_rows = self._tables.get(a.legs, {}), self._rows
         b_seen, buckets = (b if b._groups is not None else self.prepare(b))._groups
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
         if (a_seen | b_seen) & guard:
@@ -481,9 +491,6 @@ class Algebra:
         out = acc.setdefault(base_den, {})
         dens = {1: out}
 
-        # The tables of this number of legs, by key (`_leg_table`), hold tuples,
-        # which ``rows[skip:]`` does not copy when `skip` is 0.
-        tables = self._tables.setdefault(a.legs, {})
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
             if k1 > top:
@@ -507,22 +514,35 @@ class Algebra:
                         continue
                     split = splits.get(clash)
                     if split is None:
+                        # One clash leg reads its block's rows by field, a delta moved there by `sh`,
+                        # its power above every leg by `lift`; more read a table, its rows in place.
+                        one = not clash & (clash - 1)
+                        sh = shifts[clash.bit_length() - 1] if one else 0
+                        lift = (1 << ps) - (1 << (sh + self._leg_bits)) if one else 0
                         by_h, hm = {}, h_bits[clash]
                         for term in terms:
-                            by_h.setdefault(term[0] & hm, []).append(term)
-                        split = splits[clash] = tuple(by_h.items())
-                    xk = key1 & x_bits[clash]
+                            by_h.setdefault((term[0] & hm) >> sh, []).append(term)
+                        split = splits[clash] = one, sh, lift, tuple(by_h.items())
+                    one, sh, lift, split = split
+                    xk, cache = (key1 & x_bits[clash]) >> sh, block_rows if one else tables
                     for hk, sub in split:
-                        reach, rows = tables.get(xk + hk) or (-1, None)
+                        reach, rows = cache.get(xk + hk) or (-1, None)
                         if reach < room:
-                            reach, rows = tables[xk + hk] = self._leg_table(a.legs, clash, xk + hk, room)
+                            if one:
+                                reach, rows = self._leg_rows(xk + hk, room)
+                            else:
+                                tables = cache = self._tables.setdefault(a.legs, tables)
+                                reach, rows = tables[xk + hk] = self._leg_table(a.legs, clash, xk + hk, room)
+                        # Rows and tables are tuples, which ``rows[skip:]`` does not copy when `skip` is 0.
                         for d, km, cn, cd in rows[skip:]:
                             if km > room:
                                 break
                             p = dens.get(cd)
                             if p is None:
                                 p = dens[cd] = acc.setdefault(cd * base_den, {})
-                            d += key1
+                            d = key1 + (d << sh)
+                            if lift:
+                                d += km * lift
                             cn *= c1
                             for key2, c2 in sub:
                                 key = d + key2

@@ -27,8 +27,8 @@ def one_minus_exp_neg_coefficients(order):
 
 
 def cached_leg_products(alg):
-    """Every leg product in the algebra's row cache, as its triples of
-    ``(delta, power, coeff)``; the cache holds each with its reach."""
+    """Every leg product in the algebra's row cache, as its rows of
+    ``(delta, power, num, den)``; the cache holds each with its reach."""
     return [rows for _, rows in alg._rows.values()]
 
 
@@ -132,15 +132,18 @@ def naive_mul_elements(alg, a, b):
 
 
 def naive_mul_tensors(alg, a, b):
-    """Legwise product of two tensors via the naive oracle."""
-    out = {}
+    """Legwise product of two tensors via the naive oracle; each pair of leg
+    monomials is rewritten once per call, as its rewriting is the same at any power."""
+    out, legmaps = {}, {}
     for (k1, monos1), c1 in a.terms.items():
         for (k2, monos2), c2 in b.terms.items():
             combos = [(k1 + k2, (), c1 * c2)]
             for leg in range(a.legs):
-                legmap = naive_normal_order(
-                    alg, mono_word(alg, monos1[leg]) + mono_word(alg, monos2[leg])
-                )
+                pair = monos1[leg], monos2[leg]
+                legmap = legmaps.get(pair)
+                if legmap is None:
+                    word = mono_word(alg, pair[0]) + mono_word(alg, pair[1])
+                    legmap = legmaps[pair] = naive_normal_order(alg, word)
                 nxt = []
                 for k, monos, c in combos:
                     for (km, mono), cm in legmap.items():

@@ -177,6 +177,11 @@ def _reaches(alg):
     return {(legs, key): reach for legs, by_key in alg._tables.items() for key, (reach, _) in by_key.items()}
 
 
+def _row_reaches(alg):
+    """The reach of each block's rows that `alg` keeps, by its leg field."""
+    return {field: reach for field, (reach, _) in alg._rows.items()}
+
+
 def _leading(alg, a, b):
     """The leading terms of ``a * b``: each pair's ``c1 * c2`` at the sum of
     its exponents, the product of the commutative associated graded ring."""
@@ -200,9 +205,11 @@ def test_grouped_right_operand_matches_the_oracle(legs):
     every number of clash legs, mixed denominators and pairs exactly at the
     truncation order, a Fraction-scaled product, its leading part and its
     corrections, each added to a non-empty accumulator, equal the oracle's.
-    The products share the algebra's tables: the first, whose left terms are
-    at high power only, builds tables that the later ones extend in reach, as
-    does a later left term, since they come in falling power."""
+    A clash on one leg reads that leg's block rows, a clash on more legs a
+    table of them.  The products share the algebra's rows and tables: the
+    first, whose left terms are at high power only, builds rows and tables
+    that the later ones extend in reach, as does a later left term, since
+    they come in falling power."""
     rng = random.Random(f"grouped/{legs}")
     splits, extended = [], set()
     for _ in range(3):
@@ -213,8 +220,8 @@ def test_grouped_right_operand_matches_the_oracle(legs):
         splits += _clash_splits(alg, a, b)
         assert len({c.denominator for c in b.terms.values()}) > 1
         high = alg.tensor_element(legs, {key: c for key, c in a.terms.items() if key[0] >= 2})
-        start, reaches = naive_mul_tensors(alg, b, a), None
-        assert not alg._tables
+        start, reaches, rows = naive_mul_tensors(alg, b, a), None, None
+        assert not alg._tables and not alg._rows
         for left, part in ((high, "corr"), (a, None), (a, "lead"), (a, "corr")):
             product, lead = naive_mul_tensors(alg, left, b), _leading(alg, left, b)
             want = {None: product, "lead": lead, "corr": product - lead}[part]
@@ -223,7 +230,9 @@ def test_grouped_right_operand_matches_the_oracle(legs):
             alg.mul_into(acc, left, b, Q(-7, 4), part)
             assert _from_parts(alg, legs, acc) == start + want.scale(Q(-7, 4))
             if reaches is None:
-                reaches = _reaches(alg)
+                reaches, rows = _reaches(alg), _row_reaches(alg)
+        if any(reach > rows.get(field, reach) for field, reach in _row_reaches(alg).items()):
+            extended.add(1)
         for path, reach in _reaches(alg).items():
             if reach > reaches.get(path, reach):
                 extended.add(sum(any(mo.x) for mo in alg.decode(path[1], legs)[1]))

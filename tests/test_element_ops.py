@@ -131,11 +131,7 @@ def test_rational_tables_match_oracle_in_canonical_form():
             b2, a2 = twin.tensor_element(legs, b.terms), twin.tensor_element(legs, a.terms)
             assert a2 * b2 == got and got == a2 * b2
             assert b2 * a2 == b * a
-        fractional_legs += sum(
-            cm is not None and cm[1] > 1
-            for legmap in cached_leg_products(alg)
-            for _, _, cm in legmap
-        )
+        fractional_legs += sum(cd > 1 for legmap in cached_leg_products(alg) for _, _, _, cd in legmap)
     assert fractional_legs
 
 

@@ -8,14 +8,17 @@ coproduct of a generator has the generator's degree.  The test needs no
 oracle: a kernel or relabelling that drops or misplaces an H exponent
 breaks it.  Residuals are taken from an R changed at existing keys, which
 keeps it graded; on a spec with a symmetry the change is symmetric, so the
-relabelled residuals of the orbit path are graded too.
+relabelled residuals of the orbit path are graded too.  Besides the
+presets and the rotated spec, the lifted twins of two random specs with
+``r != I`` (`random_valid_spec_3d`) have dense bracket tables.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
-from helpers import cached_context, count_parts, orbit_r_mutants, r_mutants
+from helpers import cached_context, count_parts, orbit_r_mutants, r_mutants, random_valid_spec_3d
 from qtwist import build_context, parse_spec_file
 from qtwist.verify import check_intertwine, check_qybe
 
@@ -23,9 +26,13 @@ ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 
 
 def _context(source):
+    if isinstance(source, tuple):
+        return cached_context(*source)
     if source == "rotated twin":
         return build_context(parse_spec_file(ROTATED).with_order(3)).lifted
-    return cached_context(*source)
+    ctx = build_context(random_valid_spec_3d(random.Random(source.removesuffix(" twin")), order=3))
+    assert ctx.lifted is not ctx
+    return ctx.lifted
 
 
 def _degrees(tensor):
@@ -35,7 +42,14 @@ def _degrees(tensor):
 
 @pytest.mark.parametrize(
     "source",
-    [("poincare-null-plane", 3), ("jordanian-borel", 4), ("shift-ring(3)", 3), "rotated twin"],
+    [
+        ("poincare-null-plane", 3),
+        ("jordanian-borel", 4),
+        ("shift-ring(3)", 3),
+        "rotated twin",
+        "random-3d/0 twin",
+        "random-3d/1 twin",
+    ],
 )
 def test_every_element_of_the_product_checks_is_graded(source, monkeypatch):
     ctx = _context(source)

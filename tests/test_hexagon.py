@@ -3,23 +3,39 @@
 A quasitriangular R satisfies ``(Δ⊗id)(R) == R13·R23`` and
 ``(id⊗Δ)(R) == R13·R12``; with Yang-Baxter they are the identities the paper's
 R-matrix is built to meet.  They hold exactly at N=4 on the three presets and
-on the lifted twin of the rotated spec, and the swapped orderings ``R23·R13``
-and ``R12·R13`` do not: the products do not commute, so the order matters.
+on the lifted twins of the rotated spec and of two random specs with
+``r != I`` (`random_valid_spec_3d`), whose dense bracket tables give blocks
+of many rows, and the swapped orderings ``R23·R13`` and ``R12·R13`` do not:
+the products do not commute, so the order matters.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
+from helpers import random_valid_spec_3d
 from qtwist import build_context, parse_spec_file, preset
 
 ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
-CASES = ("poincare-null-plane", "jordanian-borel", "shift-ring(3)", "rotated-null-plane twin")
+CASES = (
+    "poincare-null-plane",
+    "jordanian-borel",
+    "shift-ring(3)",
+    "rotated-null-plane twin",
+    "random-3d/0 twin",
+    "random-3d/1 twin",
+)
 
 
 def _context(name):
-    if name == "rotated-null-plane twin":
-        ctx = build_context(parse_spec_file(ROTATED).with_order(4))
+    if name.endswith(" twin"):
+        source = name.removesuffix(" twin")
+        if source == "rotated-null-plane":
+            spec = parse_spec_file(ROTATED)
+        else:
+            spec = random_valid_spec_3d(random.Random(source))
+        ctx = build_context(spec.with_order(4))
         assert ctx.lifted is not ctx
         return ctx.lifted
     return build_context(preset(name).with_order(4))

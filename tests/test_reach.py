@@ -12,6 +12,7 @@ the naive rewriting oracle and those of a fresh algebra or context.
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,8 @@ def _assert_whole_to_reach(alg, ctx=None, fresh=None):
     """Every cached block, chain and monomial coproduct holds what the one
     built whole holds up to its reach, and nothing above it."""
     whole = fresh_algebra(alg)
-    for (a, b), (reach, rows) in alg._rows.items():
+    for field, (reach, rows) in alg._rows.items():
+        a, b = field & alg._x_mask, field & alg._h_mask
         assert rows == tuple(row for row in whole._mono_mul(a, b) if row[1] <= reach)
     for key, (terms, den, reach) in alg._block_cache.items():
         w_terms, w_den, w_reach = whole._block_cache[key]
@@ -83,18 +85,22 @@ def test_products_after_products_at_a_high_power(name):
     """The left operands' X parts meet the right operands' H parts on every
     leg.  A product whose left operand sits at power ``ORDER - 1`` asks for
     rows, chains and tables to power 1 at most; the same product from power
-    0 needs them whole."""
+    0 needs them whole.  A pair that clashes on two or more legs builds a
+    table; one that clashes on one leg reads that leg's rows."""
     ctx = _context(name)
     alg = _algebra(name, ctx)
     rng = random.Random(f"reach/products/{name}")
-    cases = []
+    cases, clash_legs = [], 0
     for legs in (1, 2, 3):
         left, right = _monos(rng, alg, legs, 0, 1), _monos(rng, alg, legs, 1, 0)
         b = _at(alg, right, 0) + _at(alg, right[:2], 1)
         cases.append((left, b))
+        for pair in product(left, right):
+            clash_legs = max(clash_legs, sum(any(p.x) and any(q.h) for p, q in zip(*pair)))
         high = _at(alg, left, HIGH)
         assert high * b == naive_mul_tensors(alg, high, b)
-    assert alg._tables and all(reach < ORDER for reach, _ in alg._rows.values())
+    assert bool(alg._tables) == (clash_legs > 1)
+    assert alg._rows and all(reach < ORDER for reach, _ in alg._rows.values())
     _assert_whole_to_reach(alg)
     fresh = fresh_algebra(alg)
     for left, b in cases:

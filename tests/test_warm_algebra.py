@@ -1,8 +1,10 @@
-"""Leg tables live as long as their algebra, so a second suite reuses them.
+"""Leg tables and block rows live as long as their algebra, so a second suite reuses them.
 
-`Algebra.mul_into` keeps the tables it builds on its algebra
-(`Algebra._tables`).  A table depends only on the algebra, the leg count and
-its key, so `all` run twice on one context builds no table the second time,
+`Algebra.mul_into` keeps the tables it builds for clashes on two or more
+legs on its algebra (`Algebra._tables`), and the block rows that a clash on
+one leg reads (`Algebra._rows`).  A table depends only on the algebra, the
+leg count and its key, and a block's rows on the algebra and its leg field,
+so `all` run twice on one context builds no table and no rows the second time,
 and both machine reports are byte-identical to that of a fresh context.  The
 rotated spec's product checks run on its lifted twin.
 """
@@ -25,13 +27,18 @@ SPECS = {
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_second_suite_on_one_context_builds_no_table(monkeypatch, name):
-    builds, leg_table = [], Algebra._leg_table
+    builds, leg_table, block = [], Algebra._leg_table, Algebra._block
 
     def logged(self, legs, clash, key, room):
         builds.append(self)
         return leg_table(self, legs, clash, key, room)
 
+    def logged_block(self, a, b, room):
+        builds.append(self)
+        return block(self, a, b, room)
+
     monkeypatch.setattr(Algebra, "_leg_table", logged)
+    monkeypatch.setattr(Algebra, "_block", logged_block)
     ctx = build_context(SPECS[name]())
     report = run_suite(ctx, "all")
     assert report.passed and ctx.lifted.algebra in builds
