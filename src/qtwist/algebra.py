@@ -108,7 +108,7 @@ class Algebra:
     derivative reaches the order; the rest are first built to the power
     their first use needs.  A later use that needs more rebuilds a block
     once, to the order (`_mono_mul`), and a chain or a table to its need.
-    `prepare` groups a right operand of `mul_into`.
+    `prepare` groups a right operand of `mul_into`, and `exchange` the image of a 3-leg T under P23.
     """
 
     def __init__(self, m, n, order, table):
@@ -153,11 +153,11 @@ class Algebra:
     # -- packed keys -------------------------------------------------------------
 
     def _layout(self, legs):
-        """``(power shift, leg shifts, X bits, H bits, guard)`` for `legs` legs.
+        """``(power shift, leg shifts, X bits, H bits, guard, H tests)`` for `legs` legs.
 
         X and H bits map a set of legs, leg `i` as the bit ``1 << i``, to their fields' X or H
-        masks together; `guard` has the top bit of every field set.
-        """
+        masks together; `guard` has the top bit of every field set; H tests pair each leg's H
+        mask with its bit."""
         layout = self._layouts.get(legs)
         if layout is None:
             ps = self._leg_bits * legs
@@ -168,7 +168,8 @@ class Algebra:
             for s in shifts:
                 x_bits += [m | self._x_mask << s for m in x_bits]
                 h_bits += [m | self._h_mask << s for m in h_bits]
-            layout = self._layouts[legs] = (ps, shifts, tuple(x_bits), tuple(h_bits), guard)
+            tests = tuple((self._h_mask << s, 1 << i) for i, s in enumerate(shifts))
+            layout = self._layouts[legs] = (ps, shifts, tuple(x_bits), tuple(h_bits), guard, tests)
         return layout
 
     def _field(self, h, x):
@@ -388,20 +389,43 @@ class Algebra:
     def prepare(self, b):
         """An element equal to `b`, grouped once for every `mul_into` that takes it on the right:
         by power, then by the legs holding an H, then (when first needed) by a clash's H parts."""
-        ps, _, _, h_bits, _ = self._layout(b.legs)
+        return _wrap(self, b.legs, b.nums, b.den, self._groups(b.legs, b.nums.items()))
+
+    def _groups(self, legs, terms):
+        """The groups `prepare` gives the `legs`-leg terms ``(key, num)`` that `terms` yields."""
+        ps, _, _, _, _, tests = self._layout(legs)
         by_group, seen = {}, 0
-        for key2, c2 in b.nums.items():
+        for key2, c2 in terms:
             seen |= key2
             # A group's index: its power, then its legs that hold an H, as bits.
-            g = key2 >> ps << b.legs
-            for leg in range(b.legs):
-                if key2 & h_bits[1 << leg]:
-                    g |= 1 << leg
+            g = key2 >> ps << legs
+            for hm, bit in tests:
+                if key2 & hm:
+                    g |= bit
             by_group.setdefault(g, []).append((key2, c2))
-        by_power, low = {}, (1 << b.legs) - 1
+        by_power, low = {}, (1 << legs) - 1
         for g in sorted(by_group):
-            by_power.setdefault(g >> b.legs, []).append((g & low, by_group[g], {}))
-        return _wrap(self, b.legs, b.nums, b.den, (seen, list(by_power.items())))
+            by_power.setdefault(g >> legs, []).append((g & low, by_group[g], {}))
+        return seen, list(by_power.items())
+
+    def exchange(self, t):
+        """``(P23(t), t - P23(t))`` for a 3-leg `t`, `P23` the exchange of its last two legs, in one
+        pass over the terms of `t`: ``P23(t)`` comes grouped as `prepare` groups it."""
+        (s0, s1, _), mask, nums, image, diff = self._layout(3)[1], self._leg_mask, t.nums, {}, {}
+
+        def terms():
+            for key, c in nums.items():
+                p = key >> s0 << s0 | (key >> s1 & mask) | (key & mask) << s1
+                image[p] = c
+                # A key that P23 fixes cancels (q is c), and one whose image is in `t` is met twice.
+                q = nums.get(p, 0)
+                if q != c:
+                    diff[key] = c - q
+                if not q:
+                    diff[p] = -c
+                yield p, c
+
+        return _wrap(self, 3, image, t.den, self._groups(3, terms())), _canonical(self, 3, diff, t.den)
 
     def _leg_rows(self, field, room):
         """``(reach, rows)`` of the block of a leg field's X part times its H part (`_block`),
@@ -467,14 +491,13 @@ class Algebra:
         "corr" adds the rest, leaving out the groups that clash on no leg and
         the first row of each block or table, the product of all clash legs'
         leading rows (one leg's leading row with another's correction stays).
-        So `verify` sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))``
-        for qybe, and ``lead(D - Dop, R) + corr(R, D) - corr(Dop, R)``, with
-        ``D`` the coproduct of a generator, for intertwining; `R23`, `R`
-        prepared.
+        So `verify` sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for qybe, `R23`
+        prepared and ``P23(T)`` grouped by `exchange`, and ``lead(D - Dop, R) + corr(R, D) -
+        corr(Dop, R)``, ``D`` the coproduct of a generator and `R` prepared, for intertwining.
         An `order` below the algebra's truncates the product there instead.
         """
         order = self.order if order is None else order
-        ps, shifts, x_bits, h_bits, guard = self._layout(a.legs)
+        ps, shifts, x_bits, h_bits, guard, _ = self._layout(a.legs)
         tables, block_rows = self._tables.get(a.legs, {}), self._rows
         b_seen, buckets = (b if b._groups is not None else self.prepare(b))._groups
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)

@@ -154,16 +154,18 @@ def check_twist_equation(ctx, phi=None):
 
 
 def orbit_symmetry(r):
-    """The first of the symmetries of `r`'s algebra that fixes `r`, or None: the
-    relabelling whose orbits `check_qybe` and `check_intertwine` evaluate once."""
+    """The first of the symmetries of `r`'s algebra that fixes `r`, or None: the relabelling whose
+    orbits `check_qybe` and `check_intertwine` evaluate once.  For the context's own R they pass the
+    twist exponent t: a symmetry is an automorphism and R = exp(swap t) exp(-t) has the power-1
+    part swap(t) - t, so it fixes R exactly when it fixes t, whose few terms are cheap to relabel."""
     return next((p for p in r.algebra.symmetries if r.algebra.relabel(r, p) == r), None)
 
 
 @_check("qybe")
 def check_qybe(ctx, rmat=None):
-    """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12."""
-    r = ctx.universal_r if rmat is None else rmat
-    alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(r)
+    """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12, summed by slices of R12 R13 (`Algebra.exchange`)."""
+    r, t = (ctx.universal_r, ctx.twist_exponent) if rmat is None else (rmat, rmat)
+    alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(t)
     acc = {}
     alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
     # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
@@ -195,10 +197,10 @@ def check_qybe(ctx, rmat=None):
         # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
         # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
         # leading parts of T R23 and R23 P23(T) sum to lead(T - P23(T), R23).
-        tp = tc.permute((0, 2, 1))
-        terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+        tp, diff = alg.exchange(tc)
+        terms = [(1, diff, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         # Each operand is released after its last product.
-        del parts, tc, tp
+        del parts, tc, tp, diff
         yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 
 
@@ -212,8 +214,8 @@ def check_triangularity(ctx, rmat=None):
 @_check("intertwining")
 def check_intertwine(ctx, rmat=None):
     """R * coproduct(g) == opposite-coproduct(g) * R for every generator."""
-    r = ctx.universal_r if rmat is None else rmat
-    alg, perm, r = r.algebra, orbit_symmetry(r), r.algebra.prepare(r)
+    r, t = (ctx.universal_r, ctx.twist_exponent) if rmat is None else (rmat, rmat)
+    alg, perm, r = r.algebra, orbit_symmetry(t), r.algebra.prepare(r)
     gens = [(name, g, ctx.coproduct(g)) for name, g in ctx.generator_elements()]
     # The residual of a generator that the relabelling maps to another, with
     # the coproduct of one to that of the other, maps to the other's residual.
