@@ -92,22 +92,22 @@ class Algebra:
     `first_term`.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
-    `_int_table` holds each bracket as such keys mapped to integer
-    numerators over one denominator; `bracket` returns the Fraction form.
-    Six caches live as long as the algebra, and no entry is mutated once
-    stored: `_monos` maps a leg field to its Monomial; `_single_cache` holds
-    the derivatives ``D_mu(H^a) = [X_mu, H^a]`` by X index and H part, and
-    `_block_cache` the chains ``D^c(H^a)`` by an X part ``c`` of two or more
-    X and an H part, as packed keys in increasing order mapped to numerators
-    in lowest terms, no field reaching ``2**(_W - 1)``; `_rows` holds by leg
-    field the blocks ``X^b H^a`` they give as leg products, which `mul_into`
-    reads for a clash on one leg (`_leg_rows`); `_tables` maps a leg count
-    and the key of a clash on more legs to a table of their rows' products
-    (`_leg_table`); `_entries` interns the tables.  A derivative, chain,
-    block or table entry holds its reach, the power it is whole to.  A
-    derivative reaches the order; the rest are first built to the power
-    their first use needs.  A later use that needs more rebuilds a block
-    once, to the order (`_mono_mul`), and a chain or a table to its need.
+    `_int_table` holds each bracket as such keys mapped to integer numerators
+    over one denominator; `bracket` returns the Fraction form.  Six caches
+    live as long as the algebra, no entry mutated once stored: `_monos` maps
+    a leg field to its Monomial; `_single_cache` holds the derivatives
+    ``D_mu(H^a) = [X_mu, H^a]`` by X index and H part, and `_block_cache` the
+    chains ``D^c(H^a)`` by an X part ``c`` of two or more X and an H part, as
+    packed keys in increasing order mapped to numerators in lowest terms, no
+    field reaching ``2**(_W - 1)``; `_rows` holds by leg field the blocks
+    ``X^b H^a`` they give as leg products, their leading row left out, which
+    `mul_into` reads for a clash on one leg (`_leg_rows`); `_tables` maps a
+    leg count and the key of a clash on more legs to a table of their rows'
+    products, the all-leading row left out (`_leg_table`); `_entries` interns
+    the tables.  Each entry but a `_monos` one holds its reach, the power it
+    is whole to: the order for a derivative, for the rest first the power
+    their first use needs, then once more the order for a block (`_mono_mul`)
+    and the need for a chain or a table.
     `prepare` groups a right operand of `mul_into`, and `exchange` the image of a 3-leg T under P23.
     """
 
@@ -349,9 +349,9 @@ class Algebra:
         ``H^h1 X^a`` times ``H^b X^x2`` is ``H^h1 (X^a H^b) X^x2``, so each of
         its terms has the 1-leg key of a block term plus ``h1`` and ``x2``:
         the two fields' sum plus `delta`, the block term's key minus ``a + b``,
-        which carries its `power`.  Returns ``(delta, power, num, den)`` rows,
-        the leading ``(0, 0, 1, 1)`` of ``H^b X^a`` first, then the rest in
-        increasing key order, each coefficient ``num / den`` in lowest terms.
+        which carries its `power`.  Returns ``(delta, power, num, den)`` rows
+        in increasing key order, each coefficient ``num / den`` in lowest
+        terms; the leading term ``H^b X^a``, row ``(0, 0, 1, 1)``, is left out.
         """
         cache, out, limit = self._block_cache, [], (room + 1) << self._leg_bits
         # The X of `a` by index, with the shift of its field.
@@ -382,7 +382,7 @@ class Algebra:
                         out.append((key + x, v // g, den // g))
         out.sort()
         bits = self._leg_bits
-        return ((0, 0, 1, 1), *((key - a - b, key >> bits, n, d) for key, n, d in out))
+        return tuple((key - a - b, key >> bits, n, d) for key, n, d in out)
 
     # -- products ----------------------------------------------------------------
 
@@ -392,7 +392,9 @@ class Algebra:
         return _wrap(self, b.legs, b.nums, b.den, self._groups(b.legs, b.nums.items()))
 
     def _groups(self, legs, terms):
-        """The groups `prepare` gives the `legs`-leg terms ``(key, num)`` that `terms` yields."""
+        """`prepare`'s groups of the `legs`-leg terms ``(key, num)`` that `terms` yields: ``(seen, buckets)``,
+        `seen` the keys or-ed, a bucket ``(power, terms, groups)`` per power in increasing order, its terms
+        in runs by the legs holding an H, and a run with an H a group ``(legs as bits, start, stop, splits)``."""
         ps, _, _, _, _, tests = self._layout(legs)
         by_group, seen = {}, 0
         for key2, c2 in terms:
@@ -403,10 +405,13 @@ class Algebra:
                 if key2 & hm:
                     g |= bit
             by_group.setdefault(g, []).append((key2, c2))
-        by_power, low = {}, (1 << legs) - 1
+        buckets, low = {}, (1 << legs) - 1
         for g in sorted(by_group):
-            by_power.setdefault(g >> legs, []).append((g & low, by_group[g], {}))
-        return seen, list(by_power.items())
+            _, held, groups = buckets.setdefault(g >> legs, (g >> legs, [], []))
+            if g & low:
+                groups.append((g & low, len(held), len(held) + len(by_group[g]), {}))
+            held += by_group.pop(g)
+        return seen, list(buckets.values())
 
     def exchange(self, t):
         """``(P23(t), t - P23(t))`` for a 3-leg `t`, `P23` the exchange of its last two legs, in one
@@ -441,8 +446,8 @@ class Algebra:
     def _leg_table(self, legs, clash, key, room):
         """The table of `key`, the left X parts plus the right H parts on the legs
         `clash`, two or more, of a `legs`-leg product (a sum with no carry), built to
-        power `room`: ``(reach, rows)``, the rows to power `reach`, the all-leading
-        row first, interned in `_entries`."""
+        power `room`: ``(reach, rows)``, the rows to power `reach` but the all-leading
+        one, interned in `_entries`."""
         ps, shifts = self._layout(legs)[:2]
         rows, full, order = [(0, 0, 1, 1)], 0, self.order
         while clash:
@@ -450,20 +455,17 @@ class Algebra:
             clash ^= 1 << leg
             sh = shifts[leg]
             lift = (1 << ps) - (1 << (sh + self._leg_bits))
-            # Short rows keep the table short.
+            # Short rows keep the table short; a leg's rows, its leading one put back, are in power order.
             reach, prods = self._leg_rows((key >> sh) & self._leg_mask, room)
+            prods = ((0, 0, 1, 1), *prods)
             full += prods[-1][1] if reach == order else room + 1
-            wide = []
-            for d, k, n, dd in rows:
-                # A leg's products come in power order, the leading one first.
-                for dm, km, cn, cd in prods:
-                    if k + km > room:
-                        break
-                    wide.append((d + (dm << sh) + km * lift, k + km, n * cn, dd * cd))
-            rows = wide
-        # Stable, so the all-leading row stays first.
+            rows = [
+                (d + (dm << sh) + km * lift, k + km, n * cn, dd * cd)
+                for d, k, n, dd in rows for dm, km, cn, cd in prods if k + km <= room
+            ]
+        # Stable, so the all-leading row stays first, and is dropped.
         rows.sort(key=itemgetter(1))
-        entry = (order if full <= room else room), tuple(rows)
+        entry = (order if full <= room else room), tuple(rows[1:])
         return self._entries.setdefault(entry, entry)
 
     def mul_into(self, acc, a, b, scale=1, part=None, order=None):
@@ -474,23 +476,20 @@ class Algebra:
         back as an element.  `scale` is an int or a Fraction.  This is the
         one product loop: `mul_tensors` runs it into an empty accumulator.
 
-        A pair of terms reorders (clashes) on each leg where the left term has
-        an X and the right one an H.  A left term tests each group of `b`
-        (`prepare`) once.  A group that clashes on no leg adds ``key1 + key2``;
-        one that clashes on a set of legs is split by their H parts, and with
-        the left term's X parts on them each subgroup picks its rows: on one
-        leg that leg's block rows (`_leg_rows`), moved to the leg, on more a
-        table of the products of those legs' rows (`_leg_table`), both kept
-        on the algebra.  A row's delta is added to ``key1`` and then to each
-        key of the split; its denominator picks a part of `acc`.  Operand
-        exponents from ``2**(_W - 1)`` are refused.
-
         A pair's leading term is ``c1 * c2`` at ``key1 + key2``, its product
-        in the commutative associated graded ring.  `part` "lead" adds only
-        those, as if no pair reordered, so ``lead(a, b) == lead(b, a)``;
-        "corr" adds the rest, leaving out the groups that clash on no leg and
-        the first row of each block or table, the product of all clash legs'
-        leading rows (one leg's leading row with another's correction stays).
+        in the commutative associated graded ring.  The leading pass adds them
+        for a left term and all the terms of each power bucket of `b`
+        (`prepare`) with room left in the order.  The correction pass adds the
+        rest: for a left term with an X, from each group of a bucket that
+        holds an H, on the legs where the two clash (reorder).  It splits such
+        a group by their H parts, and with the left term's X parts on them
+        each subgroup picks its rows, without their leading row: on one leg
+        the block rows (`_leg_rows`), moved to the leg, on more a table of
+        those legs' rows' products (`_leg_table`).  A row's delta is added to
+        ``key1`` and then to each key of the split; its denominator picks a
+        part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
+        `part` "lead" adds only the leading pass, as if no pair reordered, so
+        ``lead(a, b) == lead(b, a)``, and "corr" only the correction pass.
         So `verify` sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for qybe, `R23`
         prepared and ``P23(T)`` grouped by `exchange`, and ``lead(D - Dop, R) + corr(R, D) -
         corr(Dop, R)``, ``D`` the coproduct of a generator and `R` prepared, for intertwining.
@@ -503,12 +502,11 @@ class Algebra:
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
         if (a_seen | b_seen) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
-        # Under "lead" no left leg is tested for an X: every pair adds key1 + key2.
-        legs = () if part == "lead" else [1 << leg for leg in range(a.legs)]
-        skip = 1 if part == "corr" else 0
+        lead, legs = part != "corr", [1 << leg for leg in range(a.legs)]
         base_den, s = a.den * b.den * scale.denominator, scale.numerator
-        # A term of a above `top` pairs with no term of b.
-        top = order - buckets[0][0] if buckets else -1
+        # A term of a above `top` has no leading term, and above `h_top` no correction.
+        top = order - buckets[0][0] if buckets and lead else -1
+        h_top = -1 if part == "lead" else order - next((k2 for k2, _, groups in buckets if groups), order + 1)
         # A term goes to the part of `acc` over `base_den` times the
         # denominator `cd` it picked up from cached leg coefficients, dens[cd].
         out = acc.setdefault(base_den, {})
@@ -516,24 +514,32 @@ class Algebra:
 
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
-            if k1 > top:
+            if k1 > top and k1 > h_top:
                 continue
             c1 *= s
+            if k1 <= top:
+                for k2, terms, _ in buckets:
+                    if k1 + k2 > order:
+                        break
+                    for key2, c2 in terms:
+                        key = key1 + key2
+                        out[key] = out.get(key, 0) + c1 * c2
+            if k1 > h_top:
+                continue
             # The legs of this term that hold an X, as bits.
             x_legs = 0
             for bit in legs:
                 if key1 & x_bits[bit]:
                     x_legs |= bit
-            for k2, groups in buckets:
+            if not x_legs:
+                continue
+            for k2, terms, groups in buckets:
                 room = order - k1 - k2
                 if room < 0:
                     break
-                for h_legs, terms, splits in groups:
+                for h_legs, start, stop, splits in groups:
                     clash = x_legs & h_legs
                     if not clash:
-                        for key2, c2 in () if skip else terms:
-                            key = key1 + key2
-                            out[key] = out.get(key, 0) + c1 * c2
                         continue
                     split = splits.get(clash)
                     if split is None:
@@ -543,7 +549,7 @@ class Algebra:
                         sh = shifts[clash.bit_length() - 1] if one else 0
                         lift = (1 << ps) - (1 << (sh + self._leg_bits)) if one else 0
                         by_h, hm = {}, h_bits[clash]
-                        for term in terms:
+                        for term in terms[start:stop]:
                             by_h.setdefault((term[0] & hm) >> sh, []).append(term)
                         split = splits[clash] = one, sh, lift, tuple(by_h.items())
                     one, sh, lift, split = split
@@ -556,8 +562,7 @@ class Algebra:
                             else:
                                 tables = cache = self._tables.setdefault(a.legs, tables)
                                 reach, rows = tables[xk + hk] = self._leg_table(a.legs, clash, xk + hk, room)
-                        # Rows and tables are tuples, which ``rows[skip:]`` does not copy when `skip` is 0.
-                        for d, km, cn, cd in rows[skip:]:
+                        for d, km, cn, cd in rows:
                             if km > room:
                                 break
                             p = dens.get(cd)
@@ -776,6 +781,11 @@ class TensorElement:
         nums = {k: c.numerator * v for k, v in self.nums.items()}
         return _canonical(self.algebra, self.legs, nums, c.denominator * self.den)
 
+    def odd_powers_negated(self):
+        """This element with each term of odd deformation power negated."""
+        nums, ps = self.nums, self.algebra._layout(self.legs)[0]
+        return _wrap(self.algebra, self.legs, {k: -v if k >> ps & 1 else v for k, v in nums.items()}, self.den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -853,9 +863,15 @@ class TensorElement:
         alg = self.algebra
         ps, shifts = alg._layout(self.legs)[:2]
         wide_ps, wide = alg._layout(legs)[:2]
-        moves = [(s, wide[p]) for s, p in zip(shifts, positions)]
         # A unit leg's field is 0, and distinct keys stay distinct; the
         # values are kept, so the form stays canonical.
+        if list(positions) == sorted(positions):
+            # The legs keep their order: insert each unit leg's field, from the lowest.
+            out, bits = self.nums, alg._leg_bits
+            for s in sorted(wide[p] for p in set(range(legs)) - set(positions)):
+                out = {key >> s << (s + bits) | key & ((1 << s) - 1): v for key, v in out.items()}
+            return _wrap(alg, legs, out, self.den)
+        moves = [(s, wide[p]) for s, p in zip(shifts, positions)]
         out = {}
         for key, v in self.nums.items():
             new = key >> ps << wide_ps

@@ -45,29 +45,13 @@ def _term_document(key, coeff):
     }
 
 
-def _expansion_document(name, spec, obj):
-    if isinstance(obj, dict):
-        elements = obj
-    else:
-        elements = {name: obj}
-    doc = {
-        "expr": name,
-        "spec": spec.name,
-        "order": spec.order,
-        "elements": {
-            label: [_term_document(k, c) for k, c in value.sorted_terms()]
-            for label, value in elements.items()
-        },
-    }
-    return doc
-
-
 def _print_expansion(name, spec, obj, fmt, out):
+    elements = obj if isinstance(obj, dict) else {name: obj}
     if fmt == "machine":
-        doc = _expansion_document(name, spec, obj)
+        docs = {label: [_term_document(k, c) for k, c in el.sorted_terms()] for label, el in elements.items()}
+        doc = {"expr": name, "spec": spec.name, "order": spec.order, "elements": docs}
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
-    elements = obj if isinstance(obj, dict) else {name: obj}
     for label, value in elements.items():
         terms = value.sorted_terms()
         out.write(f"{label} =\n")

@@ -235,14 +235,14 @@ class HopfContext:
 
     @cached_property
     def phi_inverse(self):
-        """Inverse twist, exp of the negated pairing 2-tensor."""
-        return exp_truncated(self.twist_exponent.scale(-1))
+        """Inverse twist, exp of the negated pairing 2-tensor t.  The powers of t, H on leg 0 and X
+        on leg 1, reorder nothing, so ``t^k`` has power k alone: this is phi, odd powers negated."""
+        return self.phi.odd_powers_negated()
 
     @cached_property
     def universal_r(self):
-        """exp(swapped exponent) * exp(-exponent)."""
-        head = exp_truncated(self.twist_exponent.swap())
-        return head * self.phi_inverse
+        """exp(swapped exponent) * exp(-exponent), its head swap(phi): swap is an automorphism."""
+        return self.phi.swap() * self.phi_inverse
 
     def twisted_coproduct(self, a, phi=None):
         """Conjugate the deformed coproduct by the twist."""

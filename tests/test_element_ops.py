@@ -275,6 +275,31 @@ def test_embed_and_strip():
     assert -(-v) == v and v.swap().swap() == v
 
 
+def test_embed_places_each_leg_at_its_position():
+    """Every placement of 1 to 3 legs among up to 4, in order (each unit leg's
+    field inserted) or not (each field moved), against the terms placed one
+    monomial at a time."""
+    from itertools import permutations
+
+    rng = random.Random("embed")
+    alg = Algebra(2, 3, 3, {})
+    unit = Monomial.unit(alg.m, alg.n)
+    for legs in (1, 2, 3):
+        t = alg.tensor_zero(legs)
+        while len(t.nums) < 2:
+            t = random_tensor(rng, alg, legs, max_terms=6, max_deg=2)
+        for wide in range(legs, 5):
+            for positions in permutations(range(wide), legs):
+                want = {}
+                for (k, monos), c in t.terms.items():
+                    placed = [unit] * wide
+                    for p, mono in zip(positions, monos):
+                        placed[p] = mono
+                    want[(k, tuple(placed))] = c
+                got = t.embed(wide, positions)
+                assert got.terms == want and got.den == t.den
+
+
 def test_outer_sums_the_power_splits_that_meet_on_one_key():
     """``(H + h H)`` times ``(h X + X)`` puts ``H (x) X`` at power 1 twice;
     at order 1 the power-2 term drops."""

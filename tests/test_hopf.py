@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from helpers import naive_exp_tensor, naive_mul_tensors, random_element
+from helpers import naive_exp_tensor, naive_mul_tensors, random_element, random_valid_spec_3d
 from qtwist import (
     UnsupportedPresetError,
     build_context,
     exp_truncated,
+    parse_spec_file,
     preset,
     series_apply,
 )
@@ -279,3 +281,28 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
         assert got == left
         assert got.den == right.den and list(got.nums.items()) == list(right.nums.items())
     assert len(ctx._delta_cache) > alg.m + alg.n
+
+
+@pytest.mark.parametrize("order", (3, 4, 5))
+@pytest.mark.parametrize(
+    "name", ("poincare-null-plane", "jordanian-borel", "shift-ring(3)", "rotated-null-plane twin", "random-3d twin")
+)
+def test_inverse_twist_and_r_head_are_the_exponentials(name, order):
+    """phi^-1 is phi with its odd powers negated and R's head is swap(phi):
+    both equal the exponentials of -t and of swap(t) summed anew, on the
+    presets and on the lifted twins of two specs with r != I."""
+    if name.endswith(" twin"):
+        if name.startswith("rotated"):
+            spec = parse_spec_file(Path(__file__).parent / "data" / "rotated-null-plane.json")
+        else:
+            spec = random_valid_spec_3d(random.Random("random-3d/0"))
+        ctx = build_context(spec.with_order(order))
+        assert ctx.lifted is not ctx
+        ctx = ctx.lifted
+    else:
+        ctx = build_context(preset(name).with_order(order))
+    t = ctx.twist_exponent
+    assert ctx.phi_inverse == exp_truncated(t.scale(-1))
+    assert ctx.phi.swap() == exp_truncated(t.swap())
+    assert ctx.universal_r == exp_truncated(t.swap()) * exp_truncated(t.scale(-1))
+    assert any(key[0] % 2 for key in ctx.phi.terms) and ctx.phi_inverse != ctx.phi

@@ -197,7 +197,8 @@ def test_a_block_applies_the_first_xs_derivative_outermost():
 
     assert d(0, d(1, hb)) != d(1, d(0, hb))
     a, b = alg._field((0, 0), (1, 1)), alg._field((1, 1), (0, 0))
-    rows = alg._mono_mul(a, b)
+    # The rows leave out the leading term H^b X^a, added here.
+    rows = ((0, 0, 1, 1), *alg._mono_mul(a, b))
     block = alg.tensor_element(
         1, {alg.decode(a + b + d, 1): Q(cn, cd) for d, k, cn, cd in rows}
     )
