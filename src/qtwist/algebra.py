@@ -108,7 +108,7 @@ class Algebra:
     is whole to: the order for a derivative, for the rest first the power
     their first use needs, then once more the order for a block (`_mono_mul`)
     and the need for a chain or a table.
-    `prepare` groups a right operand of `mul_into`, and `exchange` the image of a 3-leg T under P23.
+    `prepare` groups a right operand of `mul_into`, and `exchange` the image of a 3-leg T under P23 (`_groups`).
     """
 
     def __init__(self, m, n, order, table):
@@ -388,49 +388,36 @@ class Algebra:
 
     def prepare(self, b):
         """An element equal to `b`, grouped once for every `mul_into` that takes it on the right:
-        by power, then by the legs holding an H, then (when first needed) by a clash's H parts."""
-        return _wrap(self, b.legs, b.nums, b.den, self._groups(b.legs, b.nums.items()))
-
-    def _groups(self, legs, terms):
-        """`prepare`'s groups of the `legs`-leg terms ``(key, num)`` that `terms` yields: ``(seen, buckets)``,
-        `seen` the keys or-ed, a bucket ``(power, terms, groups)`` per power in increasing order, its terms
-        in runs by the legs holding an H, and a run with an H a group ``(legs as bits, start, stop, splits)``."""
-        ps, _, _, _, _, tests = self._layout(legs)
-        by_group, seen = {}, 0
-        for key2, c2 in terms:
-            seen |= key2
+        by power, then by the legs holding an H, then (when first needed) by a clash's H parts (`_groups`)."""
+        legs, (ps, _, _, _, _, tests), by_group = b.legs, self._layout(b.legs), {}
+        for key2, c2 in b.nums.items():
             # A group's index: its power, then its legs that hold an H, as bits.
             g = key2 >> ps << legs
             for hm, bit in tests:
                 if key2 & hm:
                     g |= bit
             by_group.setdefault(g, []).append((key2, c2))
-        buckets, low = {}, (1 << legs) - 1
-        for g in sorted(by_group):
-            _, held, groups = buckets.setdefault(g >> legs, (g >> legs, [], []))
-            if g & low:
-                groups.append((g & low, len(held), len(held) + len(by_group[g]), {}))
-            held += by_group.pop(g)
-        return seen, list(buckets.values())
+        return _wrap(self, legs, b.nums, b.den, _groups(legs, b.nums, by_group))
 
     def exchange(self, t):
         """``(P23(t), t - P23(t))`` for a 3-leg `t`, `P23` the exchange of its last two legs, in one
-        pass over the terms of `t`: ``P23(t)`` comes grouped as `prepare` groups it."""
-        (s0, s1, _), mask, nums, image, diff = self._layout(3)[1], self._leg_mask, t.nums, {}, {}
-
-        def terms():
-            for key, c in nums.items():
-                p = key >> s0 << s0 | (key >> s1 & mask) | (key & mask) << s1
-                image[p] = c
-                # A key that P23 fixes cancels (q is c), and one whose image is in `t` is met twice.
-                q = nums.get(p, 0)
-                if q != c:
-                    diff[key] = c - q
-                if not q:
-                    diff[p] = -c
-                yield p, c
-
-        return _wrap(self, 3, image, t.den, self._groups(3, terms())), _canonical(self, 3, diff, t.den)
+        pass over the terms of `t`: ``P23(t)`` comes grouped as `prepare` groups it, and both keep
+        the denominator of `t`, so neither is reduced if `t` is not."""
+        ps, (s0, s1, _), _, _, _, ((h0, _), (h1, _), (h2, _)) = self._layout(3)
+        mask, nums, image, diff, by_group = self._leg_mask, t.nums, {}, {}, {}
+        for key, c in nums.items():
+            p = key >> s0 << s0 | (key >> s1 & mask) | (key & mask) << s1
+            image[p] = c
+            # A key that P23 fixes cancels (q is c), and one whose image is in `t` is met twice.
+            q = nums.get(p, 0)
+            if q != c:
+                diff[key] = c - q
+            if not q:
+                diff[p] = -c
+            # The group index of `prepare`, its three H tests unrolled.
+            g = p >> ps << 3 | (p & h0 and 1) | (p & h1 and 2) | (p & h2 and 4)
+            by_group.setdefault(g, []).append((p, c))
+        return _wrap(self, 3, image, t.den, _groups(3, image, by_group)), _wrap(self, 3, diff, t.den)
 
     def _leg_rows(self, field, room):
         """``(reach, rows)`` of the block of a leg field's X part times its H part (`_block`),
@@ -480,14 +467,16 @@ class Algebra:
         in the commutative associated graded ring.  The leading pass adds them
         for a left term and all the terms of each power bucket of `b`
         (`prepare`) with room left in the order.  The correction pass adds the
-        rest: for a left term with an X, from each group of a bucket that
-        holds an H, on the legs where the two clash (reorder).  It splits such
-        a group by their H parts, and with the left term's X parts on them
-        each subgroup picks its rows, without their leading row: on one leg
+        rest for the left terms with an X, classed by X part in power order:
+        once per class, from each group of a bucket that holds an H, on the
+        legs where the two clash (reorder).  It splits such a group by their H
+        parts, and with the class's X parts on them each subgroup picks its
+        rows, without their leading row, to its lowest power's room: on one leg
         the block rows (`_leg_rows`), moved to the leg, on more a table of
         those legs' rows' products (`_leg_table`).  A row's delta is added to
-        ``key1`` and then to each key of the split; its denominator picks a
-        part of `acc`.  Operand exponents from ``2**(_W - 1)`` are refused.
+        the ``key1`` of each member the row has room for, and then to each key
+        of the split; its denominator picks a part of `acc`.  Operand exponents
+        from ``2**(_W - 1)`` are refused.
         `part` "lead" adds only the leading pass, as if no pair reordered, so
         ``lead(a, b) == lead(b, a)``, and "corr" only the correction pass.
         So `verify` sums ``lead(T - P23(T), R23) + corr(T, R23) - corr(R23, P23(T))`` for qybe, `R23`
@@ -502,7 +491,7 @@ class Algebra:
         a_seen = a._groups[0] if a._groups is not None else reduce(or_, a.nums, 0)
         if (a_seen | b_seen) & guard:
             raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
-        lead, legs = part != "corr", [1 << leg for leg in range(a.legs)]
+        lead, legs, x_all = part != "corr", [1 << leg for leg in range(a.legs)], x_bits[-1]
         base_den, s = a.den * b.den * scale.denominator, scale.numerator
         # A term of a above `top` has no leading term, and above `h_top` no correction.
         top = order - buckets[0][0] if buckets and lead else -1
@@ -510,7 +499,7 @@ class Algebra:
         # A term goes to the part of `acc` over `base_den` times the
         # denominator `cd` it picked up from cached leg coefficients, dens[cd].
         out = acc.setdefault(base_den, {})
-        dens = {1: out}
+        dens, classes = {1: out}, {}
 
         for key1, c1 in a.nums.items():
             k1 = key1 >> ps
@@ -524,17 +513,17 @@ class Algebra:
                     for key2, c2 in terms:
                         key = key1 + key2
                         out[key] = out.get(key, 0) + c1 * c2
-            if k1 > h_top:
-                continue
-            # The legs of this term that hold an X, as bits.
-            x_legs = 0
+            if k1 <= h_top and (x1 := key1 & x_all):
+                classes.setdefault(x1, []).append((k1, key1, c1))
+        for x1, members in classes.items():
+            # In power order, the first member with the most room; the legs that hold an X, as bits.
+            members.sort()
+            low, x_legs = members[0][0], 0
             for bit in legs:
-                if key1 & x_bits[bit]:
+                if x1 & x_bits[bit]:
                     x_legs |= bit
-            if not x_legs:
-                continue
             for k2, terms, groups in buckets:
-                room = order - k1 - k2
+                room = (cap := order - k2) - low
                 if room < 0:
                     break
                 for h_legs, start, stop, splits in groups:
@@ -553,7 +542,7 @@ class Algebra:
                             by_h.setdefault((term[0] & hm) >> sh, []).append(term)
                         split = splits[clash] = one, sh, lift, tuple(by_h.items())
                     one, sh, lift, split = split
-                    xk, cache = (key1 & x_bits[clash]) >> sh, block_rows if one else tables
+                    xk, cache = (x1 & x_bits[clash]) >> sh, block_rows if one else tables
                     for hk, sub in split:
                         reach, rows = cache.get(xk + hk) or (-1, None)
                         if reach < room:
@@ -568,13 +557,17 @@ class Algebra:
                             p = dens.get(cd)
                             if p is None:
                                 p = dens[cd] = acc.setdefault(cd * base_den, {})
-                            d = key1 + (d << sh)
-                            if lift:
-                                d += km * lift
-                            cn *= c1
-                            for key2, c2 in sub:
-                                key = d + key2
-                                p[key] = p.get(key, 0) + cn * c2
+                            d = (d << sh) + km * lift
+                            # A member above the power `order - k2 - km` has no room for the row.
+                            cap_m = cap - km
+                            for k1, key1, c1 in members:
+                                if k1 > cap_m:
+                                    break
+                                c1 *= cn
+                                key1 += d
+                                for key2, c2 in sub:
+                                    key = key1 + key2
+                                    p[key] = p.get(key, 0) + c1 * c2
 
     def mul_tensors(self, a, b):
         acc = {}
@@ -718,7 +711,8 @@ class TensorElement:
     equal exactly when `nums` and `den` are.  `terms` is a view built on
     each access, keyed ``(power, (mono_1, ..., mono_legs))`` with Fraction
     values; changing it leaves the element as it is.  An element of the
-    algebra itself is the 1-leg case.
+    algebra itself is the 1-leg case.  A qybe part's operands may be unreduced
+    (`Algebra.exchange`): only `mul_into` reads them, and their sum is reduced once.
     """
 
     __slots__ = ("algebra", "legs", "nums", "den", "_groups")
@@ -901,10 +895,23 @@ class TensorElement:
 
 
 def _wrap(algebra, legs, nums, den, groups=None):
-    """An element with the given canonical numerators, which it shares (`groups`: see `prepare`)."""
+    """An element that shares the given numerators, canonical but for a qybe part's (`groups`: see `prepare`)."""
     el = object.__new__(TensorElement)
     el.algebra, el.legs, el.nums, el.den, el._groups = algebra, legs, nums, den, groups
     return el
+
+
+def _groups(legs, nums, by_group):
+    """The groups of the `legs`-leg terms `nums`, in `by_group` as ``(key, num)`` by group index: ``(seen,
+    buckets)``, `seen` the keys or-ed, a bucket ``(power, terms, groups)`` per power, increasing, its terms in
+    runs by the legs holding an H, a run with an H a group ``(legs as bits, start, stop, splits)``."""
+    buckets, low = {}, (1 << legs) - 1
+    for g in sorted(by_group):
+        _, held, groups = buckets.setdefault(g >> legs, (g >> legs, [], []))
+        if g & low:
+            groups.append((g & low, len(held), len(held) + len(by_group[g]), {}))
+        held += by_group.pop(g)
+    return reduce(or_, nums, 0), list(buckets.values())
 
 
 def _canonical(algebra, legs, nums, den):

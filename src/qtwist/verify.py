@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Monomial, SeriesMatrix, _from_parts, exp_truncated, format_term
+from .algebra import Monomial, SeriesMatrix, _from_parts, _merged, _wrap, exp_truncated, format_term
 from .errors import ShapeError, UnsupportedPresetError
 from .model import cybe_residual, scan_xi
 
@@ -192,7 +192,10 @@ def check_qybe(ctx, rmat=None):
             size += more
             for den, nums in dens.items():
                 parts.setdefault(den, {}).update(nums)
-        tc = _from_parts(alg, 3, parts)
+        # A part of T is merged over the lcm of its denominators and not reduced; P23(T) and
+        # T - P23(T) keep that denominator, so the three products share one and cancel in place.
+        nums, den = _merged(parts)
+        tc = _wrap(alg, 3, {key: v for key, v in nums.items() if v}, den)
         # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
         # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
         # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
@@ -200,7 +203,7 @@ def check_qybe(ctx, rmat=None):
         tp, diff = alg.exchange(tc)
         terms = [(1, diff, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         # Each operand is released after its last product.
-        del parts, tc, tp, diff
+        del parts, nums, tc, tp, diff
         yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 
 

@@ -155,6 +155,19 @@ def naive_mul_tensors(alg, a, b):
     return alg.tensor_element(a.legs, out)
 
 
+def graded_mul_tensors(alg, a, b):
+    """The product in the commutative associated graded ring: exponents add, nothing reorders."""
+    out = {}
+    for (k1, m1), c1 in a.terms.items():
+        for (k2, m2), c2 in b.terms.items():
+            if k1 + k2 <= alg.order:
+                monos = tuple(
+                    Monomial(tuple(map(sum, zip(p.h, q.h))), tuple(map(sum, zip(p.x, q.x)))) for p, q in zip(m1, m2)
+                )
+                out[(k1 + k2, monos)] = out.get((k1 + k2, monos), Q(0)) + c1 * c2
+    return alg.tensor_element(a.legs, out)
+
+
 def naive_exp_tensor(alg, a, order):
     """Truncated exponential via repeated naive products."""
     from math import factorial
@@ -490,6 +503,45 @@ def unsliced_qybe(ctx, rmat=None):
     key, coeff = min(residual.terms.items())
     term = format_term(key, coeff, ctx.spec.h_names, ctx.spec.x_names)
     return residual, f"yang-baxter: {term}", keys
+
+
+def canonical_qybe_parts(ctx, rmat=None):
+    """The parts of `check_qybe`, each assembled in canonical form.
+
+    The reference for the check's own assembly, which merges a part of
+    ``T = R12 R13`` over the lcm of its denominators and reduces neither it
+    nor ``P23(T)`` nor ``T - P23(T)``.  Here T is split by leg-0 X parts
+    (`Algebra.split_by_x`) and a part gathered as the check gathers it, then
+    canonicalised; ``P23(T)`` is ``T.permute((0, 2, 1))``, prepared, and the
+    difference is a canonical subtraction.  Yields the parts in the form of
+    a check's declaration (see `verify._check`).
+    """
+    from qtwist.verify import orbit_symmetry
+
+    r, t = (ctx.universal_r, ctx.twist_exponent) if rmat is None else (rmat, rmat)
+    alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(t)
+    acc = {}
+    alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
+    slices = alg.split_by_x(acc, 3, 0, perm)
+    slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in slices.items()), reverse=True)
+    while slices:
+        size, _, orbit, parts = slices.pop()
+        while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
+            more, _, _, dens = slices.pop()
+            size += more
+            for den, nums in dens.items():
+                parts.setdefault(den, {}).update(nums)
+        tc = _from_parts(alg, 3, parts)
+        tp = alg.prepare(tc.permute((0, 2, 1)))
+        terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
+
+
+def three_jordanian_spec(order=3):
+    """The direct sum of three copies of `jordanian-borel`: ``B[i][i][i] = 2``, r = I."""
+    B = [[[2 if i == j == mu else 0 for mu in range(3)] for j in range(3)] for i in range(3)]
+    r = [[int(i == j) for j in range(3)] for i in range(3)]
+    return AlgebraSpec(name="jordanian-borel-x3", m=3, n=3, B=B, r=r, order=order)
 
 
 def unsplit_intertwining(ctx, rmat=None):

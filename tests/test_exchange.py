@@ -17,7 +17,7 @@ import pytest
 
 from helpers import cached_context, random_tensor
 from qtwist import build_context, parse_spec_file
-from qtwist.algebra import Monomial, _from_parts
+from qtwist.algebra import Monomial, _canonical, _from_parts
 
 ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 P23 = (0, 2, 1)
@@ -57,8 +57,9 @@ def test_exchange_matches_the_permuted_tensor_its_grouping_and_the_difference(na
         image, diff = alg.exchange(t)
         assert (image.nums, image.den) == (plain.nums, plain.den)
         assert image._groups == alg.prepare(plain)._groups
-        want = t - plain
-        assert (diff.nums, diff.den) == (want.nums, want.den)
+        # The difference keeps the denominator of `t`, unreduced, with no zero numerator.
+        assert diff.den == t.den and all(diff.nums.values())
+        assert _canonical(alg, 3, diff.nums, diff.den) == t - plain
         cancelled += sum(key not in diff.nums for key in t.nums)
     # Keys that P23 fixes, and pairs of equal terms that it swaps, cancel.
     assert cancelled

@@ -9,23 +9,37 @@ count and the witness of the check must match it for seeded mutants of R on
 three presets, and on a rotated spec through `run_suite`, where the residual
 is mapped back to the user's basis.  The direct path of
 `tests/test_transport.py` runs the same slicing, so it is no oracle for it.
+A part's operands are handed to the products unreduced; the parts as they
+were assembled in canonical form (`helpers.canonical_qybe_parts`) must give
+the same residual part by part, and the same report.
 """
+
+import dataclasses
+import random
+import time
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from helpers import (
     cached_context,
+    canonical_qybe_parts,
     count_parts,
     image_parts,
+    orbit_r_mutants,
     r_mutants,
+    random_valid_spec_3d,
     rotated_null_plane_specs,
+    three_jordanian_spec,
     unsliced_qybe,
 )
-from qtwist import algebra, build_context, verify
-from qtwist.algebra import Algebra, Monomial
+from qtwist import algebra, build_context, parse_spec_file, verify
+from qtwist.algebra import Algebra, Monomial, _wrap
 from qtwist.verify import check_qybe, orbit_symmetry, run_suite
 
 CASES = (("poincare-null-plane", 3), ("jordanian-borel", 4), ("shift-ring(3)", 3))
+ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 
 
 def _parts_hit(parts):
@@ -69,7 +83,8 @@ def test_sliced_qybe_matches_the_unsliced_residual_in_the_users_basis(monkeypatc
 
 def _split_keys(ctx, perm, monomials=True):
     """The accumulator keys of the residual as `check_qybe` splits it, but
-    summed whole: ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))``
+    summed whole: ``lead(R23, T - P23(T)) + corr(T, R23) - corr(R23, P23(T))``,
+    the three products over one base denominator as in a part,
     for the terms of ``T = R12 R13`` whose leg-0 X exponents are the smallest
     of their orbit under the relabelling `perm` and, where `perm` fixes
     those and `monomials` is set, whose whole leg-0 monomial is the smallest
@@ -93,8 +108,11 @@ def _split_keys(ctx, perm, monomials=True):
     whole = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
     t = alg.tensor_element(3, {key: c for key, c in whole.terms.items() if kept(key[1][0])})
     tp = t.permute((0, 2, 1))
+    # As in a part, T, P23(T) and their difference share one denominator, unreduced.
+    diff = {key: t.nums.get(key, 0) - tp.nums.get(key, 0) for key in t.nums.keys() | tp.nums.keys()}
+    diff = _wrap(alg, 3, {key: v for key, v in diff.items() if v}, t.den)
     acc = {}
-    alg.mul_into(acc, r23, t - tp, 1, "lead")
+    alg.mul_into(acc, r23, diff, 1, "lead")
     alg.mul_into(acc, t, r23, 1, "corr")
     alg.mul_into(acc, r23, tp, -1, "corr")
     return sum(map(len, acc.values()))
@@ -165,3 +183,47 @@ def test_qybe_never_forms_or_canonicalises_all_of_r12_r13(monkeypatch):
     monkeypatch.setattr(algebra, "_reduced", watched_reduced)
     assert check_qybe(ctx).passed
     assert seen and not any(seen)
+
+
+def _assembly_cases():
+    """``(label, context, rmat)``: the presets, lifted twins of dense-basis specs, the three copies of
+    `jordanian-borel` with seeded mutants of R, and mutants of R that its symmetry fixes and does not."""
+    for name, order in CASES:
+        yield name, cached_context(name, order), None
+    yield "rotated-twin", build_context(parse_spec_file(ROTATED).with_order(3)).lifted, None
+    rng = random.Random("qybe-assembly")
+    for i in range(2):
+        yield f"random-3d-{i}-twin", build_context(random_valid_spec_3d(rng)).lifted, None
+    copies = build_context(three_jordanian_spec())
+    yield "jordanian-borel-x3", copies, None
+    for i, rmat in enumerate(r_mutants(copies, "qybe-assembly/x3", count=2)):
+        yield f"jordanian-borel-x3 mutant {i}", copies, rmat
+    null_plane = cached_context("poincare-null-plane", 3)
+    for kind, rmat in zip(("symmetric", "asymmetric"), orbit_r_mutants(null_plane, "qybe-assembly/orbit")):
+        yield f"{kind} orbit mutant", null_plane, rmat
+
+
+def test_qybe_parts_assembled_unreduced_match_the_canonical_assembly(monkeypatch):
+    """Each part's residual, and the report, equal those of the parts assembled in canonical
+    form (`helpers.canonical_qybe_parts`), although the operands of some parts are not reduced."""
+    exchange, unreduced = Algebra.exchange, []
+
+    def watched_exchange(self, t):
+        unreduced.append(gcd(t.den, *t.nums.values()) > 1)
+        return exchange(self, t)
+
+    failed = 0
+    for label, ctx, rmat in _assembly_cases():
+        parts = count_parts(monkeypatch)
+        monkeypatch.setattr(Algebra, "exchange", watched_exchange)
+        got = check_qybe(ctx, rmat=rmat)
+        got_parts = parts["tallied"]
+        monkeypatch.undo()
+        parts = count_parts(monkeypatch)
+        want = verify._finish("qybe", ctx, canonical_qybe_parts(ctx, rmat), time.perf_counter())
+        want_parts = parts["tallied"]
+        monkeypatch.undo()
+        assert got_parts == want_parts, label
+        assert dataclasses.replace(got, elapsed_ms=0) == dataclasses.replace(want, elapsed_ms=0), label
+        failed += not got.passed
+    assert failed >= 4 and any(unreduced)

@@ -25,20 +25,15 @@ from helpers import (
     image_parts,
     random_valid_spec_3d,
     stale_context,
+    three_jordanian_spec,
     unsliced_qybe,
     unsplit_intertwining,
 )
-from qtwist import AlgebraSpec, build_context, parse_spec_file, validate_spec
+from qtwist import build_context, parse_spec_file, validate_spec
 from qtwist.verify import check_intertwine, check_qybe, orbit_symmetry, run_suite
 
 ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 CYCLE = (1, 2, 0)
-
-
-def _three_jordanian(order=3):
-    B = [[[2 if i == j == mu else 0 for mu in range(3)] for j in range(3)] for i in range(3)]
-    r = [[int(i == j) for j in range(3)] for i in range(3)]
-    return AlgebraSpec(name="jordanian-borel-x3", m=3, n=3, B=B, r=r, order=order)
 
 
 def _contexts():
@@ -52,7 +47,7 @@ def _contexts():
     null_plane = cached_context("poincare-null-plane", 3)
     for field, at in (("B", (2, 0, 0)), ("B", (0, 1, 1)), ("r", (2, 2)), ("r", (0, 0)), ("r", (0, 1))):
         yield f"stale-{field}{at}", stale_context(null_plane, field, at)
-    yield "jordanian-borel-x3", build_context(_three_jordanian())
+    yield "jordanian-borel-x3", build_context(three_jordanian_spec())
 
 
 def test_the_symmetry_read_off_the_twist_exponent_is_the_one_that_relabelling_r_finds():
@@ -67,7 +62,7 @@ def test_the_symmetry_read_off_the_twist_exponent_is_the_one_that_relabelling_r_
 
 
 def test_three_jordanian_copies_have_five_symmetries_and_pass_all():
-    spec = _three_jordanian()
+    spec = three_jordanian_spec()
     validate_spec(spec)
     ctx = build_context(spec)
     assert ctx.algebra.symmetries == ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -91,7 +86,7 @@ def _mutants(ctx, seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_symmetric_mutants_of_three_jordanian_copies_match_the_references(seed, monkeypatch):
-    ctx = build_context(_three_jordanian())
+    ctx = build_context(three_jordanian_spec())
     for rmat, perm in _mutants(ctx, f"jordanian-x3/{seed}"):
         assert orbit_symmetry(rmat) == perm
         parts = count_parts(monkeypatch)

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import cached_context, naive_mul_tensors, random_table
+from helpers import cached_context, graded_mul_tensors, naive_mul_tensors, random_table
 from qtwist.algebra import Algebra, Monomial, _from_parts
 
 ORDER = 3
@@ -71,19 +71,6 @@ def _part(alg, a, b, part):
     return _from_parts(alg, a.legs, acc)
 
 
-def _graded(alg, a, b):
-    """The product in the commutative associated graded ring: exponents add, nothing reorders."""
-    out = {}
-    for (k1, m1), c1 in a.terms.items():
-        for (k2, m2), c2 in b.terms.items():
-            if k1 + k2 <= alg.order:
-                monos = tuple(
-                    Monomial(tuple(map(sum, zip(p.h, q.h))), tuple(map(sum, zip(p.x, q.x)))) for p, q in zip(m1, m2)
-                )
-                out[(k1 + k2, monos)] = out.get((k1 + k2, monos), Q(0)) + c1 * c2
-    return alg.tensor_element(a.legs, out)
-
-
 @pytest.mark.parametrize("legs", (1, 2, 3))
 def test_both_passes_make_up_the_product_at_both_tops(legs):
     """``None`` is the oracle's product, "lead" the graded product, and "corr"
@@ -95,7 +82,7 @@ def test_both_passes_make_up_the_product_at_both_tops(legs):
         a, b = _left(rng, alg, legs), _right(rng, alg, legs)
         whole, lead, corr = (_part(alg, a, b, part) for part in (None, "lead", "corr"))
         assert whole == naive_mul_tensors(alg, a, b).scale(SCALE)
-        assert lead == _graded(alg, a, b).scale(SCALE) == _part(alg, b, a, "lead")
+        assert lead == graded_mul_tensors(alg, a, b).scale(SCALE) == _part(alg, b, a, "lead")
         assert corr == whole - lead
         at_top, above = (
             alg.tensor_element(legs, {key: c for key, c in a.terms.items() if key[0] == k})
@@ -103,7 +90,7 @@ def test_both_passes_make_up_the_product_at_both_tops(legs):
         )
         assert not _part(alg, above, b, "lead").is_zero()
         assert _part(alg, above, b, "corr").is_zero()
-        assert _part(alg, above, b, None) == _graded(alg, above, b).scale(SCALE)
+        assert _part(alg, above, b, None) == graded_mul_tensors(alg, above, b).scale(SCALE)
         assert _part(alg, at_top, b, None) == naive_mul_tensors(alg, at_top, b).scale(SCALE)
         corrected += not _part(alg, at_top, b, "corr").is_zero()
         # Both parts into one accumulator that already holds terms.
