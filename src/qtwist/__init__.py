@@ -13,7 +13,6 @@ from .algebra import (
     SeriesMatrix,
     TensorElement,
     exp_truncated,
-    normal_order,
     series_apply,
 )
 from .errors import (
@@ -74,7 +73,6 @@ __all__ = [
     "derive_alpha",
     "exp_truncated",
     "h_prime_rank",
-    "normal_order",
     "parse_spec_file",
     "preset",
     "render_spec_file",

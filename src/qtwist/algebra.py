@@ -836,17 +836,11 @@ class TensorElement:
 
     __hash__ = None
 
-    def permute(self, perm):
-        """Reorder legs; perm[i] is the source leg for target slot i."""
-        if sorted(perm) != list(range(self.legs)):
-            raise ShapeError("not a permutation of the legs")
-        return self.embed(self.legs, [perm.index(leg) for leg in range(self.legs)])
-
     def swap(self):
         """Exchange the two legs of a 2-tensor."""
         if self.legs != 2:
             raise ShapeError("swap is defined for two legs")
-        return self.permute((1, 0))
+        return self.embed(2, (1, 0))
 
     def embed(self, legs, positions):
         """Place this tensor's legs at `positions` inside a wider unit tensor."""
@@ -891,7 +885,8 @@ class TensorElement:
         return _canonical(alg, self.legs - 1, nums, self.den)
 
     def __repr__(self):
-        return f"TensorElement({format_terms(self.sorted_terms())})"
+        terms = " + ".join(format_term(*term) for term in self.sorted_terms())
+        return f"TensorElement({terms or '0'})"
 
 
 def _wrap(algebra, legs, nums, den, groups=None):
@@ -972,11 +967,6 @@ def _table_entry(el):
 
 
 Element = TensorElement
-
-
-def normal_order(word, algebra):
-    """Normal-order a word (module-level convenience wrapper)."""
-    return algebra.from_word(word)
 
 
 def exp_truncated(a):
@@ -1143,9 +1133,3 @@ def format_term(key, coeff, h_names=None, x_names=None):
         parts.append("h" if k == 1 else f"h^{k}")
     parts.append(" ⊗ ".join(format_monomial(mo, h_names, x_names) for mo in monos))
     return " * ".join(parts)
-
-
-def format_terms(sorted_terms, h_names=None, x_names=None):
-    if not sorted_terms:
-        return "0"
-    return " + ".join(format_term(key, c, h_names, x_names) for key, c in sorted_terms)

@@ -12,13 +12,7 @@ import json
 import sys
 
 from .algebra import format_term
-from .errors import (
-    NoValidXiError,
-    QTwistError,
-    SpecError,
-    SpecFileError,
-    UnsupportedPresetError,
-)
+from .errors import NoValidXiError, QTwistError, SpecError, UnsupportedPresetError
 from .hopf import build_context
 from .model import choose_xi, preset, validate_spec
 from .specfile import parse_spec_file
@@ -26,12 +20,14 @@ from .verify import SUITES, run_suite
 
 
 def _load_spec(args, parser):
-    if getattr(args, "preset", None):
+    if args.path and args.preset:
+        parser.error(f"give a spec file or --preset, not both: {args.path} and --preset {args.preset}")
+    if args.preset:
         try:
             return preset(args.preset)
         except SpecError as exc:
             parser.error(str(exc))
-    if getattr(args, "path", None):
+    if args.path:
         return parse_spec_file(args.path)
     parser.error("give a spec file path or --preset NAME")
 
@@ -136,13 +132,11 @@ def _load_context(args, parser, out):
 
 
 def cmd_check(args, parser, out):
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, not {args.jobs}")
     ctx = _load_context(args, parser, out)
     if ctx is None:
         return 1
     try:
-        report = run_suite(ctx, suite=args.suite, jobs=args.jobs)
+        report = run_suite(ctx, suite=args.suite)
     except UnsupportedPresetError as exc:
         parser.error(str(exc))
     if args.format == "machine":
@@ -202,9 +196,6 @@ def build_parser():
     p_chk.add_argument("--suite", choices=SUITES, default="all")
     p_chk.add_argument("--order", type=int, default=None)
     p_chk.add_argument("--format", choices=("text", "machine"), default="text")
-    p_chk.add_argument(
-        "--jobs", type=int, default=1, help="accepted; checks always run serially"
-    )
 
     p_exp = sub.add_parser("expand", help="print a named expansion")
     p_exp.add_argument("path", nargs="?", help="spec file (JSON)")
@@ -226,9 +217,6 @@ def main(argv=None, out=None):
     handlers = {"validate": cmd_validate, "check": cmd_check, "expand": cmd_expand}
     try:
         return handlers[args.command](args, parser, out)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QTwistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

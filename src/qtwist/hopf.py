@@ -29,7 +29,7 @@ from .algebra import (
     series_sum,
 )
 from .errors import ShapeError, UnsupportedPresetError
-from .model import DerivedStructure, _contract, _frozen, classical_algebra, derive_alpha
+from .model import DerivedStructure, _contract, _frozen, derive_alpha
 from .transport import BasisChange
 
 Q = Fraction
@@ -154,19 +154,7 @@ class HopfContext:
     def one_minus_exp_neg2(self):
         return SeriesMatrix.identity(self.algebra, self.spec.n) - self.exp_neg2alpha_h
 
-    @cached_property
-    def classical_algebra(self):
-        """The stored spec's undeformed algebra.  That of the B the derived algebra was built
-        from, its table's power-zero slice, is shared, so that `cybe` reuses its leg tables;
-        derive_alpha seeds it with the one validation used.  Another B builds its own."""
-        spec, alg, shared = self.spec, self.algebra, self._shared
-        for j, mu in itertools.product(range(spec.m), range(spec.n)):
-            own = {(0, Monomial.h_gen(spec.m, spec.n, i)): b[j][mu] for i, b in enumerate(spec.B) if b[j][mu]}
-            if own != {t: c for t, c in alg.bracket(j, mu).items() if not t[0]}:
-                return classical_algebra(spec)
-        return shared.get("classical") or shared.setdefault("classical", classical_algebra(spec))
-
-    # -- coproduct and counit ------------------------------------------------
+    # -- coproduct ------------------------------------------------------------
 
     @_shared
     def _delta_gens(self):
@@ -210,9 +198,6 @@ class HopfContext:
     def coproduct_on_leg(self, tensor, leg):
         """Apply the coproduct to one leg, widening the tensor by a leg."""
         return self.algebra.substitute_leg(tensor, leg, self._delta_monomial, 2)
-
-    def counit_on_leg(self, tensor, leg):
-        return tensor.strip_unit_leg(leg)
 
     # -- twist and R-matrix ----------------------------------------------------
 

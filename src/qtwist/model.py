@@ -107,9 +107,9 @@ class AlgebraSpec:
         return _classical(self)
 
     @cached_property
-    def _undeformed(self):
-        """The undeformed algebra, shared by validation's and the suite's cybe."""
-        return classical_algebra(self)
+    def _cybe(self):
+        """The classical Yang-Baxter residual of r, read by validation and the suite's cybe."""
+        return cybe_residual(self)
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,6 @@ class DerivedStructure:
     alpha_low: tuple
     algebra: Algebra
     shared: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def bracket(self, j, mu):
-        return self.algebra.bracket(j, mu)
 
     def hopf_data(self):
         """The dict in `shared` for this structure's fields but spec, frozen to key it."""
@@ -309,23 +306,21 @@ def derive_alpha(spec):
         alpha_low=classical.alpha_low,
         algebra=algebra,
     )
-    # The powers of alpha.H are pure-H, so they carry over to the context as
-    # they are; so does validation's undeformed algebra, with cybe's leg tables.
-    derived.hopf_data().update(
-        alpha_h_powers=[SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers],
-        classical=spec._undeformed,
-    )
+    # The powers of alpha.H are pure-H, so they carry over to the context as they are.
+    derived.hopf_data()["alpha_h_powers"] = [
+        SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers
+    ]
     return derived
 
 
-def cybe_residual(spec, alg=None):
+def cybe_residual(spec):
     """Residual of the classical Yang-Baxter equation for r.
 
     Computes [[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] in the third
-    tensor power of `alg`, the undeformed algebra (built when None), every
-    term at deformation power zero.
+    tensor power of the undeformed algebra, every term at deformation power
+    zero.  A spec object computes it once, as ``spec._cybe``.
     """
-    alg = classical_algebra(spec) if alg is None else alg
+    alg = classical_algebra(spec)
     acc = {}
     for i in range(spec.m):
         for mu in range(spec.n):
@@ -398,7 +393,7 @@ def validate_spec(spec):
         )
         checks.append(_found("alpha-symmetry", symmetry, "indices (rho,mu,nu)=({}, {}, {})"))
 
-    first = cybe_residual(spec, spec._undeformed).first_term()
+    first = spec._cybe.first_term()
     term = None if first is None else format_term(*first, spec.h_names, spec.x_names)
     witness = None if term is None else f"first surviving term: {term}"
     checks.append(ValidationCheck("cybe", first is None, witness))

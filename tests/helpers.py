@@ -111,6 +111,18 @@ def one_leg(terms):
     return {(k, (mono,)): c for (k, mono), c in terms.items()}
 
 
+def normal_order(word, algebra):
+    """Normal-order a word: `Algebra.from_word`, with the word first."""
+    return algebra.from_word(word)
+
+
+def permute(t, perm):
+    """Reorder the legs of `t`; perm[i] is the source leg for target slot i."""
+    if sorted(perm) != list(range(t.legs)):
+        raise ShapeError("not a permutation of the legs")
+    return t.embed(t.legs, [perm.index(leg) for leg in range(t.legs)])
+
+
 def mono_word(alg, mono):
     word = []
     for i, e in enumerate(mono.h):
@@ -512,7 +524,7 @@ def canonical_qybe_parts(ctx, rmat=None):
     ``T = R12 R13`` over the lcm of its denominators and reduces neither it
     nor ``P23(T)`` nor ``T - P23(T)``.  Here T is split by leg-0 X parts
     (`Algebra.split_by_x`) and a part gathered as the check gathers it, then
-    canonicalised; ``P23(T)`` is ``T.permute((0, 2, 1))``, prepared, and the
+    canonicalised; ``P23(T)`` is ``permute(T, (0, 2, 1))``, prepared, and the
     difference is a canonical subtraction.  Yields the parts in the form of
     a check's declaration (see `verify._check`).
     """
@@ -532,7 +544,7 @@ def canonical_qybe_parts(ctx, rmat=None):
             for den, nums in dens.items():
                 parts.setdefault(den, {}).update(nums)
         tc = _from_parts(alg, 3, parts)
-        tp = alg.prepare(tc.permute((0, 2, 1)))
+        tp = alg.prepare(permute(tc, (0, 2, 1)))
         terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
         yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 

@@ -165,12 +165,21 @@ def test_cmd_check_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("jobs", ("0", "-3"))
-def test_cmd_check_refuses_fewer_than_one_job(jobs, capsys):
+@pytest.mark.parametrize("jobs", ("0", "-3", "2"))
+def test_cmd_check_has_no_jobs_option(jobs, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("check", "--preset", "jordanian-borel", "--suite", "twist", "--jobs", jobs)
     assert err.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", (("check", "--suite", "twist"), ("expand", "--expr", "phi")))
+def test_a_spec_file_and_a_preset_together_are_refused(command, capsys):
+    path = str(Path(__file__).parent / "data" / "rotated-null-plane.json")
+    with pytest.raises(SystemExit) as err:
+        run_cli(command[0], path, "--preset", "jordanian-borel", *command[1:])
+    assert err.value.code == 2
+    assert f"not both: {path} and --preset jordanian-borel" in capsys.readouterr().err
 
 
 def test_cmd_check_machine_reports_are_stable(jordanian3):

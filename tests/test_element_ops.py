@@ -9,6 +9,7 @@ from helpers import (
     cached_leg_products,
     naive_mul_elements,
     naive_mul_tensors,
+    permute,
     random_algebra,
     random_element,
     random_table,
@@ -253,6 +254,16 @@ def test_shape_errors():
         a.one() + a.tensor_unit(2)
     with pytest.raises(ShapeError):
         a.tensor_unit(2) * a.tensor_unit(3)
+    with pytest.raises(ShapeError):
+        permute(a.tensor_unit(2), (0, 0))
+
+
+def test_repr_lists_the_sorted_terms():
+    alg = Algebra(1, 1, 3, {(0, 0): {(0, Monomial((1,), (0,))): Q(2)}})
+    assert repr(alg.zero()) == "TensorElement(0)"
+    assert repr(alg.x(0) * alg.h(0)) == "TensorElement(-2 * H1 + H1*X1)"
+    t = alg.outer(alg.h(0), alg.x(0, power=1)).scale(Q(1, 2)) + alg.tensor_unit(2)
+    assert repr(t) == "TensorElement(1 ⊗ 1 + 1/2 * h * H1 ⊗ X1)"
 
 
 def test_embed_and_strip():
@@ -270,7 +281,7 @@ def test_embed_and_strip():
     assert v.den == 6
     kept = v.strip_unit_leg(1)
     assert kept == alg.h(0).scale(Q(1, 2))
-    for w in (v.embed(3, (2, 0)), v.permute((1, 0)), v.swap(), -v, kept, v.strip_unit_leg(0)):
+    for w in (v.embed(3, (2, 0)), permute(v, (1, 0)), v.swap(), -v, kept, v.strip_unit_leg(0)):
         assert gcd(w.den, *w.nums.values()) == 1
     assert -(-v) == v and v.swap().swap() == v
 

@@ -1,8 +1,8 @@
 """`Algebra.exchange` builds ``P23(T)`` grouped and ``T - P23(T)`` in one pass.
 
 `check_qybe` takes both from it for each part.  The references are the
-plain routes: ``T.permute((0, 2, 1))``, its grouping by `Algebra.prepare`,
-and the difference ``T - T.permute((0, 2, 1))``.  The inputs are random
+plain routes: ``permute(T, (0, 2, 1))``, its grouping by `Algebra.prepare`,
+and the difference ``T - permute(T, (0, 2, 1))``.  The inputs are random
 3-leg tensors with fractional coefficients, on the null-plane preset and
 on the lifted twin of the rotated spec, with terms that ``P23`` fixes and
 pairs of terms that it swaps with equal coefficients, so that some keys of
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import cached_context, random_tensor
+from helpers import cached_context, permute, random_tensor
 from qtwist import build_context, parse_spec_file
 from qtwist.algebra import Monomial, _canonical, _from_parts
 
@@ -45,7 +45,7 @@ def _samples(alg, seed, count=15):
             a, b = _mono(rng, alg), _mono(rng, alg)
             fixed[(rng.randint(0, alg.order), (a, b, b))] = Q(rng.randint(-5, 5), rng.randint(1, 4))
         mirrored = random_tensor(rng, alg, 3, max_terms=4)
-        yield base + alg.tensor_element(3, fixed) + mirrored + mirrored.permute(P23)
+        yield base + alg.tensor_element(3, fixed) + mirrored + permute(mirrored, P23)
 
 
 @pytest.mark.parametrize("name", ["poincare-null-plane", "rotated-twin"])
@@ -53,7 +53,7 @@ def test_exchange_matches_the_permuted_tensor_its_grouping_and_the_difference(na
     alg = _context(name).algebra
     cancelled = 0
     for t in _samples(alg, f"exchange/{name}"):
-        plain = t.permute(P23)
+        plain = permute(t, P23)
         image, diff = alg.exchange(t)
         assert (image.nums, image.den) == (plain.nums, plain.den)
         assert image._groups == alg.prepare(plain)._groups
@@ -74,7 +74,7 @@ def test_products_of_the_exchanged_operands_match_the_plain_ones(name):
     r23 = alg.prepare(r.embed(3, (1, 2)))
     scale = Q(-3, 7)
     for t in _samples(alg, f"exchange-products/{name}", count=6):
-        plain = t.permute(P23)
+        plain = permute(t, P23)
         image, diff = alg.exchange(t)
         pairs = ((r23, image, r23, plain), (image, r23, plain, r23), (diff, r23, t - plain, r23))
         for part in (None, "lead", "corr"):

@@ -72,7 +72,7 @@ def test_shift_ring_alpha_is_index_shift():
 def test_jordanian_classical_limit_pins_convention():
     derived = derive_alpha(preset("jordanian-borel"))
     slice0 = {
-        key: c for key, c in derived.bracket(0, 0).items() if key[0] == 0
+        key: c for key, c in derived.algebra.bracket(0, 0).items() if key[0] == 0
     }
     assert slice0 == {(0, Monomial((1,), (0,))): Q(2)}
 
@@ -127,7 +127,7 @@ def test_validate_abelian_trivial():
         for nu in range(2)
     )
     # classical table: everything commutes
-    assert all(not derived.bracket(j, mu) for j in range(2) for mu in range(2))
+    assert all(not derived.algebra.bracket(j, mu) for j in range(2) for mu in range(2))
 
 
 def _brute_force_jacobi_violation():

@@ -9,6 +9,7 @@ from helpers import (
     mono_word,
     naive_mul_tensors,
     naive_normal_order,
+    normal_order,
     one_leg,
     random_algebra,
     random_element,
@@ -16,7 +17,7 @@ from helpers import (
     random_word,
 )
 from qtwist import MalformedWordError
-from qtwist.algebra import Algebra, Monomial, normal_order
+from qtwist.algebra import Algebra, Monomial
 
 
 def jordanian_algebra(order=4):

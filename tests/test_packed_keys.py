@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import cached_context, random_table, random_tensor, rotated_null_plane_specs
+from helpers import cached_context, permute, random_table, random_tensor, rotated_null_plane_specs
 from qtwist import ShapeError, build_context
 from qtwist.algebra import _W, Algebra, Monomial
 
@@ -47,7 +47,7 @@ def test_a_unit_leg_is_the_zero_field():
     shifts = alg._layout(3)[1]
     assert all((key >> shifts[1]) & alg._leg_mask == 0 for key in r13.nums)
     assert r13.strip_unit_leg(1) == r
-    assert r13.permute((0, 2, 1)) == r.embed(3, (0, 1))
+    assert permute(r13, (0, 2, 1)) == r.embed(3, (0, 1))
     assert alg.tensor_unit(3).nums == {0: 1}
 
 

@@ -28,6 +28,7 @@ from helpers import (
     count_parts,
     image_parts,
     orbit_r_mutants,
+    permute,
     r_mutants,
     random_valid_spec_3d,
     rotated_null_plane_specs,
@@ -107,7 +108,7 @@ def _split_keys(ctx, perm, monomials=True):
 
     whole = r.embed(3, (0, 1)) * r.embed(3, (0, 2))
     t = alg.tensor_element(3, {key: c for key, c in whole.terms.items() if kept(key[1][0])})
-    tp = t.permute((0, 2, 1))
+    tp = permute(t, (0, 2, 1))
     # As in a part, T, P23(T) and their difference share one denominator, unreduced.
     diff = {key: t.nums.get(key, 0) - tp.nums.get(key, 0) for key in t.nums.keys() | tp.nums.keys()}
     diff = _wrap(alg, 3, {key: v for key, v in diff.items() if v}, t.den)

@@ -6,7 +6,10 @@ the lifted twin's algebra and basis changes) in ``derived.shared``, keyed by
 those values.  `dataclasses.replace(derived, spec=...)` carries the dict
 over, so a stale `B` or `r` copy, as the mutation sweeps make, reuses all of
 it; a copy with another alpha builds its own.  Sharing must change no
-report, and must not tie the algebra into a reference cycle.
+report, and must not tie the algebra into a reference cycle.  The classical
+Yang-Baxter residual is computed once per spec object (``spec._cybe``):
+validation and the suite's cybe read the same one, and a stale copy, a new
+spec object, computes its own.
 """
 
 import dataclasses
@@ -18,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from helpers import mutate_tensor, stale_context
-from qtwist import build_context, parse_spec_file, preset
+import qtwist.model
+from qtwist import build_context, parse_spec_file, preset, validate_spec
 from qtwist.cli import render_report_machine
 from qtwist.hopf import HopfContext
-from qtwist.verify import run_suite
+from qtwist.verify import check_cybe, run_suite
 
 ROTATED = Path(__file__).parent / "data" / "rotated-null-plane.json"
 SPECS = {
@@ -63,22 +67,20 @@ def test_stale_b_and_r_copies_hold_the_parents_derived_data(name):
         if stale.lifted is not stale:
             assert stale.lifted.spec is not ctx.lifted.spec
             assert stale.lifted.phi is not ctx.lifted.phi
-        # cybe's classical algebra is shared by the stored B only.
-        assert (stale.classical_algebra is ctx.classical_algebra) == (field == "r")
+        # So does cybe's residual, which reads the stored B and r.
+        assert stale.spec._cybe is not ctx.spec._cybe
 
 
 @pytest.mark.parametrize("name", ("poincare-null-plane", "rotated-null-plane"))
 def test_a_copy_with_another_alpha_shares_nothing(name):
     ctx = build_context(SPECS[name]())
     members = _shared_members(ctx)
-    members["classical_algebra"] = ctx.classical_algebra
     # Nested lists, as a hand-made copy would hold: they key the data once frozen.
     alpha = [[list(row) for row in block] for block in ctx.derived.alpha_up]
     alpha[0][0][0] += 1
     other = HopfContext(dataclasses.replace(ctx.derived, alpha_up=alpha))
     assert other.algebra is ctx.algebra and other.derived.shared is ctx.derived.shared
     got = _shared_members(other)
-    got["classical_algebra"] = other.classical_algebra
     assert got.keys() == members.keys()
     assert [k for k in got if got[k] is members[k]] == []
     assert other.exp_2alpha_h != ctx.exp_2alpha_h
@@ -149,17 +151,76 @@ def test_a_discarded_context_frees_its_algebra_without_the_collector(name):
         gc.enable()
 
 
+def _counted_residuals(monkeypatch):
+    """The specs that `cybe_residual` is called on from here on, in call order."""
+    calls, residual = [], qtwist.model.cybe_residual
+
+    def counted(spec):
+        calls.append(spec)
+        return residual(spec)
+
+    monkeypatch.setattr(qtwist.model, "cybe_residual", counted)
+    return calls
+
+
+def _suite_residual(ctx):
+    """The residual that the suite's cybe check evaluates on `ctx`."""
+    ((_, [(_, residual)]),) = check_cybe.__wrapped__(ctx)
+    return residual
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_validation_and_the_suite_read_one_residual(name, monkeypatch):
+    calls = _counted_residuals(monkeypatch)
+    spec = SPECS[name]()
+    assert validate_spec(spec).passed
+    ctx = build_context(spec)
+    report = run_suite(ctx, "all")
+    assert report.passed and [r.name for r in report.results].count("cybe") == 1
+    assert calls == [spec] and calls[0] is spec
+    assert _suite_residual(ctx) is spec._cybe and spec._cybe.is_zero()
+
+
+@pytest.mark.parametrize("name", ("jordanian-borel", "rotated-null-plane"))
+def test_phi_and_rmat_overrides_reuse_the_validated_residual(name, monkeypatch):
+    calls = _counted_residuals(monkeypatch)
+    spec = SPECS[name]()
+    validate_spec(spec)
+    ctx = build_context(spec)
+    for kind, tensor in (("phi", ctx.phi), ("rmat", ctx.universal_r)):
+        mutated = mutate_tensor(ctx.algebra, tensor, max(tensor.terms))
+        report = run_suite(ctx, "classical", **{kind: mutated})
+        assert next(r for r in report.results if r.name == "cybe").passed
+        assert _suite_residual(ctx) is spec._cybe
+    assert calls == [spec]
+
+
+@pytest.mark.parametrize("name", ("poincare-null-plane", "rotated-null-plane"))
+def test_stale_b_and_r_copies_compute_their_own_residual(name, monkeypatch):
+    calls = _counted_residuals(monkeypatch)
+    spec = SPECS[name]()
+    validate_spec(spec)
+    ctx = build_context(spec)
+    for field, at in (("B", (1, 0, 2)), ("r", (0, 1))):
+        stale = stale_context(ctx, field, at)
+        assert stale.spec is not spec
+        run_suite(stale, "classical")
+        assert calls[-1] is stale.spec
+        assert _suite_residual(stale) is stale.spec._cybe is not spec._cybe
+        assert stale.spec._cybe.algebra is not spec._cybe.algebra
+    assert len(calls) == 3
+
+
 def test_a_b_mutants_classical_algebra_dies_with_it():
-    """Only the classical algebra of the B the derived algebra was built from
-    is shared: a stale B's own lives on its context, so a sweep over many B
-    mutants does not keep one classical algebra with its leg tables for each."""
+    """A spec holds its residual, and the residual its classical algebra: a
+    stale B's own lives on its spec, so a sweep over many B mutants does not
+    keep one classical algebra with its leg tables for each."""
     ctx = build_context(SPECS["poincare-null-plane"]())
     run_suite(ctx, "all")
     stale = stale_context(ctx, "B", (1, 0, 2))
     run_suite(stale, "all")
-    assert stale.classical_algebra is not ctx.classical_algebra
-    assert stale_context(ctx, "r", (0, 1)).classical_algebra is ctx.classical_algebra
-    ref = weakref.ref(stale.classical_algebra)
+    assert stale.spec._cybe.algebra is not ctx.spec._cybe.algebra
+    ref = weakref.ref(stale.spec._cybe.algebra)
     gc.disable()
     try:
         del stale

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import abelian_spec, cached_context
+from helpers import abelian_spec, cached_context, permute
 from qtwist import UnsupportedPresetError, build_context, preset
 from qtwist.hopf import HopfContext
 from qtwist.model import PRESET_NAMES
@@ -60,7 +60,7 @@ def test_exchanging_legs_two_and_three_turns_r12_r13_into_r13_r12():
         mutated = _mutate_tensor(ctx.algebra, genuine, sorted(genuine.terms)[1])
         for r in (genuine, mutated):
             r12, r13 = r.embed(3, (0, 1)), r.embed(3, (0, 2))
-            assert r13 * r12 == (r12 * r13).permute((0, 2, 1))
+            assert r13 * r12 == permute(r12 * r13, (0, 2, 1))
             assert r13 * r12 != r12 * r13
 
 
@@ -193,12 +193,12 @@ def test_evaluator_empties_each_part_and_counts_over_all_parts(jordanian3):
     assert result.witness == "left: 1/2 * 1 ⊗ 1"
 
 
-def test_parallel_report_identical(jordanian3):
+def test_repeated_report_identical(jordanian3):
     from qtwist.cli import render_report_machine
 
-    seq = run_suite(jordanian3, "all", jobs=1)
-    par = run_suite(jordanian3, "all", jobs=4)
-    assert render_report_machine(seq) == render_report_machine(par)
+    first = run_suite(jordanian3, "all")
+    again = run_suite(jordanian3, "all")
+    assert render_report_machine(first) == render_report_machine(again)
 
 
 def test_stale_b_mutation_fails_classical_limit(jordanian3):
