@@ -19,11 +19,15 @@ import sys
 import time
 from pathlib import Path
 
-from qtwist import build_context, parse_spec_file, preset, validate_spec
-from qtwist.cli import render_report_text, render_validation_text
-from qtwist.verify import orbit_symmetry, run_suite
+ROOT = Path(__file__).resolve().parents[1]
+# The checkout's sources, so that the script needs no installed package.
+sys.path.insert(0, str(ROOT / "src"))
 
-ROTATED = Path(__file__).resolve().parents[1] / "tests" / "data" / "rotated-null-plane.json"
+from qtwist import build_context, parse_spec_file, preset, validate_spec  # noqa: E402
+from qtwist.cli import render_report_text, render_validation_text  # noqa: E402
+from qtwist.verify import orbit_symmetry, run_suite  # noqa: E402
+
+ROTATED = ROOT / "tests" / "data" / "rotated-null-plane.json"
 
 RUNS = (
     ("poincare-null-plane", 4, "all"),

@@ -92,8 +92,9 @@ class Algebra:
     `first_term`.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
-    `_int_table` holds each bracket as such keys mapped to integer numerators
-    over one denominator; `bracket` returns the Fraction form.  Six caches
+    `_int_table`, the only copy of the table, holds each bracket as such keys
+    mapped to integer numerators over one denominator, as `_nums` packs
+    them; `bracket` decodes it into the Fraction form.  Six caches
     live as long as the algebra, no entry mutated once stored: `_monos` maps
     a leg field to its Monomial; `_single_cache` holds the derivatives
     ``D_mu(H^a) = [X_mu, H^a]`` by X index and H part, and `_block_cache` the
@@ -119,36 +120,19 @@ class Algebra:
         self._leg_mask = (1 << self._leg_bits) - 1
         self._x_mask = (1 << (n * _W)) - 1
         self._h_mask = self._leg_mask ^ self._x_mask
-        self._table, self._int_table = {}, {}
-        no_x = (0,) * n
+        self._layouts, self._monos, self._rows, self._entries, self._tables = {}, {}, {}, {}, {}
+        self._single_cache, self._block_cache, self._relabels = {}, {}, {}
+        self._int_table = {(j, mu): ({}, 1) for j in range(m) for mu in range(n)}
         for (j, mu), entry in table.items():
             if not (0 <= j < m and 0 <= mu < n):
                 raise ShapeError(f"bracket table key ({j}, {mu}) out of range")
-            clean = {}
-            for (k, mono), coeff in entry.items():
-                mono = Monomial(tuple(mono[0]), tuple(mono[1]))
-                if not mono.is_pure_h:
-                    raise ShapeError("bracket table values must be pure-H")
-                if len(mono.h) != m or len(mono.x) != n:
-                    raise ShapeError("bracket table monomial has wrong arity")
-                c = Q(coeff)
-                if c and k <= order:
-                    clean[(k, mono)] = clean.get((k, mono), Q(0)) + c
-            self._table[(j, mu)] = {key: c for key, c in clean.items() if c}
-        for j in range(m):
-            for mu in range(n):
-                entry = self._table.setdefault((j, mu), {})
-                den = lcm(*(c.denominator for c in entry.values()))
-                self._int_table[(j, mu)] = {
-                    k << self._leg_bits | self._field(mono.h, no_x): c.numerator * (den // c.denominator)
-                    for (k, mono), c in entry.items()
-                }, den
-        self._layouts, self._monos, self._rows, self._entries, self._tables = {}, {}, {}, {}, {}
-        self._single_cache, self._block_cache, self._relabels = {}, {}, {}
+            if any(any(mono[1]) for _, mono in entry):
+                raise ShapeError("bracket table values must be pure-H")
+            self._int_table[(j, mu)] = self._nums(1, {(k, (mono,)): c for (k, mono), c in entry.items()})
 
     def bracket(self, j, mu):
-        """Terms of [H_j, X_mu]."""
-        return self._table[(j, mu)]
+        """Terms of [H_j, X_mu] as ``{(power, Monomial): Fraction}``, decoded from `_int_table`."""
+        return _table_entry(_wrap(self, 1, *self._int_table[(j, mu)]))
 
     # -- packed keys -------------------------------------------------------------
 

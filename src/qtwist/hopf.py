@@ -12,24 +12,21 @@ coproduct of each monomial, so no key layout is read here.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .algebra import (
-    Algebra,
     Monomial,
     SeriesMatrix,
     _from_parts,
-    _table_entry,
     exp_coefficients,
     exp_truncated,
     series_powers,
     series_sum,
 )
 from .errors import ShapeError, UnsupportedPresetError
-from .model import DerivedStructure, _contract, _frozen, derive_alpha
+from .model import DerivedStructure, _alpha_h_matrix, _contract, _frozen, deformed_algebra, derive_alpha
 from .transport import BasisChange
 
 Q = Fraction
@@ -85,24 +82,20 @@ class HopfContext:
 
     @_shared
     def _lift(self):
-        """The r of ``r_low`` and the maps to and from the twin's algebra; None when r_low = I."""
-        alg, dims, r_low = self.algebra, range(self.algebra.m), self.derived.r_low
+        """The r of ``r_low``, the maps to and from the twin's algebra, and the twin's powers of
+        alpha.H; None when r_low = I.
+
+        The twin's algebra is `deformed_algebra`'s for the coupling alpha_low: in the basis H'
+        the pairing is I, so its B, ``B'[l][a][nu] = sum_{i,j} r_low[i][l] r[j][a] B[i][j][nu]``,
+        is ``2 alpha_low``.  Only fields of `derived` are read, so its stale copies share it.
+        """
+        alg, r_low, alpha_low = self.derived.algebra, self.derived.r_low, self.derived.alpha_low
         if r_low == _frozen(linalg.identity(alg.m)):
             return None
         r = linalg.inverse([list(col) for col in zip(*r_low)])
-        # [H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu], each [H_j, X_mu] carried
-        # forward once.  The entries are pure-H, so a table-free algebra holds them.
-        carry = BasisChange(alg, Algebra(alg.m, alg.n, alg.order, {}), r_low)
-        carried = {at: carry(alg.element(alg.bracket(*at))) for at in itertools.product(dims, dims)}
-        table = {}
-        for a, mu in itertools.product(dims, dims):
-            acc = {}
-            for j in dims:
-                if r[j][a]:
-                    carried[j, mu].add_into(acc, r[j][a])
-            table[(a, mu)] = _table_entry(_from_parts(carry.target, 1, acc))
-        twin_alg = Algebra(alg.m, alg.n, alg.order, table)
-        return r, BasisChange(alg, twin_alg, r_low), BasisChange(twin_alg, alg, list(zip(*r)))
+        doubled = [[[2 * v for v in row] for row in block] for block in alpha_low]
+        twin_alg, powers = deformed_algebra(alg.m, alg.n, alg.order, alpha_low, doubled)
+        return r, BasisChange(alg, twin_alg, r_low), BasisChange(twin_alg, alg, list(zip(*r))), powers
 
     @cached_property
     def _twin(self):
@@ -111,7 +104,7 @@ class HopfContext:
         A context never caches itself, which would make it a reference cycle
         that outlives its last use until the cyclic collector runs.
         """
-        spec, derived, (r, from_user, to_user) = self.spec, self.derived, self._lift
+        spec, derived, (r, from_user, to_user, powers) = self.spec, self.derived, self._lift
         r_low = derived.r_low
         # The stored spec carried over by the same map; its twist matrix is
         # r_low^T r, the identity unless the stored r is stale.
@@ -129,17 +122,18 @@ class HopfContext:
             )
         )
         twin.from_user, twin.to_user = from_user, to_user
+        twin._shared["alpha_h_powers"] = powers
         return twin
 
     # -- series matrices ---------------------------------------------------
 
     @_shared
     def alpha_h(self):
-        return self.derived.alpha_h_matrix()
+        return _alpha_h_matrix(self.algebra, self.derived.alpha_up)
 
     @_shared
     def alpha_h_powers(self):
-        """(alpha.H)^k for k = 0..N, which every series in alpha.H sums; derive_alpha seeds it."""
+        """(alpha.H)^k for k = 0..N, which every series in alpha.H sums; `deformed_algebra` seeds it."""
         return series_powers(self.alpha_h)
 
     @_shared

@@ -152,10 +152,6 @@ class DerivedStructure:
         key = (self.algebra,) + _frozen((self.alpha_up, self.r_low, self.alpha_low))
         return self.shared.setdefault(key, {})
 
-    def alpha_h_matrix(self):
-        """The matrix sum_i alpha_up[i] * h*H_i with entries in the algebra."""
-        return _alpha_h_matrix(self.algebra, self.alpha_up)
-
 
 def _alpha_h_matrix(algebra, alpha_up):
     m, n = algebra.m, algebra.n
@@ -272,33 +268,40 @@ def _require_classical(spec):
     return classical
 
 
+def deformed_algebra(m, n, order, alpha_up, B):
+    """The algebra with ``[H_j, X_mu] = sum_nu f(2 alpha.H)^nu_mu B^i_{j,nu} H_i``, ``f(t) = (e^t - 1)/t``,
+    ``alpha.H = sum_i alpha_up[i] h H_i``, and the powers ``(alpha.H)^k`` for k = 0..order on it.
+
+    The series is pure-H: a scratch Abelian algebra sums it, and its powers carry over as they are.
+    """
+    scratch = Algebra(m, n, order, {})
+    powers = series_powers(_alpha_h_matrix(scratch, alpha_up))
+    f_matrix = series_sum(expm1_over_t_coefficients(order), powers, 2)
+    table = {}
+    for j in range(m):
+        for mu in range(n):
+            acc = scratch.zero()
+            for nu in range(n):
+                entry = f_matrix.entry(nu, mu)
+                if entry.is_zero():
+                    continue
+                for i in range(m):
+                    c = B[i][j][nu]
+                    if c:
+                        acc = acc + (entry * scratch.h(i)).scale(c)
+            table[(j, mu)] = _table_entry(acc)
+    algebra = Algebra(m, n, order, table)
+    return algebra, [SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers]
+
+
 def derive_alpha(spec):
-    """Derive the coupling matrices and the deformed bracket table.
+    """Derive the coupling matrices and the deformed bracket table (`deformed_algebra`).
 
     Requires the Jacobi identity (commuting beta matrices) and invertible r;
     raises SpecError or DegenerateRMatrixError otherwise.
     """
     classical = _require_classical(spec)
-    # Build [H_j, X_mu] = sum_nu f(2 alpha.H)^nu_mu B^i_{j,nu} H_i with
-    # f(t) = (e^t - 1)/t, in a scratch copy of the Abelian algebra (the
-    # series is pure-H, so no bracket is ever consulted while building it).
-    scratch = Algebra(spec.m, spec.n, spec.order, {})
-    powers = series_powers(_alpha_h_matrix(scratch, classical.alpha_up))
-    f_matrix = series_sum(expm1_over_t_coefficients(spec.order), powers, 2)
-    table = {}
-    for j in range(spec.m):
-        for mu in range(spec.n):
-            acc = scratch.zero()
-            for nu in range(spec.n):
-                entry = f_matrix.entry(nu, mu)
-                if entry.is_zero():
-                    continue
-                for i in range(spec.m):
-                    c = spec.B[i][j][nu]
-                    if c:
-                        acc = acc + (entry * scratch.h(i)).scale(c)
-            table[(j, mu)] = _table_entry(acc)
-    algebra = Algebra(spec.m, spec.n, spec.order, table)
+    algebra, powers = deformed_algebra(spec.m, spec.n, spec.order, classical.alpha_up, spec.B)
     derived = DerivedStructure(
         spec=spec,
         alpha_up=classical.alpha_up,
@@ -306,10 +309,7 @@ def derive_alpha(spec):
         alpha_low=classical.alpha_low,
         algebra=algebra,
     )
-    # The powers of alpha.H are pure-H, so they carry over to the context as they are.
-    derived.hopf_data()["alpha_h_powers"] = [
-        SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers
-    ]
+    derived.hopf_data()["alpha_h_powers"] = powers
     return derived
 
 

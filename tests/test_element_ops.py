@@ -148,6 +148,21 @@ def test_tensor_element_validates_every_term():
     assert alg.tensor_element(1, {(4, (unit,)): Q(1)}).is_zero()
 
 
+def test_bracket_table_validates_every_entry():
+    """A table key out of range, a value with an X and a negative power are refused;
+    entries above the order are dropped, and `bracket` reads back the rest."""
+    h = Monomial((1,), (0,))
+    for table in (
+        {(1, 0): {(0, h): 1}},
+        {(0, 0): {(0, Monomial((0,), (1,))): 1}},
+        {(0, 0): {(-1, ((0,), (0,))): 1}},
+    ):
+        with pytest.raises(ShapeError):
+            Algebra(1, 1, 2, table)
+    alg = Algebra(1, 1, 2, {(0, 0): {(0, h): Q(1, 2), (1, ((2,), (0,))): 0, (3, h): 1}})
+    assert alg.bracket(0, 0) == {(0, h): Q(1, 2)}
+
+
 def test_tensor_example_second_leg_reorders(jordanian3):
     alg = jordanian3.algebra
     h, x = alg.h(0), alg.x(0)

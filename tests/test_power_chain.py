@@ -1,18 +1,20 @@
-"""Every series in alpha.H is summed from one power chain, and the lift carries each bracket once.
+"""Every series in alpha.H is summed from one power chain, and one derivation builds every table.
 
 A context keeps the powers ``(alpha.H)^k`` for k up to the order, which
-`derive_alpha` computes for ``f(2 alpha.H)`` and hands over; ``exp(2 alpha.H)``,
+`deformed_algebra` computes for ``f(2 alpha.H)`` and hands over; ``exp(2 alpha.H)``,
 ``exp(-2 alpha.H)`` and the physical basis's ``exp(-alpha.H)`` are sums of
 scaled powers from it.  `series_apply` on the scaled matrix is their
-oracle.  The lifted twin has its own chain, of its own ``alpha_up``.  The
-twin's bracket table carries each ``[H_j, X_mu]`` once and combines the
-results, and its B is two contractions; the per-``(a, mu, j)`` carry and the
-triple sum in `tests/helpers.py` are their oracles.
+oracle.  The lifted twin's table and chain come from the same derivation,
+for the coupling ``alpha_low`` and ``B' = 2 alpha_low``, and its B is two
+contractions; carrying each ``[H_j, X_mu]`` into the twin's basis once per
+``(a, mu, j)`` and the triple sum in `tests/helpers.py` are their oracles.
 """
+
+import random
 
 import pytest
 
-from helpers import lifted_table_oracle, rotated_specs, stale_context, twin_b_oracle
+from helpers import lifted_table_oracle, random_valid_spec_3d, rotated_specs, stale_context, twin_b_oracle
 from qtwist import build_context, preset
 from qtwist.algebra import (
     _table_entry,
@@ -85,14 +87,19 @@ def test_physical_basis_is_x_times_exp_of_minus_alpha_h():
     assert ctx.physical_basis() == want
 
 
-@pytest.mark.parametrize("name", ROTATED)
-def test_twin_table_and_b_equal_the_per_bracket_and_triple_sum_formulas(name):
-    for spec in rotated_specs(name, 3, 2):
+TWIN_SOURCES = {name: lambda name=name: rotated_specs(name, 3, 2) for name in ROTATED}
+TWIN_SOURCES["random-3d"] = lambda: (random_valid_spec_3d(random.Random(f"twin/{i}"), 3) for i in range(2))
+
+
+@pytest.mark.parametrize("source", TWIN_SOURCES)
+def test_twin_table_and_b_equal_the_per_bracket_and_triple_sum_formulas(source):
+    for spec in TWIN_SOURCES[source]():
         ctx = build_context(spec)
-        # A stale B copy shares the lift, but its twin carries its own B.
-        for user in (ctx, stale_context(ctx, "B", (1, 0, 2))):
+        # Stale B and r copies share the lift, but each twin carries its own B and r.
+        for user in (ctx, stale_context(ctx, "B", (1, 0, 2)), stale_context(ctx, "r", (0, 1))):
             twin = user.lifted
             assert twin is not user
             table = lifted_table_oracle(user)
             assert {at: twin.algebra.bracket(*at) for at in table} == table
             assert [[list(row) for row in block] for block in twin.spec.B] == twin_b_oracle(user)
+            assert twin.alpha_h_powers == series_powers(twin.alpha_h)
