@@ -3,9 +3,13 @@
 physical-basis tables for the null-plane preset at a small order."""
 
 import sys
+from pathlib import Path
 
-from qtwist import build_context, choose_xi, exp_truncated, preset
-from qtwist.algebra import format_term
+# The checkout's sources, so that the script needs no installed package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qtwist import build_context, choose_xi, exp_truncated, preset  # noqa: E402
+from qtwist.algebra import format_term  # noqa: E402
 
 ORDER = 3
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every suite on every preset at its acceptance order and print reports.
 
-Also runs a null-plane spec rotated into a dense H basis (r != I), read from
-``tests/data/rotated-null-plane.json``.  After each run it prints the run's
-wall time, its set-up time apart from its suite time (set-up is
+Also runs `shift-ring(4)` at order 5, a spec with no symmetry, so that qybe
+sums every slice, and a null-plane spec rotated into a dense H basis (r != I),
+read from ``tests/data/rotated-null-plane.json``.  After each run it prints
+the run's wall time, its set-up time apart from its suite time (set-up is
 `validate_spec`, `build_context`, the lifted twin and the twin's phi and R),
 its process CPU time (user plus system, which drifts less than wall time on
 a shared machine) and the peak RSS of the process so far; the runs go up in
@@ -34,6 +35,8 @@ RUNS = (
     ("poincare-null-plane", 5, "all"),
     ("poincare-null-plane", 6, "all"),
     ("poincare-null-plane", 7, "all"),
+    # No symmetry: every qybe slice is summed, past order 4.
+    ("shift-ring(4)", 5, "all"),
     ("jordanian-borel", 6, "all"),
     ("shift-ring(3)", 4, "all"),
     (ROTATED, 3, "all"),

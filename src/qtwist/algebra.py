@@ -88,7 +88,7 @@ class Algebra:
     depends only on ``(m, n)`` and the number of legs (`_layout`).  Packing
     is linear: a product's key is the sum of its factors' plus a correction.
     No other module reads keys: they map legs through `substitute_leg`,
-    `split_by_x` and `relabel`, and read terms through `decode` and
+    `r12_r13_slices` and `relabel`, and read terms through `decode` and
     `first_term`.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
@@ -558,33 +558,56 @@ class Algebra:
         self.mul_into(acc, a, b)
         return _from_parts(self, a.legs, acc)
 
-    def split_by_x(self, acc, legs, leg, perm=None):
-        """Empty `acc`, a `mul_into` accumulator of `legs`-leg terms, into one per X part of `leg`.
+    def r12_r13_slices(self, r, perm=None):
+        """Yield the slices of ``T = R12 R13`` by leg-0 X part, `r` a 2-leg tensor, a level at a time.
 
-        Returns ``{x: (size, acc_x)}``, `x` an int ordered as the X part.
-        With a relabelling `perm`, the terms of an X part other than the
-        smallest of its orbit under `perm` are dropped, and `size` is the
-        orbit's size; where that is 1, so are the terms whose whole `leg`
-        monomial is not the smallest of its orbit (see `unfold`).  Without,
-        `size` is 1.  One denominator at a time is taken apart, so no term is
-        held twice.
+        On leg 0, ``H^h1 X^x1`` of R12 times ``H^h2 X^x2`` of R13 is ``sum_c binom(x1, c) H^h1 D^c(H^h2)
+        X^(x1 - c + x2)``, each ``D^c(H^h2)`` pure H (`_block`), so the slice of a leg-0 X part `x` gets terms
+        only from pairs with ``x1 + x2 >= x``.  Pairs go by falling total degree `s` of ``x1 + x2``, a level
+        into a fresh accumulator that `_move` empties; after level `s` the slices of degree `s` are whole.
         """
-        shift, slices, seen = self._layout(legs)[1][leg], {}, {}
+        groups, bits, ps = {}, self._leg_bits, self._layout(3)[0]
+        # One pass embeds R's terms as R12's and R13's, grouped by leg-0 X degree.
+        for key, v in r.nums.items():
+            g12, g13 = groups.setdefault(sum(self._mono(key >> bits & self._x_mask).x), ({}, {}))
+            g12[key << bits], g13[key >> bits << 2 * bits | key & self._leg_mask] = v, v
+        left = {d: (_wrap(self, 3, g12, r.den), min(g12) >> ps) for d, (g12, _) in groups.items()}
+        right = {d: self.prepare(_wrap(self, 3, g13, r.den)) for d, (_, g13) in groups.items()}
+        slices, seen, groups = {}, {}, None
+        for s in range(2 * max(left, default=0), -1, -1):
+            acc = {}
+            for d, (a, k1) in left.items():
+                if (b := right.get(s - d)) is not None and k1 + b._groups[1][0][0] <= self.order:
+                    self.mul_into(acc, a, b)
+            # No lower level holds a group of degree s.
+            left.pop(s, None), right.pop(s, None)
+            self._move(acc, slices, seen, perm)
+            yield slices.pop(s, {})
+
+    def _move(self, acc, slices, seen, perm):
+        """Empty `acc`, a `mul_into` accumulator of 3-leg terms, into `slices`, adding to a key there.
+
+        `slices` maps the degree of `x`, the X part of leg 0 as an int, to ``{x: (size, acc_x)}``.  With a
+        relabelling `perm`, the terms of an X part other than the smallest of its orbit under `perm` are
+        dropped, and `size` is the orbit's size; where that is 1, so are the terms whose whole leg-0
+        monomial is not the smallest of its orbit (see `unfold`).  Without, `size` is 1.  `seen` caches
+        ``(degree, x, size)`` by leg-0 field, `size` 0 if dropped.  `acc` goes a denominator at a time.
+        """
+        shift, mask = self._layout(3)[1][0], self._leg_mask
         while acc:
             den, nums = acc.popitem()
+            outs = {}
             for key, v in nums.items():
-                f = (key >> shift) & self._leg_mask
-                kept = seen.get(f)
-                if kept is None:
-                    x = f & self._x_mask
-                    size = len(orbit := self._orbit(x, perm))
-                    if x != min(orbit) or size == 1 and f != min(self._orbit(f, perm)):
-                        size = 0
-                    kept = seen[f] = x, size
-                x, size = kept
-                if size:
-                    slices.setdefault(x, (size, {}))[1].setdefault(den, {})[key] = v
-        return slices
+                if (out := outs.get(f := key >> shift & mask, False)) is False:
+                    if (kept := seen.get(f)) is None:
+                        orbit = self._orbit(x := f & self._x_mask, perm)
+                        keep = x == min(orbit) and (len(orbit) > 1 or f == min(self._orbit(f, perm)))
+                        kept = seen[f] = sum(self._mono(x).x), x, len(orbit) * keep
+                    d, x, size = kept
+                    dens = slices.setdefault(d, {}).setdefault(x, (size, {}))[1] if size else None
+                    out = outs[f] = None if dens is None else dens.setdefault(den, {})
+                if out is not None:
+                    out[key] = out.get(key, 0) + v
 
     # -- leg maps --------------------------------------------------------------
 
@@ -609,7 +632,7 @@ class Algebra:
 
     def unfold(self, tensor, leg, perm):
         """`tensor` plus the images under ``perm**i`` of each term, for ``0 < i`` below the
-        length of the orbit of its `leg` monomial: the terms a `split_by_x` slice dropped."""
+        length of the orbit of its `leg` monomial: the terms a slice of `_move` dropped."""
         s, nums = self._layout(tensor.legs)[1][leg], dict(tensor.nums)
         for key, v in tensor.nums.items():
             for _ in self._orbit((key >> s) & self._leg_mask, perm)[1:]:
@@ -774,14 +797,6 @@ class TensorElement:
 
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ShapeError("powers must be non-negative integers")
-        acc = self.algebra.tensor_unit(self.legs)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def is_zero(self):
         return not self.nums
@@ -1099,10 +1114,6 @@ def expm1_over_t_coefficients(order):
 # -- rendering ------------------------------------------------------------------
 
 
-def format_scalar(c):
-    return str(Q(c))
-
-
 def format_monomial(mono, h_names=None, x_names=None):
     names = list(h_names or [f"H{i+1}" for i in range(len(mono.h))])
     names += x_names or [f"X{i+1}" for i in range(len(mono.x))]
@@ -1112,7 +1123,7 @@ def format_monomial(mono, h_names=None, x_names=None):
 
 def format_term(key, coeff, h_names=None, x_names=None):
     k, monos = key
-    parts = [] if coeff == 1 else [format_scalar(coeff)]
+    parts = [] if coeff == 1 else [str(Q(coeff))]
     if k:
         parts.append("h" if k == 1 else f"h^{k}")
     parts.append(" ⊗ ".join(format_monomial(mo, h_names, x_names) for mo in monos))

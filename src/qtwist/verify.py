@@ -166,45 +166,39 @@ def check_qybe(ctx, rmat=None):
     """Quantum Yang-Baxter: R12 R13 R23 == R23 R13 R12, summed by slices of R12 R13 (`Algebra.exchange`)."""
     r, t = (ctx.universal_r, ctx.twist_exponent) if rmat is None else (rmat, rmat)
     alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(t)
-    acc = {}
-    alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
-    # R23 is the unit on leg 0, so each term of the residual keeps the leg-0
-    # monomial of its term of T = R12 R13, and parts made of whole slices of
-    # T by leg-0 X exponents split the residual into disjoint parts.  A
-    # change of H basis fixes every X, so they stay disjoint in the user's
-    # basis.  T's accumulator is split as it stands, one denominator at a
-    # time, so T is never merged or held whole.  A relabelling that fixes R
-    # fixes T and R23, and so maps the part of a slice to that of its image:
-    # only one slice of each orbit is kept, and its residual relabelled.  In
-    # a slice it maps to itself, it maps the residual of the terms of one
-    # leg-0 monomial to that of the image monomial: only one monomial of each
-    # orbit is kept, and the residual unfolded before it is mapped back.
-    slices = alg.split_by_x(acc, 3, 0, perm)
-    # Popped smallest first, so that the largest slices come last, when the
-    # rest of T is gone.
-    slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in slices.items()), reverse=True)
-    while slices:
-        size, _, orbit, parts = slices.pop()
-        # Each part walks all of R23 three times, so it gathers slices of the
-        # same orbit size while it holds no more terms of T than R23 has.
-        while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
-            more, _, _, dens = slices.pop()
-            size += more
-            for den, nums in dens.items():
-                parts.setdefault(den, {}).update(nums)
-        # A part of T is merged over the lcm of its denominators and not reduced; P23(T) and
-        # T - P23(T) keep that denominator, so the three products share one and cancel in place.
-        nums, den = _merged(parts)
-        tc = _wrap(alg, 3, {key: v for key, v in nums.items() if v}, den)
-        # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
-        # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
-        # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
-        # leading parts of T R23 and R23 P23(T) sum to lead(T - P23(T), R23).
-        tp, diff = alg.exchange(tc)
-        terms = [(1, diff, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
-        # Each operand is released after its last product.
-        del parts, nums, tc, tp, diff
-        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
+    # R23 is the unit on leg 0, so each term of the residual keeps the leg-0 monomial of its term of
+    # T = R12 R13, and parts made of whole slices of T by leg-0 X exponents split the residual into
+    # disjoint parts, in the user's basis too, since a change of H basis fixes every X.  A slice is
+    # summed once complete (`Algebra.r12_r13_slices`), so T is never held whole.  A relabelling that
+    # fixes R fixes T and R23, and so maps the part of a slice to that of its image: only one slice of
+    # each orbit is kept, and its residual relabelled.  In a slice it maps to itself, it maps the
+    # residual of the terms of one leg-0 monomial to that of the image monomial: only one monomial of
+    # each orbit is kept, and the residual unfolded before it is mapped back.
+    for slices in alg.r12_r13_slices(r, perm):
+        # Popped smallest first, so that the largest slices come last.
+        slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in slices.items()), reverse=True)
+        while slices:
+            size, _, orbit, parts = slices.pop()
+            # Each part walks all of R23 three times, so it gathers slices of the
+            # same orbit size while it holds no more terms of T than R23 has.
+            while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
+                more, _, _, dens = slices.pop()
+                size += more
+                for den, nums in dens.items():
+                    parts.setdefault(den, {}).update(nums)
+            # A part of T is merged over the lcm of its denominators and not reduced; P23(T) and
+            # T - P23(T) keep that denominator, so the three products share one and cancel in place.
+            nums, den = _merged(parts)
+            tc = _wrap(alg, 3, {key: v for key, v in nums.items() if v}, den)
+            # Exchanging legs 2 and 3 is an automorphism of A(x)A(x)A that swaps
+            # R12 and R13, so the part of R13 R12 is that of R12 R13 with those
+            # legs exchanged: P23(T).  lead is bilinear and symmetric, so the
+            # leading parts of T R23 and R23 P23(T) sum to lead(T - P23(T), R23).
+            tp, diff = alg.exchange(tc)
+            terms = [(1, diff, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+            # Each operand is released after its last product.
+            del parts, nums, tc, tp, diff
+            yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 
 
 @_check("triangularity")
@@ -259,20 +253,12 @@ def check_hopf_axioms(ctx, phi=None):
 @_check("classical-limit")
 def check_classical_limit(ctx):
     """Power-zero slice of each bracket table entry equals B."""
-    spec = ctx.spec
-    alg = ctx.algebra
+    spec, alg = ctx.spec, ctx.algebra
+    hs = [Monomial.h_gen(spec.m, spec.n, i) for i in range(spec.m)]
     for j in range(spec.m):
         for mu in range(spec.n):
-            got = alg.element(
-                {key: c for key, c in alg.bracket(j, mu).items() if key[0] == 0}
-            )
-            want = alg.element(
-                {
-                    (0, Monomial.h_gen(spec.m, spec.n, i)): spec.B[i][j][mu]
-                    for i in range(spec.m)
-                    if spec.B[i][j][mu]
-                }
-            )
+            got = alg.element({key: c for key, c in alg.bracket(j, mu).items() if key[0] == 0})
+            want = alg.element({(0, h): b[j][mu] for h, b in zip(hs, spec.B) if b[j][mu]})
             yield f"[{spec.h_names[j]},{spec.x_names[mu]}]", [(1, got), (-1, want)]
 
 

@@ -517,36 +517,88 @@ def unsliced_qybe(ctx, rmat=None):
     return residual, f"yang-baxter: {term}", keys
 
 
+def split_by_x(alg, acc, legs, leg, perm=None):
+    """Empty `acc`, a `mul_into` accumulator of `legs`-leg terms, into one per X part of `leg`.
+
+    The split that `check_qybe` made of the whole of ``T = R12 R13`` before it
+    built T a level at a time, kept as the reference for the level build
+    (`Algebra.r12_r13_slices`).  Returns ``{x: (size, acc_x)}``, `x` an int
+    ordered as the X part.  With a relabelling `perm`, the terms of an X part
+    other than the smallest of its orbit under `perm` are dropped, and `size`
+    is the orbit's size; where that is 1, so are the terms whose whole `leg`
+    monomial is not the smallest of its orbit (see `Algebra.unfold`).
+    Without, `size` is 1.
+    """
+    shift, slices, seen = alg._layout(legs)[1][leg], {}, {}
+    while acc:
+        den, nums = acc.popitem()
+        for key, v in nums.items():
+            f = (key >> shift) & alg._leg_mask
+            kept = seen.get(f)
+            if kept is None:
+                x = f & alg._x_mask
+                size = len(orbit := alg._orbit(x, perm))
+                if x != min(orbit) or size == 1 and f != min(alg._orbit(f, perm)):
+                    size = 0
+                kept = seen[f] = x, size
+            x, size = kept
+            if size:
+                slices.setdefault(x, (size, {}))[1].setdefault(den, {})[key] = v
+    return slices
+
+
+def whole_t(r):
+    """The accumulator of ``T = R12 R13`` formed whole by one product, and its number of keys."""
+    acc = {}
+    r.algebra.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
+    return acc, sum(map(len, acc.values()))
+
+
+def x_degree(alg, x):
+    """The total degree of a leg's X part `x`, an int as `split_by_x` keys it."""
+    return sum(alg.decode(x, 1)[1][0].x)
+
+
+def whole_t_levels(r, perm=None):
+    """The slices of the whole of ``T = R12 R13`` (`split_by_x`) by leg-0 X degree: a list whose
+    entry ``s`` holds ``{x: (size, acc_x)}`` for the X parts of degree ``s``."""
+    slices = split_by_x(r.algebra, whole_t(r)[0], 3, 0, perm)
+    levels = [{} for _ in range(1 + max((x_degree(r.algebra, x) for x in slices), default=0))]
+    for x, kept in slices.items():
+        levels[x_degree(r.algebra, x)][x] = kept
+    return levels
+
+
 def canonical_qybe_parts(ctx, rmat=None):
     """The parts of `check_qybe`, each assembled in canonical form.
 
-    The reference for the check's own assembly, which merges a part of
-    ``T = R12 R13`` over the lcm of its denominators and reduces neither it
-    nor ``P23(T)`` nor ``T - P23(T)``.  Here T is split by leg-0 X parts
-    (`Algebra.split_by_x`) and a part gathered as the check gathers it, then
-    canonicalised; ``P23(T)`` is ``permute(T, (0, 2, 1))``, prepared, and the
-    difference is a canonical subtraction.  Yields the parts in the form of
-    a check's declaration (see `verify._check`).
+    The reference for the check's own assembly, which builds ``T = R12 R13``
+    a level at a time, and merges a part of T over the lcm of its
+    denominators and reduces neither it nor ``P23(T)`` nor ``T - P23(T)``.
+    Here the whole of T is split by leg-0 X parts (`split_by_x`), the slices
+    of each leg-0 X degree, the highest first, are gathered into parts as the
+    check gathers them, and each part is canonicalised; ``P23(T)`` is
+    ``permute(T, (0, 2, 1))``, prepared, and the difference is a canonical
+    subtraction.  Yields the parts in the form of a check's declaration (see
+    `verify._check`).
     """
     from qtwist.verify import orbit_symmetry
 
     r, t = (ctx.universal_r, ctx.twist_exponent) if rmat is None else (rmat, rmat)
     alg, r23, perm = r.algebra, r.algebra.prepare(r.embed(3, (1, 2))), orbit_symmetry(t)
-    acc = {}
-    alg.mul_into(acc, r.embed(3, (0, 1)), r.embed(3, (0, 2)))
-    slices = alg.split_by_x(acc, 3, 0, perm)
-    slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in slices.items()), reverse=True)
-    while slices:
-        size, _, orbit, parts = slices.pop()
-        while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
-            more, _, _, dens = slices.pop()
-            size += more
-            for den, nums in dens.items():
-                parts.setdefault(den, {}).update(nums)
-        tc = _from_parts(alg, 3, parts)
-        tp = alg.prepare(permute(tc, (0, 2, 1)))
-        terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
-        yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
+    for level in reversed(whole_t_levels(r, perm)):
+        slices = sorted(((sum(map(len, s.values())), x, n, s) for x, (n, s) in level.items()), reverse=True)
+        while slices:
+            size, _, orbit, parts = slices.pop()
+            while slices and slices[-1][2] == orbit and size + slices[-1][0] <= len(r23.nums):
+                more, _, _, dens = slices.pop()
+                size += more
+                for den, nums in dens.items():
+                    parts.setdefault(den, {}).update(nums)
+            tc = _from_parts(alg, 3, parts)
+            tp = alg.prepare(permute(tc, (0, 2, 1)))
+            terms = [(1, tc - tp, r23, "lead"), (1, tc, r23, "corr"), (-1, r23, tp, "corr")]
+            yield "yang-baxter", terms, perm, ("yang-baxter",) * (orbit - 1), 0 if perm and orbit == 1 else None
 
 
 def three_jordanian_spec(order=3):

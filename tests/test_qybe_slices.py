@@ -128,8 +128,9 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     ctx = cached_context("poincare-null-plane", 4)
     perm = orbit_symmetry(ctx.universal_r)
     assert perm is not None
-    sizes, stray, busy = [], [], []
+    sizes, stray, busy, levels = [], [], [], []
     mul_into = Algebra.mul_into
+    r12, r13 = (ctx.universal_r.embed(3, legs).nums for legs in ((0, 1), (0, 2)))
     parts = count_parts(monkeypatch)
     summed = verify._residual
 
@@ -145,9 +146,13 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
         if busy:
             sizes[-1] = max(sizes[-1], sum(map(len, acc.values())))
         elif sizes:
-            # R12 R13 is formed before the first part; any later product
-            # outside the summing of a part would belong to no part.
-            stray.append(part)
+            # R12 R13 is formed a level at a time, and its later levels after
+            # the first part; any other product outside the summing of a part
+            # would belong to no part.
+            if a.nums.keys() <= r12.keys() and b.nums.keys() <= r13.keys():
+                levels.append(part)
+            else:
+                stray.append(part)
 
     monkeypatch.setattr(verify, "_residual", sized_residual)
     monkeypatch.setattr(Algebra, "mul_into", counted_mul_into)
@@ -159,8 +164,9 @@ def test_no_qybe_part_holds_more_than_half_the_unsliced_residual(monkeypatch):
     assert sum(sizes) == keys < _split_keys(ctx, perm, monomials=False) < unsliced
     assert len(sizes) > 1
     assert 2 * max(sizes) < unsliced
-    # Image parts were tallied, and no product ran for them.
-    assert image_parts(parts) and stray == []
+    # Image parts were tallied, and no product ran for them; levels of T were
+    # formed after the first part.
+    assert image_parts(parts) and stray == [] and levels
 
 
 def test_qybe_never_forms_or_canonicalises_all_of_r12_r13(monkeypatch):

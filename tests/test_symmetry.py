@@ -76,9 +76,10 @@ def _cyclic_algebra(rng, order):
 
 
 def test_split_and_unfold_restore_the_slices_of_an_invariant_tensor_under_a_3_cycle():
-    """On a table that a 3-cycle maps onto itself, `split_by_x` keeps one X
-    part of each orbit and, in a slice whose X part the cycle fixes, one leg-0
-    monomial of each orbit, of length 1 or 3; `unfold` restores the rest."""
+    """On a table that a 3-cycle maps onto itself, the move of a level of T
+    into its slices (`Algebra._move`) keeps one X part of each orbit and, in a
+    slice whose X part the cycle fixes, one leg-0 monomial of each orbit, of
+    length 1 or 3; `unfold` restores the rest."""
     rng = random.Random("cycle")
     alg = _cyclic_algebra(rng, 3)
     assert CYCLE in alg.symmetries
@@ -96,8 +97,10 @@ def test_split_and_unfold_restore_the_slices_of_an_invariant_tensor_under_a_3_cy
         by_x.setdefault(monos[0].x, {})[(k, monos)] = c
     acc = {}
     invariant.add_into(acc)
-    sizes, fixed_seen, moved_seen = {}, False, False
-    for x, (size, parts) in alg.split_by_x(acc, 3, 0, CYCLE).items():
+    sizes, fixed_seen, moved_seen, slices = {}, False, False, {}
+    alg._move(acc, slices, {}, CYCLE)
+    assert not acc and all(sum(alg.decode(x, 1)[1][0].x) == d for d, level in slices.items() for x in level)
+    for x, (size, parts) in ((x, kept) for level in slices.values() for x, kept in level.items()):
         x = alg.decode(x, 1)[1][0].x
         sizes[x], kept, want = size, _from_parts(alg, 3, parts), alg.tensor_element(3, by_x[x])
         if size == 1:
