@@ -7,7 +7,7 @@ read from ``tests/data/rotated-null-plane.json``.  After each run it prints
 the run's wall time, its set-up time apart from its suite time (set-up is
 `validate_spec`, `build_context`, the lifted twin and the twin's phi and R),
 its process CPU time (user plus system, which drifts less than wall time on
-a shared machine) and the peak RSS of the process so far; the runs go up in
+a shared machine), all in ms, and the peak RSS of the process so far; the runs go up in
 order, so the log shows memory by order.  It also prints the
 generator relabelling whose orbits qybe and intertwining evaluated once, or
 ``none`` when they summed every part.  Exit status is nonzero if any check fails
@@ -44,12 +44,12 @@ RUNS = (
     (ROTATED, 5, "all"),
 )
 
-# Peak RSS bound in MB after null-plane N=7, which peaks at about 61 MB since
-# a clash on one leg reads its block's rows and builds no leg table (64 MB
-# before; 76 MB before normal-ordering blocks and monomial coproducts were
-# built only to the power their first use needs; 90 MB before normal
-# ordering ran through derivations).
-N7_PEAK_LIMIT_MB = 400
+# Peak RSS bound in MB after null-plane N=7, which peaks at about 47 MB since
+# qybe builds R12 R13 a level at a time (61 MB before; 64 MB before a clash on
+# one leg read its block's rows; 76 MB before normal-ordering blocks and
+# monomial coproducts were built only to the power their first use needs;
+# 90 MB before normal ordering ran through derivations).
+N7_PEAK_LIMIT_MB = 100
 
 
 def cpu_seconds():
@@ -77,8 +77,8 @@ def main():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         end, cpu = time.perf_counter(), cpu_seconds() - c0
         print(
-            f"run {spec.name} N={order} {suite}: {end - t0:.2f} s wall "
-            f"(set-up {t1 - t0:.2f} s, suite {end - t1:.2f} s), {cpu:.2f} s CPU, "
+            f"run {spec.name} N={order} {suite}: {(end - t0) * 1e3:.1f} ms wall "
+            f"(set-up {(t1 - t0) * 1e3:.1f} ms, suite {(end - t1) * 1e3:.1f} ms), {cpu * 1e3:.0f} ms CPU, "
             f"peak RSS so far {peak:.0f} MB"
         )
         # The product checks run on the lifted twin, where the symmetry is sought.

@@ -76,8 +76,8 @@ class Monomial(NamedTuple):
 class Algebra:
     """Carrier for truncated deformed arithmetic.
 
-    `table` maps ``(j, mu)`` to the terms of ``[H_j, X_mu]`` as a dict from
-    ``(power, Monomial)`` to Fraction; every monomial must be pure-H.
+    `table` maps ``(j, mu)`` to the terms of ``[H_j, X_mu]``, pure-H: a dict
+    from ``(power, Monomial)`` to Fraction, or a 1-leg element of this shape.
     Elements hold a reference to their algebra, and mixed-algebra products
     are rejected, since the bracket table is part of the ring structure.
 
@@ -126,13 +126,16 @@ class Algebra:
         for (j, mu), entry in table.items():
             if not (0 <= j < m and 0 <= mu < n):
                 raise ShapeError(f"bracket table key ({j}, {mu}) out of range")
-            if any(any(mono[1]) for _, mono in entry):
-                raise ShapeError("bracket table values must be pure-H")
-            self._int_table[(j, mu)] = self._nums(1, {(k, (mono,)): c for (k, mono), c in entry.items()})
+            # A term map is packed here, its powers and fields checked; an element was when it was built.
+            if not isinstance(entry, TensorElement):
+                entry = _wrap(self, 1, *self._nums(1, {(k, (mono,)): c for (k, mono), c in entry.items()}))
+            if entry.legs != 1 or not entry._on(self).is_pure_h():
+                raise ShapeError("bracket table values must be pure-H, of one leg")
+            self._int_table[(j, mu)] = entry.nums, entry.den
 
     def bracket(self, j, mu):
         """Terms of [H_j, X_mu] as ``{(power, Monomial): Fraction}``, decoded from `_int_table`."""
-        return _table_entry(_wrap(self, 1, *self._int_table[(j, mu)]))
+        return {(k, mono): c for (k, (mono,)), c in _wrap(self, 1, *self._int_table[(j, mu)]).terms.items()}
 
     # -- packed keys -------------------------------------------------------------
 
@@ -960,11 +963,6 @@ def _from_parts(algebra, legs, parts):
     return _canonical(algebra, legs, *_merged(parts))
 
 
-def _table_entry(el):
-    """A 1-leg element as a bracket-table entry, ``{(power, Monomial): Fraction}``."""
-    return {(k, mono): c for (k, (mono,)), c in el.terms.items()}
-
-
 Element = TensorElement
 
 
@@ -986,7 +984,9 @@ def exp_truncated(a):
 
 
 class SeriesMatrix:
-    """Square matrix with pure-H element entries (a commutative ring)."""
+    """Square matrix with pure-H element entries (a commutative ring).  The constructor checks that its
+    entries are pure-H 1-leg elements of one algebra; the matrices the engine builds from entries it made
+    (sums, scalings, products, `series_sum`) skip that check (`_of`); `identity` keeps it."""
 
     __slots__ = ("algebra", "entries")
 
@@ -994,19 +994,22 @@ class SeriesMatrix:
         rows = tuple(tuple(row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ShapeError("series matrix must be square and non-empty")
-        alg = None
-        for row in rows:
-            for e in row:
-                if not isinstance(e, Element) or e.legs != 1:
-                    raise ShapeError("series matrix entries must be elements")
-                if not e.is_pure_h():
-                    raise ShapeError("series matrix entries must be pure-H")
-                if alg is None:
-                    alg = e.algebra
-                elif e.algebra is not alg:
-                    raise ShapeError("series matrix entries from distinct algebras")
-        self.algebra = alg
-        self.entries = rows
+        flat = [e for row in rows for e in row]
+        for e in flat:
+            if not isinstance(e, Element) or e.legs != 1:
+                raise ShapeError("series matrix entries must be elements")
+            if not e.is_pure_h():
+                raise ShapeError("series matrix entries must be pure-H")
+            if e.algebra is not flat[0].algebra:
+                raise ShapeError("series matrix entries from distinct algebras")
+        self.algebra, self.entries = flat[0].algebra, rows
+
+    @classmethod
+    def _of(cls, algebra, rows):
+        """The matrix of `rows`, pure-H 1-leg elements of `algebra` the engine made, unchecked."""
+        out = object.__new__(cls)
+        out.algebra, out.entries = algebra, tuple(map(tuple, rows))
+        return out
 
     @property
     def size(self):
@@ -1028,14 +1031,15 @@ class SeriesMatrix:
 
     def _entrywise(self, other, op):
         self._check(other)
-        return SeriesMatrix([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
+        return SeriesMatrix._of(self.algebra, [list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
 
     def scale(self, c):
-        return SeriesMatrix([[e.scale(c) for e in row] for row in self.entries])
+        return SeriesMatrix._of(self.algebra, [[e.scale(c) for e in row] for row in self.entries])
 
     def __matmul__(self, other):
         self._check(other)
-        alg, cols = self.algebra, tuple(zip(*other.entries))
+        # Each right entry is grouped for `mul_into` once, not once per row.
+        alg, cols = self.algebra, tuple(zip(*(map(self.algebra.prepare, row) for row in other.entries)))
 
         def dot(row, col):
             acc = {}
@@ -1043,7 +1047,7 @@ class SeriesMatrix:
                 alg.mul_into(acc, a, b)
             return _from_parts(alg, 1, acc)
 
-        return SeriesMatrix([[dot(row, col) for col in cols] for row in self.entries])
+        return SeriesMatrix._of(alg, [[dot(row, col) for col in cols] for row in self.entries])
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -1082,13 +1086,36 @@ def series_powers(matrix):
 
 
 def series_sum(coeffs, powers, scale=1):
-    """``sum_k coeffs[k] * scale^k * powers[k]``: the series in ``scale * A`` from the powers of A."""
-    acc = powers[0].scale(Q(coeffs[0]))
-    for k in range(1, len(powers)):
-        c = Q(coeffs[k]) * Q(scale) ** k
-        if c:
-            acc = acc + powers[k].scale(c)
-    return acc
+    """``sum_k coeffs[k] * scale^k * powers[k]``: the series in ``scale * A`` from the powers of A,
+    each entry summed into one accumulator and reduced once."""
+    alg, accs = powers[0].algebra, [[{} for _ in row] for row in powers[0].entries]
+    for k, p in enumerate(powers):
+        if c := Q(coeffs[k]) * Q(scale) ** k:
+            for accs_row, row in zip(accs, p.entries):
+                for acc, e in zip(accs_row, row):
+                    e.add_into(acc, c)
+    return SeriesMatrix._of(alg, [[_from_parts(alg, 1, acc) for acc in row] for row in accs])
+
+
+def bracket_sums(f, B):
+    """``{(j, mu): sum_{nu, i} B[i][j][nu] f[nu][mu] H_i}`` for a pure-H series matrix `f`, as 1-leg
+    elements of its algebra, each summed into one accumulator and reduced once.  ``f[nu][mu] H_i`` is
+    the entry with the field of ``H_i`` added to each key; as `mul_into` refuses an operand, an entry
+    used with an exponent from ``2**(_W - 1)`` raises (a result may reach it)."""
+    alg, accs = f.algebra, {}
+    for nu, row in enumerate(f.entries):
+        for mu, e in enumerate(row):
+            for i in range(alg.m):
+                cs = [(accs.setdefault((j, mu), {}), Q(b[nu])) for j, b in enumerate(B[i]) if b[nu]]
+                if not (cs and e.nums):
+                    continue
+                if reduce(or_, e.nums) & alg._layout(1)[4]:
+                    raise ShapeError(f"a product operand has an exponent of {1 << (_W - 1)} or more")
+                hi = 1 << _W * (alg.m + alg.n - 1 - i)
+                e_hi = _wrap(alg, 1, {key + hi: v for key, v in e.nums.items()}, e.den)
+                for acc, c in cs:
+                    e_hi.add_into(acc, c)
+    return {jm: _from_parts(alg, 1, acc) for jm, acc in accs.items()}
 
 
 def series_apply(coeffs, matrix):

@@ -25,7 +25,7 @@ from .algebra import (
     Monomial,
     SeriesMatrix,
     _from_parts,
-    _table_entry,
+    bracket_sums,
     expm1_over_t_coefficients,
     format_term,
     series_powers,
@@ -154,15 +154,9 @@ class DerivedStructure:
 
 
 def _alpha_h_matrix(algebra, alpha_up):
-    m, n = algebra.m, algebra.n
-    rows = []
-    for muu in range(n):
-        row = []
-        for nu in range(n):
-            terms = {(1, Monomial.h_gen(m, n, i)): alpha_up[i][muu][nu] for i in range(m)}
-            row.append(algebra.element(terms))
-        rows.append(row)
-    return SeriesMatrix(rows)
+    hs, n = [Monomial.h_gen(algebra.m, algebra.n, i) for i in range(algebra.m)], range(algebra.n)
+    rows = [[algebra.element({(1, h): a[mu][nu] for h, a in zip(hs, alpha_up)}) for nu in n] for mu in n]
+    return SeriesMatrix._of(algebra, rows)
 
 
 def _frozen(value):
@@ -197,17 +191,9 @@ def _mat_commute(a, b):
 
 
 def classical_algebra(spec):
-    """The undeformed enveloping algebra: bracket table pinned at power zero."""
-    table = {}
-    for j in range(spec.m):
-        for mu in range(spec.n):
-            entry = {}
-            for i in range(spec.m):
-                c = spec.B[i][j][mu]
-                if c:
-                    entry[(0, Monomial.h_gen(spec.m, spec.n, i))] = c
-            table[(j, mu)] = entry
-    return Algebra(spec.m, spec.n, spec.order, table)
+    """The undeformed enveloping algebra: bracket table pinned at power zero, ``B`` itself (`bracket_sums`)."""
+    scratch = Algebra(spec.m, spec.n, spec.order, {})
+    return Algebra(spec.m, spec.n, spec.order, bracket_sums(SeriesMatrix.identity(scratch, spec.n), spec.B))
 
 
 class _Classical(NamedTuple):
@@ -272,26 +258,13 @@ def deformed_algebra(m, n, order, alpha_up, B):
     """The algebra with ``[H_j, X_mu] = sum_nu f(2 alpha.H)^nu_mu B^i_{j,nu} H_i``, ``f(t) = (e^t - 1)/t``,
     ``alpha.H = sum_i alpha_up[i] h H_i``, and the powers ``(alpha.H)^k`` for k = 0..order on it.
 
-    The series is pure-H: a scratch Abelian algebra sums it, and its powers carry over as they are.
+    The series is pure-H: a scratch Abelian algebra sums it and the table (`bracket_sums`), on packed
+    numerators, and its powers carry over as they are.
     """
     scratch = Algebra(m, n, order, {})
     powers = series_powers(_alpha_h_matrix(scratch, alpha_up))
-    f_matrix = series_sum(expm1_over_t_coefficients(order), powers, 2)
-    table = {}
-    for j in range(m):
-        for mu in range(n):
-            acc = scratch.zero()
-            for nu in range(n):
-                entry = f_matrix.entry(nu, mu)
-                if entry.is_zero():
-                    continue
-                for i in range(m):
-                    c = B[i][j][nu]
-                    if c:
-                        acc = acc + (entry * scratch.h(i)).scale(c)
-            table[(j, mu)] = _table_entry(acc)
-    algebra = Algebra(m, n, order, table)
-    return algebra, [SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers]
+    algebra = Algebra(m, n, order, bracket_sums(series_sum(expm1_over_t_coefficients(order), powers, 2), B))
+    return algebra, [SeriesMatrix._of(algebra, [[e._on(algebra) for e in row] for row in p.entries]) for p in powers]
 
 
 def derive_alpha(spec):

@@ -21,6 +21,11 @@ from qtwist.linalg import inverse
 Q = Fraction
 
 
+def _table_entry(el):
+    """A 1-leg element as a bracket-table entry, ``{(power, Monomial): Fraction}``."""
+    return {(k, mono): c for (k, (mono,)), c in el.terms.items()}
+
+
 def one_minus_exp_neg_coefficients(order):
     """Taylor coefficients of 1 - e^{-t}."""
     return [Q(0)] + [-Q((-1) ** k, factorial(k)) for k in range(1, order + 1)]
@@ -446,10 +451,67 @@ def classical_oracle(spec):
     return alpha_up, r_low, alpha_low
 
 
+def powers_oracle(matrix):
+    """``matrix^k`` for k = 0..order, ending before the first zero power, each power a sum of
+    `mul_tensors` products put through the validating `SeriesMatrix` constructor."""
+    alg, size = matrix.algebra, matrix.size
+    powers = [SeriesMatrix([[alg.one() if i == j else alg.zero() for j in range(size)] for i in range(size)])]
+    cols = list(zip(*matrix.entries))
+    for _ in range(alg.order):
+        power = SeriesMatrix(
+            [[sum((a * b for a, b in zip(row, col)), alg.zero()) for col in cols] for row in powers[-1].entries]
+        )
+        if power.is_zero():
+            break
+        powers.append(power)
+    return powers
+
+
+def series_sum_oracle(coeffs, powers, scale=1):
+    """``sum_k coeffs[k] * scale^k * powers[k]`` as a chain of canonical matrix sums, one per power."""
+    acc = powers[0].scale(Q(coeffs[0]))
+    for k in range(1, len(powers)):
+        c = Q(coeffs[k]) * Q(scale) ** k
+        if c:
+            acc = acc + powers[k].scale(c)
+    return acc
+
+
+def fraction_route_algebra(m, n, order, alpha_up, B):
+    """`model.deformed_algebra` by the Fraction route: ``f(2 alpha.H)`` from `series_sum_oracle`, each
+    ``(f[nu][mu] * H_i).scale(B[i][j][nu])`` added to a canonical element, the sum decoded to Fractions
+    (`_table_entry`) and packed again by ``Algebra(m, n, order, table)``; with the powers of alpha.H on it."""
+    from qtwist.algebra import expm1_over_t_coefficients
+
+    scratch = Algebra(m, n, order, {})
+    alpha_h = SeriesMatrix(
+        [
+            [scratch.element({(1, Monomial.h_gen(m, n, i)): alpha_up[i][mu][nu] for i in range(m)}) for nu in range(n)]
+            for mu in range(n)
+        ]
+    )
+    powers = powers_oracle(alpha_h)
+    f_matrix = series_sum_oracle(expm1_over_t_coefficients(order), powers, 2)
+    table = {}
+    for j in range(m):
+        for mu in range(n):
+            acc = scratch.zero()
+            for nu in range(n):
+                entry = f_matrix.entry(nu, mu)
+                if entry.is_zero():
+                    continue
+                for i in range(m):
+                    c = B[i][j][nu]
+                    if c:
+                        acc = acc + (entry * scratch.h(i)).scale(c)
+            table[(j, mu)] = _table_entry(acc)
+    algebra = Algebra(m, n, order, table)
+    return algebra, [SeriesMatrix([[e._on(algebra) for e in row] for row in p.entries]) for p in powers]
+
+
 def lifted_table_oracle(ctx):
     """The lifted twin's bracket table, ``[H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu]``,
     with each bracket carried forward once per ``(a, mu, j)``."""
-    from qtwist.algebra import _table_entry
     from qtwist.transport import BasisChange
 
     alg, r_low = ctx.algebra, ctx.derived.r_low

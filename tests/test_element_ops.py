@@ -163,6 +163,24 @@ def test_bracket_table_validates_every_entry():
     assert alg.bracket(0, 0) == {(0, h): Q(1, 2)}
 
 
+def test_bracket_table_takes_packed_entries_and_validates_them():
+    """A 1-leg pure-H element of an algebra of the same shape is taken as it is packed; one with
+    an X, of two legs or of another shape is refused, and a key out of range as before."""
+    scratch = Algebra(1, 1, 2, {})
+    entry = scratch.element({(0, ((1,), (0,))): Q(1, 2), (2, ((3,), (0,))): 3})
+    alg = Algebra(1, 1, 2, {(0, 0): entry})
+    assert alg._int_table[(0, 0)] == (entry.nums, entry.den)
+    assert alg.bracket(0, 0) == {(0, Monomial((1,), (0,))): Q(1, 2), (2, Monomial((3,), (0,))): 3}
+    for table in (
+        {(0, 1): entry},
+        {(0, 0): scratch.x(0)},
+        {(0, 0): scratch.outer(entry, entry)},
+        {(0, 0): Algebra(1, 1, 3, {}).h(0)},
+    ):
+        with pytest.raises(ShapeError):
+            Algebra(1, 1, 2, table)
+
+
 def test_tensor_example_second_leg_reorders(jordanian3):
     alg = jordanian3.algebra
     h, x = alg.h(0), alg.x(0)

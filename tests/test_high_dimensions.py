@@ -2,16 +2,18 @@
 
 `shift-ring(k)` has k H and k X generators.  The `all` suite passes on
 size 4 at N=4 and on size 5 at N=3, and a seeded single-value mutant of
-the R-matrix and of the twist of each is caught, with a witness.
+the R-matrix and of the twist of each is caught, with a witness.  Size 4
+has no generator symmetry, so at N=5 a seeded R-matrix mutant is caught by
+each check of R, with every qybe slice summed.
 """
 
 import random
 
 import pytest
 
-from helpers import mutate_tensor
+from helpers import mutate_tensor, r_mutants
 from qtwist import build_context, preset
-from qtwist.verify import run_suite
+from qtwist.verify import check_intertwine, check_qybe, check_triangularity, run_suite
 
 CASES = (("shift-ring(4)", 4), ("shift-ring(5)", 3))
 
@@ -43,3 +45,12 @@ def test_a_seeded_rmat_and_phi_mutant_are_caught_with_a_witness(name, order):
     bad_phi = mutate_tensor(ctx.algebra, phi, rng.choice(sorted(phi.terms)))
     assert _caught(run_suite(ctx, "all", rmat=bad_r))
     assert _caught(run_suite(ctx, "all", phi=bad_phi))
+
+
+def test_a_seeded_rmat_mutant_of_shift_ring_4_at_order_5_fails_each_check_of_r_with_a_witness():
+    ctx = _context("shift-ring(4)", 5)
+    assert not ctx.algebra.symmetries
+    (rmat,) = r_mutants(ctx, "high-dimensions/shift-ring(4)/5", count=1)
+    for check in (check_qybe, check_triangularity, check_intertwine):
+        result = check(ctx, rmat=rmat)
+        assert not result.passed and result.residual_terms and result.witness, result.name
