@@ -26,7 +26,7 @@ from .algebra import (
     series_sum,
 )
 from .errors import ShapeError, UnsupportedPresetError
-from .model import DerivedStructure, _alpha_h_matrix, _contract, _frozen, deformed_algebra, derive_alpha
+from .model import DerivedStructure, _alpha_h_matrix, _fractions, _frozen, deformed_algebra, derive_alpha
 from .transport import BasisChange
 
 Q = Fraction
@@ -105,11 +105,16 @@ class HopfContext:
         that outlives its last use until the cyclic collector runs.
         """
         spec, derived, (r, from_user, to_user, powers) = self.spec, self.derived, self._lift
-        r_low = derived.r_low
-        # The stored spec carried over by the same map; its twist matrix is
-        # r_low^T r, the identity unless the stored r is stale.
-        B = _contract(r_low, [_contract(r, b) for b in spec.B])
-        twin_r = _contract(r_low, spec.r)
+        ints = map(linalg.integers, (derived.r_low, r, spec.B, spec.r))
+        (low, low_den), (r, r_den), (B, b_den), (s_r, s_den) = ints
+        hs, xs = range(spec.m), range(spec.n)
+        # The stored spec carried over by the same map, on integers: B'[l][a][nu] is
+        # sum_{i,j} r_low[i][l] r[j][a] B[i][j][nu], and the twist matrix r_low^T r is the
+        # identity unless the stored r is stale.
+        rb = [[[sum(r[j][a] * b[j][nu] for j in hs) for nu in xs] for a in hs] for b in B]
+        B = [[[sum(low[i][l] * rb[i][a][nu] for i in hs) for nu in xs] for a in hs] for l in hs]
+        twin_r = [[sum(low[i][l] * s_r[i][mu] for i in hs) for mu in xs] for l in hs]
+        B, twin_r = _fractions(B, low_den * r_den * b_den), _fractions(twin_r, low_den * s_den)
         # Carried forward, the coupling of H'_lam is sum_i r_low[i][lam]
         # alpha_up[i], which is alpha_low[lam]; alpha_low itself is unchanged.
         twin = HopfContext(

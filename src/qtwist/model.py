@@ -13,7 +13,6 @@ Borel (Jordanian) case, and the shift-ring family.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +33,6 @@ from .algebra import (
 from .errors import (
     DegenerateRMatrixError,
     NoValidXiError,
-    ShapeError,
     SingularMatrixError,
     SpecError,
 )
@@ -164,28 +162,17 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
-def _contract(mat, tensor):
-    """``out[a] = sum_i mat[i][a] * tensor[i]`` over nested sequences of rationals.
-
-    Only pairs of nonzero factors are multiplied; the result is nested tuples.
-    """
-    if isinstance(tensor[0], (list, tuple)):
-        # Contract each slice tensor[:][j], then put the new index first again.
-        return tuple(zip(*(_contract(mat, col) for col in zip(*tensor))))
-    return tuple(sum((c * t for c, t in zip(col, tensor) if c and t), Q(0)) for col in zip(*mat))
+def _fractions(nums, den):
+    """Nested integer numerators over `den` as nested tuples of Fractions."""
+    return tuple(_fractions(v, den) for v in nums) if isinstance(nums, (list, tuple)) else Q(nums, den)
 
 
-def _r_low(spec):
-    """r with lowered indices: the transpose of the inverse of r."""
-    inv = linalg.inverse([list(row) for row in spec.r])
-    return tuple(tuple(inv[mu][i] for mu in range(spec.n)) for i in range(spec.m))
-
-
-def _mat_commute(a, b):
-    """The first entry (i, j), in row-major order, at which ``ab`` and ``ba`` differ; or None."""
-    ab, ba = _contract(tuple(zip(*a)), b), _contract(tuple(zip(*b)), a)
+def _clash(a, b):
+    """The first entry (i, j), in row-major order, at which ``ab`` and ``ba`` differ, for square
+    integer matrices; or None."""
+    dims = range(len(a))
     return next(
-        ((i, j) for i, j in itertools.product(range(len(a)), repeat=2) if ab[i][j] != ba[i][j]),
+        ((i, j) for i in dims for j in dims if sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in dims)),
         None,
     )
 
@@ -204,32 +191,40 @@ class _Classical(NamedTuple):
     r_defect: Optional[str]  # why r_low is None
     alpha_up: tuple
     alpha_low: Optional[tuple]
+    # B, alpha_up and alpha_low (None without r_low) as integers, each over one denominator.
+    nums: tuple
 
 
 def _classical(spec):
-    """Derive the classical data once, for validation and construction alike."""
-    beta = tuple(zip(*(tuple(zip(*b)) for b in spec.B)))  # beta[mu][i][j] = B[i][j][mu]
+    """Derive the classical data once, for validation and construction alike.
+
+    B and r are scaled once to integers over one denominator each; every sum and test runs on
+    those, and only the fields a derived structure keeps are made Fractions.
+    """
+    hs, xs = range(spec.m), range(spec.n)
+    (B, b_den), (r, r_den) = linalg.integers(spec.B), linalg.integers(spec.r)
+    beta = [[[B[i][j][mu] for j in hs] for i in hs] for mu in xs]  # beta[mu][i][j] = B[i][j][mu]
     beta_clash = next(
-        (
-            (mu, nu, hit)
-            for mu in range(spec.n)
-            for nu in range(mu + 1, spec.n)
-            if (hit := _mat_commute(beta[mu], beta[nu])) is not None
-        ),
+        ((mu, nu, hit) for mu in xs for nu in range(mu + 1, spec.n) if (hit := _clash(beta[mu], beta[nu]))),
         None,
     )
-    r_low = r_defect = alpha_low = None
+    # alpha_up[i][mu][nu] = sum_j r[j][mu] B[i][j][nu] / 2: `up` over 2 r_den b_den.
+    up = [[[sum(r[j][mu] * b[j][nu] for j in hs) for nu in xs] for mu in xs] for b in B]
+    r_low = r_defect = alpha_low = low = None
     if spec.m != spec.n:
         r_defect = f"r is {spec.m}x{spec.n}, not square"
     else:
         try:
-            r_low = _r_low(spec)
+            adj, d = linalg.inverse_nums(r)
         except SingularMatrixError:
             r_defect = "r is singular"
-    alpha_up = tuple(_frozen([[v / 2 for v in row] for row in _contract(spec.r, b)]) for b in spec.B)
-    if r_low is not None:
-        alpha_low = _contract(r_low, alpha_up)
-    return _Classical(beta_clash, r_low, r_defect, alpha_up, alpha_low)
+        else:
+            # r^-1 = r_den adj / d, and r_low its transpose; alpha_low[mu] = sum_i r_low[i][mu]
+            # alpha_up[i], where r_den cancels: `low` over 2 d b_den.
+            r_low = _fractions([[r_den * adj[mu][i] for mu in xs] for i in hs], d)
+            low = [[[sum(adj[mu][i] * up[i][rho][nu] for i in hs) for nu in xs] for rho in xs] for mu in xs]
+            alpha_low = _fractions(low, 2 * d * b_den)
+    return _Classical(beta_clash, r_low, r_defect, _fractions(up, 2 * r_den * b_den), alpha_low, (B, up, low))
 
 
 def _require_classical(spec):
@@ -293,20 +288,19 @@ def cybe_residual(spec):
     tensor power of the undeformed algebra, every term at deformation power
     zero.  A spec object computes it once, as ``spec._cybe``.
     """
-    alg = classical_algebra(spec)
-    acc = {}
-    for i in range(spec.m):
-        for mu in range(spec.n):
-            c = spec.r[i][mu]
+    alg, terms = classical_algebra(spec), {}
+    for i, row in enumerate(spec.r):
+        for mu, c in enumerate(row):
             if c:
-                alg.outer(alg.x(mu), alg.h(i)).add_into(acc, c)
-                alg.outer(alg.h(i), alg.x(mu)).add_into(acc, -c)
-    two = _from_parts(alg, 2, acc)
+                h, x = Monomial.h_gen(spec.m, spec.n, i), Monomial.x_gen(spec.m, spec.n, mu)
+                terms[0, (x, h)], terms[0, (h, x)] = c, -c
+    two = alg.tensor_element(2, terms)
     r12, r13, r23 = (two.embed(3, legs) for legs in ((0, 1), (0, 2), (1, 2)))
     acc = {}
+    # [a, b] = corr(a, b) - corr(b, a): the leading passes agree (`Algebra.mul_into`) and cancel.
     for a, b in ((r12, r13), (r12, r23), (r13, r23)):
-        alg.mul_into(acc, a, b)
-        alg.mul_into(acc, b, a, -1)
+        alg.mul_into(acc, a, b, part="corr")
+        alg.mul_into(acc, b, a, -1, part="corr")
     return _from_parts(alg, 3, acc)
 
 
@@ -321,26 +315,24 @@ def _found(name, bad, witness):
 def validate_spec(spec):
     """Run the classical precondition checks in a fixed order."""
     classical = spec._derivation
-    alpha_up, alpha_low = classical.alpha_up, classical.alpha_low
+    B, up, low = classical.nums
     hs, xs = range(spec.m), range(spec.n)
-    # Each search finds the first failing entry in loop order, or None.
-    # acted[i][j * m + k][nu] = sum_mu alpha_up[i][mu][nu] B[j][k][mu].
-    acted = [_contract(tuple(zip(*(bj for b in spec.B for bj in b))), a) for a in alpha_up]
+    # Each search finds the first failing entry in loop order, or None, comparing integers over one
+    # denominator.  Consistency asks sum_mu alpha_up[i][mu][nu] B[j][k][mu] to be symmetric in i and
+    # j, so the first failure has i < j.
     consistency = next(
         (
             (i, j, k, nu)
-            for i, j, k, nu in itertools.product(hs, hs, hs, xs)
-            if acted[i][j * spec.m + k][nu] != acted[j][i * spec.m + k][nu]
+            for i in hs
+            for j in range(i + 1, spec.m)
+            for k in hs
+            for nu in xs
+            if sum(up[i][mu][nu] * B[j][k][mu] - up[j][mu][nu] * B[i][k][mu] for mu in xs)
         ),
         None,
     )
     commute = next(
-        (
-            (i, j, hit)
-            for i in hs
-            for j in range(i + 1, spec.m)
-            if (hit := _mat_commute(alpha_up[i], alpha_up[j])) is not None
-        ),
+        ((i, j, hit) for i in hs for j in range(i + 1, spec.m) if (hit := _clash(up[i], up[j]))),
         None,
     )
     checks = [
@@ -349,7 +341,7 @@ def validate_spec(spec):
         _found("consistency", consistency, "indices (i,j,k,nu)=({}, {}, {}, {})"),
         _found("alpha-commute", commute, "alpha[{}] and alpha[{}] disagree at entry {}"),
     ]
-    if alpha_low is None:
+    if low is None:
         checks.append(
             ValidationCheck("alpha-symmetry", False, "needs invertible r to lower indices")
         )
@@ -360,7 +352,7 @@ def validate_spec(spec):
                 for rho in xs
                 for muu in xs
                 for nu in range(muu + 1, spec.n)
-                if alpha_low[muu][rho][nu] != alpha_low[nu][rho][muu]
+                if low[muu][rho][nu] != low[nu][rho][muu]
             ),
             None,
         )
@@ -374,21 +366,14 @@ def validate_spec(spec):
     return ValidationReport(spec.name, tuple(checks))
 
 
-def _stacked_alpha_low(spec, alpha_low):
-    rows = []
-    for muu in range(spec.n):
-        for nu in range(spec.n):
-            rows.append([alpha_low[sigma][muu][nu] for sigma in range(spec.n)])
-    return rows
-
-
 def h_prime_rank(spec):
     """Dimension of the subspace of H reached by brackets with X.
 
     Returns (rank, witness): when the rank falls short of m the witness is a
     coefficient vector for a central element lying in the X part.
     """
-    stacked = _stacked_alpha_low(spec, _require_classical(spec).alpha_low)
+    alpha_low, xs = _require_classical(spec).alpha_low, range(spec.n)
+    stacked = [[alpha_low[sigma][muu][nu] for sigma in xs] for muu in xs for nu in xs]
     rank = linalg.rank(stacked)
     if rank >= spec.m:
         return rank, None

@@ -451,6 +451,172 @@ def classical_oracle(spec):
     return alpha_up, r_low, alpha_low
 
 
+def _contract(mat, tensor):
+    """``out[a] = sum_i mat[i][a] * tensor[i]`` over nested sequences of Fractions, as nested tuples."""
+    if isinstance(tensor[0], (list, tuple)):
+        # Contract each slice tensor[:][j], then put the new index first again.
+        return tuple(zip(*(_contract(mat, col) for col in zip(*tensor))))
+    return tuple(sum((c * t for c, t in zip(col, tensor) if c and t), Q(0)) for col in zip(*mat))
+
+
+def _mat_commute(a, b):
+    """The first entry (i, j), in row-major order, at which ``ab`` and ``ba`` differ; or None."""
+    ab, ba = _contract(tuple(zip(*a)), b), _contract(tuple(zip(*b)), a)
+    dims = range(len(a))
+    return next(((i, j) for i in dims for j in dims if ab[i][j] != ba[i][j]), None)
+
+
+def fraction_inverse(rows):
+    """`linalg.inverse` by the Fraction route: Bareiss forward elimination of ``[rows | I]`` over
+    Fractions, then back substitution."""
+    mat = [[Q(v) for v in row] for row in rows]
+    n = len(mat)
+    if n == 0 or any(len(row) != n for row in mat):
+        raise SingularMatrixError("matrix is not square")
+    aug = [row + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    pivots, prev, r = [], Q(1), 0
+    for c in range(2 * n):
+        p = next((i for i in range(r, n) if aug[i][c]), None) if r < n else None
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        piv = aug[r][c]
+        for i in range(r + 1, n):
+            head = aug[i][c]
+            aug[i] = [(piv * a - head * b) / prev for a, b in zip(aug[i], aug[r])]
+        prev = piv
+        pivots.append((r, c))
+        r += 1
+    if pivots[:n] != [(i, i) for i in range(n)]:
+        raise SingularMatrixError("matrix is singular")
+    for i in range(n - 1, -1, -1):
+        for j in range(n, 2 * n):
+            aug[i][j] = (aug[i][j] - sum(aug[i][k] * aug[k][j] for k in range(i + 1, n))) / aug[i][i]
+    return [row[n:] for row in aug]
+
+
+def fraction_classical(spec):
+    """The five classical fields of `model._classical` by the Fraction route: `_contract` sums,
+    `_mat_commute` for the Jacobi test and `fraction_inverse` for r_low."""
+    beta = tuple(zip(*(tuple(zip(*b)) for b in spec.B)))  # beta[mu][i][j] = B[i][j][mu]
+    beta_clash = next(
+        (
+            (mu, nu, hit)
+            for mu in range(spec.n)
+            for nu in range(mu + 1, spec.n)
+            if (hit := _mat_commute(beta[mu], beta[nu])) is not None
+        ),
+        None,
+    )
+    r_low = r_defect = alpha_low = None
+    if spec.m != spec.n:
+        r_defect = f"r is {spec.m}x{spec.n}, not square"
+    else:
+        try:
+            inv = fraction_inverse(spec.r)
+            r_low = tuple(tuple(inv[mu][i] for mu in range(spec.n)) for i in range(spec.m))
+        except SingularMatrixError:
+            r_defect = "r is singular"
+    alpha_up = tuple(tuple(tuple(v / 2 for v in row) for row in _contract(spec.r, b)) for b in spec.B)
+    if r_low is not None:
+        alpha_low = _contract(r_low, alpha_up)
+    return beta_clash, r_low, r_defect, alpha_up, alpha_low
+
+
+def full_product_cybe(spec):
+    """`model.cybe_residual` by full products: r's antisymmetrised 2-tensor from `outer` products,
+    and ``ab - ba`` with both passes of each product for the three pairs of its embeddings."""
+    from qtwist.model import classical_algebra
+
+    alg, acc = classical_algebra(spec), {}
+    for i in range(spec.m):
+        for mu in range(spec.n):
+            c = spec.r[i][mu]
+            if c:
+                alg.outer(alg.x(mu), alg.h(i)).add_into(acc, c)
+                alg.outer(alg.h(i), alg.x(mu)).add_into(acc, -c)
+    two = _from_parts(alg, 2, acc)
+    r12, r13, r23 = (two.embed(3, legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    acc = {}
+    for a, b in ((r12, r13), (r12, r23), (r13, r23)):
+        alg.mul_into(acc, a, b)
+        alg.mul_into(acc, b, a, -1)
+    return _from_parts(alg, 3, acc)
+
+
+def fraction_validation(spec):
+    """`validate_spec`'s report by the Fraction route: the searches on `fraction_classical`'s
+    fields, a consistency sum over every (i, j), and the witness of `full_product_cybe`."""
+    from qtwist.model import ValidationCheck, ValidationReport, _found
+
+    beta_clash, r_low, r_defect, alpha_up, alpha_low = fraction_classical(spec)
+    hs, xs = range(spec.m), range(spec.n)
+    acted = [_contract(tuple(zip(*(bj for b in spec.B for bj in b))), a) for a in alpha_up]
+    consistency = next(
+        (
+            (i, j, k, nu)
+            for i in hs
+            for j in hs
+            for k in hs
+            for nu in xs
+            if acted[i][j * spec.m + k][nu] != acted[j][i * spec.m + k][nu]
+        ),
+        None,
+    )
+    commute = next(
+        (
+            (i, j, hit)
+            for i in hs
+            for j in range(i + 1, spec.m)
+            if (hit := _mat_commute(alpha_up[i], alpha_up[j])) is not None
+        ),
+        None,
+    )
+    checks = [
+        _found("jacobi", beta_clash, "beta[{}] and beta[{}] disagree at entry {}"),
+        ValidationCheck("invertible-r", r_low is not None, r_defect),
+        _found("consistency", consistency, "indices (i,j,k,nu)=({}, {}, {}, {})"),
+        _found("alpha-commute", commute, "alpha[{}] and alpha[{}] disagree at entry {}"),
+    ]
+    if alpha_low is None:
+        checks.append(ValidationCheck("alpha-symmetry", False, "needs invertible r to lower indices"))
+    else:
+        symmetry = next(
+            (
+                (rho, muu, nu)
+                for rho in xs
+                for muu in xs
+                for nu in range(muu + 1, spec.n)
+                if alpha_low[muu][rho][nu] != alpha_low[nu][rho][muu]
+            ),
+            None,
+        )
+        checks.append(_found("alpha-symmetry", symmetry, "indices (rho,mu,nu)=({}, {}, {})"))
+    first = full_product_cybe(spec).first_term()
+    witness = None if first is None else f"first surviving term: {format_term(*first, spec.h_names, spec.x_names)}"
+    checks.append(ValidationCheck("cybe", first is None, witness))
+    return ValidationReport(spec.name, tuple(checks))
+
+
+def fractional_mutants(spec, seed, count):
+    """`count` copies of `spec`, each with one seeded entry of B or r moved by a nonzero fraction
+    ``p/q``, q in 2, 3 and 5; every copy derives its classical data afresh."""
+    import dataclasses
+
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        field = rng.choice(("B", "r"))
+        rows = [[list(row) for row in block] if field == "B" else list(block) for block in getattr(spec, field)]
+        cell = rows[rng.randrange(spec.m)]
+        if field == "B":
+            cell = cell[rng.randrange(spec.m)]
+        at = rng.randrange(spec.n)
+        cell[at] += Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((2, 3, 5)))
+        out.append(dataclasses.replace(spec, name=f"{spec.name}-{field}{index}", **{field: rows}))
+    return out
+
+
 def powers_oracle(matrix):
     """``matrix^k`` for k = 0..order, ending before the first zero power, each power a sum of
     `mul_tensors` products put through the validating `SeriesMatrix` constructor."""

@@ -1,7 +1,8 @@
 """Byte-for-byte pins of machine reports and machine expansions.
 
 Each case renders one output and compares it with a file under
-``tests/golden/``.  A change to term keys, witness selection or formatting
+``tests/golden/``; the validation reports of the spec files under
+``tests/data/`` are pinned as text, with the exit code of ``qtwist validate``.  A change to term keys, witness selection or formatting
 shows here as a diff.  Regenerate the files only for an intended change of
 output: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -19,6 +20,7 @@ from qtwist.model import choose_xi
 from qtwist.verify import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 
 def _suite(name, order):
@@ -90,6 +92,17 @@ CASES = {
 }
 
 
+# Each spec file with its `qtwist validate` exit code: the bumped one is the rotated spec with
+# r[0][0] raised by 1, which fails consistency, alpha-commute, alpha-symmetry and cybe with witnesses.
+VALIDATIONS = {"rotated-null-plane": 0, "rotated-null-plane-r-bumped": 1}
+
+
+def _validate(name):
+    out = io.StringIO()
+    code = main(["validate", str(DATA / f"{name}.json")], out=out)
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("field, at", [("B", (0, 1, 2)), ("r", (0, 1))])
 def test_stale_contexts_report_failing_checks(field, at):
     """A stale B or r fails checks, each with a witness, and raises nothing."""
@@ -104,7 +117,15 @@ def test_output_matches_golden(name):
     assert CASES[name]() == want
 
 
+@pytest.mark.parametrize("name", sorted(VALIDATIONS))
+def test_validation_matches_golden(name):
+    want = (GOLDEN / f"validate-{name}.txt").read_text(encoding="utf-8")
+    assert _validate(name) == (VALIDATIONS[name], want)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, make in CASES.items():
         (GOLDEN / f"{name}.json").write_text(make(), encoding="utf-8")
+    for name in VALIDATIONS:
+        (GOLDEN / f"validate-{name}.txt").write_text(_validate(name)[1], encoding="utf-8")

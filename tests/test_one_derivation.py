@@ -4,8 +4,8 @@
 `h_prime_rank` all read the classical data that `model._classical` derives,
 kept on the spec object.  Nothing is cached by spec contents: a
 `dataclasses.replace` copy, such as a B mutant, and a second spec object
-with equal fields each derive their own.  The derivation's sums multiply
-only nonzero factors, so the dense sums are their oracle, and invalid specs
+with equal fields each derive their own.  The derivation sums integer
+numerators, so the dense Fraction sums are their oracle, and invalid specs
 keep their validation reports and their construction errors.
 """
 
