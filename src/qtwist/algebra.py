@@ -16,6 +16,11 @@ The last X of a block moves past the H first.  Multiplication normal-orders
 the concatenation.  It is associative when the ``D_mu`` commute, as the Jacobi
 identity of a valid spec makes them; otherwise ``X_1 (X_0 H)`` and
 ``(X_1 X_0) H`` can differ.
+
+An algebra map given on the generators, such as the coproduct or a change of
+basis, reaches a monomial as its first generator's image times the image of
+the rest, each monomial's image built once into a cache the caller keeps
+(`Algebra.substitute_leg`).
 """
 
 from __future__ import annotations
@@ -62,16 +67,6 @@ class Monomial(NamedTuple):
     def is_pure_h(self):
         return not any(self.x)
 
-    def peel(self):
-        """``(i, rest)`` with ``self == g_i * rest``, `g_i` the first generator present
-        in the chain ``H_0..H_{m-1}, X_0..X_{n-1}``; None for the unit."""
-        exps = self.h + self.x
-        i = next((i for i, e in enumerate(exps) if e), None)
-        if i is None:
-            return None
-        rest, m = exps[:i] + (exps[i] - 1,) + exps[i + 1 :], len(self.h)
-        return i, Monomial(rest[:m], rest[m:])
-
 
 class Algebra:
     """Carrier for truncated deformed arithmetic.
@@ -89,7 +84,9 @@ class Algebra:
     is linear: a product's key is the sum of its factors' plus a correction.
     No other module reads keys: they map legs through `substitute_leg`,
     `r12_r13_slices` and `relabel`, and read terms through `decode` and
-    `first_term`.
+    `first_term`.  `substitute_leg` takes an algebra map as its generators'
+    images and a cache of monomial images by leg field, which the caller
+    keeps and `_image` fills.
 
     Normal ordering adds packed 1-leg keys, ``power << _leg_bits | field``.
     `_int_table`, the only copy of the table, holds each bracket as such keys
@@ -666,13 +663,13 @@ class Algebra:
             cache[field] = self._field(*(tuple(e[i] for i in inv) for e in self._mono(field)))
         return cache[field]
 
-    def substitute_leg(self, tensor, leg, image, width):
-        """Replace the monomial on `leg` with ``image(monomial)``, a `width`-leg tensor.
+    def substitute_leg(self, tensor, leg, gens, cache, width):
+        """Apply to `leg` the algebra map given on the generators by `gens`, `width`-leg tensors.
 
-        The image's legs take the place of `leg`, powers add, and terms above
-        the order are dropped.  The coproduct (width 2) and a change of H
-        basis (width 1) are this loop; ``image(monomial, room)`` is called once
-        per monomial, `room` the order less the lowest power it occurs at.
+        `gens` holds the images of ``H_0..H_{m-1}`` and then ``X_0..X_{n-1}``, the order of a leg
+        field, and `cache` the images of monomials built so far (`_image`).  The image's legs take
+        the place of `leg`, powers add, and terms above the order are dropped.  The coproduct
+        (width 2) and a change of basis (width 1) are this loop.
         """
         if not 0 <= leg < tensor.legs:
             raise ShapeError("leg out of range")
@@ -693,7 +690,7 @@ class Algebra:
             f = (key >> s) & self._leg_mask
             cached = images.get(f)
             if cached is None:
-                img = image(self._mono(f), rooms[f])
+                img = self._image(f, gens, cache, width, rooms[f])
                 cached = images[f] = img.den * tensor.den, [
                     (dk >> img_ps, (dk >> img_ps << wide_ps) + ((dk & img_mask) << s), dc)
                     for dk, dc in img.nums.items()
@@ -709,6 +706,27 @@ class Algebra:
                     nk = base + part
                     out[nk] = out.get(nk, 0) + c * dc
         return _from_parts(self, tensor.legs + width - 1, parts)
+
+    def _image(self, field, gens, cache, width, room):
+        """The image of the monomial of leg field `field` under ``g -> gens[g]``, to power `room` or beyond.
+
+        It is the image of the field's first generator, its top non-zero field, times that of the
+        rest: one product per entry, which moves one generator, not a block, past the rest.  Built to
+        `room` on first use, and once more, to the order, when a later use needs more; `cache` maps
+        a field to ``(reach, image)``.
+        """
+        reach, image = cache.get(field, (-1, None))
+        if reach < room:
+            reach = room if reach < 0 else self.order
+            if field:
+                sh, acc = (field.bit_length() - 1) // _W * _W, {}
+                rest = self._image(field - (1 << sh), gens, cache, width, reach)
+                self.mul_into(acc, gens[self.m + self.n - 1 - sh // _W], rest, order=reach)
+                image = _from_parts(self, width, acc)
+            else:
+                image = self.tensor_unit(width)
+            cache[field] = reach, image
+        return image
 
 
 class TensorElement:

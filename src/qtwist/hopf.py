@@ -5,21 +5,22 @@ generators through the group-like matrix ``e^{2 alpha.H}``.  Conjugating it
 by the twist ``Phi = exp(h r^{i,mu} H_i (x) X_mu)`` recovers a primitive
 coproduct on the classical basis, and ``R = swap(Phi) * Phi^{-1}`` is the
 universal R-matrix.  All outputs live at the context's truncation order.
-The coproduct of a tensor leg is `Algebra.substitute_leg` with the cached
-coproduct of each monomial, so no key layout is read here.
+The coproduct and the change to the lifted basis are algebra maps given on
+the generators; each is `Algebra.substitute_leg`, applied leg by leg with
+its generator images and a cache of monomial images, so no key layout is
+read here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .algebra import (
     Monomial,
     SeriesMatrix,
-    _from_parts,
     exp_coefficients,
     exp_truncated,
     series_powers,
@@ -27,7 +28,6 @@ from .algebra import (
 )
 from .errors import ShapeError, UnsupportedPresetError
 from .model import DerivedStructure, _alpha_h_matrix, _fractions, _frozen, deformed_algebra, derive_alpha
-from .transport import BasisChange
 
 Q = Fraction
 
@@ -35,6 +35,25 @@ Q = Fraction
 def build_context(spec):
     """Derive the structure for a spec and wrap it in a HopfContext."""
     return HopfContext(derive_alpha(spec))
+
+
+def _substitute_legs(target, gens, cache, tensor):
+    """`tensor` on every leg under ``H_i -> gens[i]``, ``X_mu -> gens[m + mu]``, as a tensor of `target`."""
+    for leg in range(tensor.legs):
+        tensor = target.substitute_leg(tensor, leg, gens, cache, 1)
+    return tensor
+
+
+def _basis_change(target, forms):
+    """The change of basis ``H_i -> sum_lam forms[i][lam] H_lam`` into `target`, X fixed.
+
+    A map of `_substitute_legs` with its cache bound.  The forms are pure H, so the image of
+    ``H^a X^b``, their product times ``X^b``, consults no bracket; between two algebras whose
+    bracket tables correspond under it, the map is an algebra isomorphism.
+    """
+    m, n = target.m, target.n
+    hs = (target.element({(0, Monomial.h_gen(m, n, lam)): c for lam, c in enumerate(row)}) for row in forms)
+    return partial(_substitute_legs, target, (*hs, *map(target.x, range(n))), {})
 
 
 class _shared(cached_property):
@@ -55,7 +74,7 @@ class HopfContext:
     twin's algebra and maps too) live in ``derived.shared``, which its stale
     copies share; phi, R and the twin's spec stay per context.  On a lifted
     twin (see `lifted`), `from_user` and `to_user` are the basis changes from
-    and to the user's context; on any other context they are None.
+    and to the user's context (`_basis_change`); on any other context they are None.
     """
 
     def __init__(self, derived: DerivedStructure):
@@ -82,8 +101,8 @@ class HopfContext:
 
     @_shared
     def _lift(self):
-        """The r of ``r_low``, the maps to and from the twin's algebra, and the twin's powers of
-        alpha.H; None when r_low = I.
+        """The r of ``r_low``, the twin's algebra and its powers of alpha.H, and the maps to and
+        from it; None when r_low = I.
 
         The twin's algebra is `deformed_algebra`'s for the coupling alpha_low: in the basis H'
         the pairing is I, so its B, ``B'[l][a][nu] = sum_{i,j} r_low[i][l] r[j][a] B[i][j][nu]``,
@@ -95,7 +114,7 @@ class HopfContext:
         r = linalg.inverse([list(col) for col in zip(*r_low)])
         doubled = [[[2 * v for v in row] for row in block] for block in alpha_low]
         twin_alg, powers = deformed_algebra(alg.m, alg.n, alg.order, alpha_low, doubled)
-        return r, BasisChange(alg, twin_alg, r_low), BasisChange(twin_alg, alg, list(zip(*r))), powers
+        return r, twin_alg, powers, _basis_change(twin_alg, r_low), _basis_change(alg, zip(*r))
 
     @cached_property
     def _twin(self):
@@ -104,7 +123,7 @@ class HopfContext:
         A context never caches itself, which would make it a reference cycle
         that outlives its last use until the cyclic collector runs.
         """
-        spec, derived, (r, from_user, to_user, powers) = self.spec, self.derived, self._lift
+        spec, derived, (r, twin_alg, powers, from_user, to_user) = self.spec, self.derived, self._lift
         ints = map(linalg.integers, (derived.r_low, r, spec.B, spec.r))
         (low, low_den), (r, r_den), (B, b_den), (s_r, s_den) = ints
         hs, xs = range(spec.m), range(spec.n)
@@ -123,7 +142,7 @@ class HopfContext:
                 spec=dataclasses.replace(spec, B=B, r=twin_r),
                 alpha_up=derived.alpha_low,
                 r_low=_frozen(linalg.identity(spec.m)),
-                algebra=from_user.target,
+                algebra=twin_alg,
             )
         )
         twin.from_user, twin.to_user = from_user, to_user
@@ -169,34 +188,13 @@ class HopfContext:
             out.append(t)
         return tuple(out)
 
-    def _delta_monomial(self, mono, room):
-        """Coproduct of the monomial `mono` to power `room` or beyond, cached per monomial.
-
-        It is the coproduct of the monomial's first generator, in the chain
-        order H by index and then X by index, times that of the rest: one
-        product per entry, which moves one X, not a block, past a series.
-        Built to `room` on first use, and once more, to the order, when a later
-        use needs more; the cache holds ``(reach, coproduct)``.
-        """
-        alg, (reach, cached) = self.algebra, self._delta_cache.get(mono, (-1, None))
-        if reach < room:
-            reach, peeled, acc = room if reach < 0 else alg.order, mono.peel(), {}
-            if peeled is None:
-                cached = alg.tensor_unit(2)
-            else:
-                gen, rest = peeled
-                alg.mul_into(acc, self._delta_gens[gen], self._delta_monomial(rest, reach), order=reach)
-                cached = _from_parts(alg, 2, acc)
-            self._delta_cache[mono] = reach, cached
-        return cached
-
     def coproduct(self, a):
         """Deformed coproduct, extended from the generators as an algebra map."""
         return self.coproduct_on_leg(a, 0)
 
     def coproduct_on_leg(self, tensor, leg):
         """Apply the coproduct to one leg, widening the tensor by a leg."""
-        return self.algebra.substitute_leg(tensor, leg, self._delta_monomial, 2)
+        return self.algebra.substitute_leg(tensor, leg, self._delta_gens, self._delta_cache, 2)
 
     # -- twist and R-matrix ----------------------------------------------------
 
@@ -282,9 +280,10 @@ class HopfContext:
     def generator_elements(self):
         """The spec's generators as ``(name, element)`` pairs, H then X.
 
-        On a lifted twin the H generators are the images of the user's.
+        On a lifted twin the H generators are the images of the user's, whose keys are those of
+        the twin's own.
         """
         alg, user = self.algebra, self.from_user
-        hs = [alg.h(i) if user is None else user(user.source.h(i)) for i in range(self.spec.m)]
+        hs = [alg.h(i) if user is None else user(alg.h(i)) for i in range(self.spec.m)]
         xs = [alg.x(mu) for mu in range(self.spec.n)]
         return list(zip(self.spec.h_names, hs)) + list(zip(self.spec.x_names, xs))

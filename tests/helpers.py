@@ -334,6 +334,26 @@ def rotate_h_basis(base, s, name="rotated"):
     return AlgebraSpec(name=name, m=dim, n=n, B=B, r=r, order=base.order)
 
 
+def rotate_x_basis(base, s, name="x-rotated"):
+    """`base` in an X basis moved by the invertible n-by-n matrix s.
+
+    ``B'[i][j][nu] = sum_mu B[i][j][mu] s[mu][nu]`` and ``r'[i][nu] = sum_mu
+    r[i][mu] s^-1[nu][mu]``, so the twist exponent is unchanged; xi and the
+    metadata are dropped.  The lift to r = I moves only H, so such a spec
+    keeps a dense twin.
+    """
+    sinv, n = inverse(s), base.n
+    B = [[[sum(row[mu] * s[mu][nu] for mu in range(n)) for nu in range(n)] for row in block] for block in base.B]
+    r = [[sum(row[mu] * sinv[nu][mu] for mu in range(n)) for nu in range(n)] for row in base.r]
+    return AlgebraSpec(name=name, m=base.m, n=n, B=B, r=r, order=base.order)
+
+
+def x_rotated_null_plane(order=4):
+    """The null-plane preset in the X basis moved by ``[[1, 1, 1], [0, 1, 1], [1, 1, 2]]``."""
+    s = [[Q(1), Q(1), Q(1)], [Q(0), Q(1), Q(1)], [Q(1), Q(1), Q(2)]]
+    return rotate_x_basis(preset("poincare-null-plane").with_order(order), s)
+
+
 def _invertible(rng, dim):
     """A random dim-by-dim integer matrix with entries in -2..2 that is invertible."""
     while True:
@@ -678,16 +698,17 @@ def fraction_route_algebra(m, n, order, alpha_up, B):
 def lifted_table_oracle(ctx):
     """The lifted twin's bracket table, ``[H'_a, X_mu] = sum_j r[j][a] [H_j, X_mu]``,
     with each bracket carried forward once per ``(a, mu, j)``."""
-    from qtwist.transport import BasisChange
+    from qtwist.hopf import _basis_change
 
     alg, r_low = ctx.algebra, ctx.derived.r_low
     dims = range(alg.m)
     r = inverse([list(col) for col in zip(*r_low)])
-    carry = BasisChange(alg, Algebra(alg.m, alg.n, alg.order, {}), r_low)
+    target = Algebra(alg.m, alg.n, alg.order, {})
+    carry = _basis_change(target, r_low)
     table = {}
     for a in dims:
         for mu in dims:
-            acc = carry.target.zero()
+            acc = target.zero()
             for j in dims:
                 if r[j][a]:
                     acc = acc + carry(alg.element(alg.bracket(j, mu))).scale(r[j][a])

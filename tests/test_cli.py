@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import abelian_spec, preset_file_text, rotated_null_plane_specs
+from helpers import abelian_spec, preset_file_text, rotated_null_plane_specs, x_rotated_null_plane
 from qtwist import SpecFileError, parse_spec_file, preset, render_spec_file
 from qtwist.cli import main
 from qtwist.model import PRESET_NAMES
@@ -35,10 +35,18 @@ def test_shipped_preset_files_match_compiled():
         assert parse_spec_text(preset_file_text(name)) == preset(name)
 
 
-def test_rotated_spec_data_file_matches_generator():
-    """The dense-table spec that the full verification script runs."""
-    path = Path(__file__).parent / "data" / "rotated-null-plane.json"
-    assert parse_spec_file(path) == next(rotated_null_plane_specs(order=3))
+SPEC_DATA_FILES = {
+    # The dense-table spec that the full verification script runs.
+    "rotated-null-plane": lambda: next(rotated_null_plane_specs(order=3)),
+    # The spec of the X-rotated golden reports.
+    "x-rotated-null-plane": x_rotated_null_plane,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_DATA_FILES))
+def test_spec_data_files_match_generators(name):
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    assert parse_spec_file(path) == SPEC_DATA_FILES[name]()
 
 
 def test_rational_strings_parse_exactly():

@@ -8,13 +8,14 @@ output: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import io
+import random
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from helpers import cached_context, mutate_tensor, rotated_null_plane_specs, stale_context
-from qtwist import build_context
+from qtwist import build_context, parse_spec_file
 from qtwist.cli import main, render_report_machine
 from qtwist.model import choose_xi
 from qtwist.verify import run_suite
@@ -62,6 +63,23 @@ def _rotated_stale(field, at, xi=None):
     return render_report_machine(run_suite(stale, "all", xi=xi))
 
 
+@lru_cache(maxsize=None)
+def _x_rotated_context(order):
+    """The X-rotated null-plane spec file: its lift maps X-bearing monomials, and its twin is dense."""
+    return build_context(parse_spec_file(DATA / "x-rotated-null-plane.json").with_order(order))
+
+
+def _x_rotated(mutated=None):
+    """`check --suite all` on the X-rotated spec at N=4, or at N=3 with one seeded term of phi or R
+    raised by 1."""
+    if mutated is None:
+        return render_report_machine(run_suite(_x_rotated_context(4), "all"))
+    ctx, rng = _x_rotated_context(3), random.Random(f"x-rotated/{mutated}")
+    target = ctx.phi if mutated == "phi" else ctx.universal_r
+    bad = mutate_tensor(ctx.algebra, target, rng.choice(sorted(target.terms)))
+    return render_report_machine(run_suite(ctx, "all", **{mutated: bad}))
+
+
 def _expand(expr):
     out = io.StringIO()
     argv = ["expand", "--preset", "poincare-null-plane", "--order", "2"]
@@ -86,6 +104,9 @@ CASES = {
     "check-rotated-null-plane-n3-r-stale-xi": lambda: _rotated_stale(
         "r", (0, 1), xi=choose_xi(_rotated_context().spec)
     ),
+    "check-x-rotated-null-plane-n4": _x_rotated,
+    "check-x-rotated-null-plane-n3-rmat-mutated": lambda: _x_rotated("rmat"),
+    "check-x-rotated-null-plane-n3-phi-mutated": lambda: _x_rotated("phi"),
     "expand-phi": lambda: _expand("phi"),
     "expand-K": lambda: _expand("K"),
     "expand-coproduct-X1": lambda: _expand("coproduct:X1"),

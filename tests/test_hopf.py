@@ -256,12 +256,13 @@ def test_caches_agree_with_recomputation(poincare4):
 @pytest.mark.parametrize("name", ("poincare-null-plane", "jordanian-borel", "shift-ring(3)"))
 def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
     """The coproduct of a monomial is that of its first generator times that
-    of the rest, from the cache: one product per new cache entry, equal to
-    the chain of the generators' coproducts multiplied from the left, with
-    the terms in the order of the chain multiplied from the right."""
+    of the rest, from the cache, which is keyed by leg field: one product per
+    new cache entry, equal to the chain of the generators' coproducts
+    multiplied from the left, with the terms in the order of the chain
+    multiplied from the right."""
     ctx = build_context(preset(name).with_order(3))
-    alg, gens = ctx.algebra, ctx._delta_gens
-    ctx._delta_monomial(Monomial.unit(alg.m, alg.n), alg.order)
+    alg, gens, cache = ctx.algebra, ctx._delta_gens, ctx._delta_cache
+    alg._image(0, gens, cache, 2, alg.order)
     products, real, into = [], alg.mul_tensors, alg.mul_into
     monkeypatch.setattr(alg, "mul_into", lambda *args, **kwargs: products.append(1) or into(*args, **kwargs))
     rng = random.Random(f"delta/{name}")
@@ -270,7 +271,7 @@ def test_monomial_coproducts_take_one_product_per_new_entry(name, monkeypatch):
         x = tuple(rng.randint(0, 2) for _ in range(alg.n))
         before = len(ctx._delta_cache)
         products.clear()
-        got = ctx._delta_monomial(Monomial(h, x), alg.order)
+        got = alg._image(alg._field(h, x), gens, cache, 2, alg.order)
         assert len(products) == len(ctx._delta_cache) - before
         chain = [gen for gen, e in enumerate(h + x) for _ in range(e)]
         left = right = alg.tensor_unit(2)

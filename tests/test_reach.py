@@ -1,13 +1,14 @@
 """Caches built only to the power their first use needs, then used for more.
 
 A term at power ``k`` of a product or a substitution meets only the part of a
-cached block or monomial coproduct up to power ``N - k``.  So `Algebra` builds
-a block's rows, the chains ``D^c(H^b)`` behind them and a leg table only to
-the power the product that first asks for them needs, and `HopfContext` builds
-a monomial's coproduct only to the power `Algebra.substitute_leg` needs.  A
-later use that needs more must rebuild them: after products and coproducts of
-tensors at a high power have filled the caches, the same ones at power 0 equal
-the naive rewriting oracle and those of a fresh algebra or context.
+cached block or monomial image up to power ``N - k``.  So `Algebra` builds a
+block's rows, the chains ``D^c(H^b)`` behind them and a leg table only to the
+power the product that first asks for them needs, and a monomial's image
+under the coproduct or a change of basis only to the power
+`Algebra.substitute_leg` needs.  A later use that needs more must rebuild
+them: after products, coproducts and changes of basis of tensors at a high
+power have filled the caches, the same ones at power 0 equal the naive
+rewriting oracle and those of a fresh algebra or context.
 """
 
 import random
@@ -63,9 +64,24 @@ def _at(alg, monos, power):
     return alg.tensor_element(len(monos[0]), {(power, m): Q(i % 3 - 1 or 2, i % 4 + 1) for i, m in enumerate(monos)})
 
 
-def _assert_whole_to_reach(alg, ctx=None, fresh=None):
-    """Every cached block, chain and monomial coproduct holds what the one
-    built whole holds up to its reach, and nothing above it."""
+def _changes(ctx):
+    """The changes of basis to and from the user's context of a lifted twin; none on any other."""
+    return [change for change in (ctx.from_user, ctx.to_user) if change is not None]
+
+
+def _maps(ctx, fresh):
+    """``(cache, algebra, generator images, width)`` of each algebra map of `ctx` that caches
+    monomial images: the coproduct, rebuilt on `fresh`'s algebra, and the changes of basis."""
+    maps = [(ctx._delta_cache, fresh.algebra, fresh._delta_gens, 2)]
+    for change in _changes(ctx):
+        target, gens, cache = change.args
+        maps.append((cache, target, gens, 1))
+    return maps
+
+
+def _assert_whole_to_reach(alg, maps=()):
+    """Every cached block, chain and monomial image holds what the one built
+    whole holds up to its reach, and nothing above it."""
     whole = fresh_algebra(alg)
     for field, (reach, rows) in alg._rows.items():
         a, b = field & alg._x_mask, field & alg._h_mask
@@ -75,9 +91,10 @@ def _assert_whole_to_reach(alg, ctx=None, fresh=None):
         assert w_reach == ORDER
         cut = {k: Q(v, w_den) for k, v in w_terms.items() if k >> alg._leg_bits <= reach}
         assert {k: Q(v, den) for k, v in terms.items()} == cut
-    for mono, (reach, delta) in getattr(ctx, "_delta_cache", {}).items():
-        w = fresh._delta_monomial(mono, ORDER).terms
-        assert delta.terms == {key: c for key, c in w.items() if key[0] <= reach}
+    for cache, target, gens, width in maps:
+        for field, (reach, image) in cache.items():
+            w = target._image(field, gens, {}, width, ORDER).terms
+            assert image.terms == {key: c for key, c in w.items() if key[0] <= reach}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -131,7 +148,8 @@ def _naive_coproduct(ctx, t):
 @pytest.mark.parametrize("name", NAMES[:4])
 def test_coproducts_after_coproducts_at_a_high_power(name):
     """The coproduct of a tensor at power ``ORDER - 1`` builds its monomials'
-    coproducts to power 1.  A tensor with the same monomials at powers 0 and
+    coproducts to power 1, and so do the changes of basis of a lifted twin
+    their images.  A tensor with the same monomials at powers 0 and
     ``ORDER - 1`` then needs them whole, for its terms at power 0."""
     ctx = _context(name)
     alg = ctx.algebra
@@ -139,8 +157,12 @@ def test_coproducts_after_coproducts_at_a_high_power(name):
     cases = [(_monos(rng, alg, legs, 1, 1), leg) for legs in (1, 2) for leg in range(legs)]
     for monos, leg in cases:
         ctx.coproduct_on_leg(_at(alg, monos, HIGH), leg)
-    assert all(reach < ORDER for reach, _ in ctx._delta_cache.values())
-    _assert_whole_to_reach(alg, ctx, _context(name))
+        for change in _changes(ctx):
+            change(_at(alg, monos, HIGH))
+    caches = [ctx._delta_cache] + [change.args[2] for change in _changes(ctx)]
+    assert len(caches) == (3 if name.endswith("twin") else 1)
+    assert all(reach < ORDER for cache in caches for reach, _ in cache.values())
+    _assert_whole_to_reach(alg, _maps(ctx, _context(name)))
     fresh = _context(name)
     for monos, leg in cases:
         low, high = _at(alg, monos, 0), _at(alg, monos, HIGH)
@@ -149,8 +171,10 @@ def test_coproducts_after_coproducts_at_a_high_power(name):
         assert got == on_fresh + fresh.coproduct_on_leg(high._on(fresh.algebra), leg)
         if low.legs == 1:
             assert got == _naive_coproduct(ctx, low + high)
-    assert any(reach == ORDER for reach, _ in ctx._delta_cache.values())
-    _assert_whole_to_reach(alg, ctx, _context(name))
+        for change, fresh_change in zip(_changes(ctx), _changes(fresh)):
+            assert change(low + high) == fresh_change(low) + fresh_change(high)
+    assert all(any(reach == ORDER for reach, _ in cache.values()) for cache in caches)
+    _assert_whole_to_reach(alg, _maps(ctx, _context(name)))
 
 
 def _cache_terms(ctx):
